@@ -53,12 +53,12 @@ class FiniteLevelModule:
         for rel in relations:
             if len(rel) != ngens:
                 raise ValueError("relation row must have one entry per generator")
-            comps = [self._coerce(entry) for entry in rel]
+            comps = [self._coerce(entry).coeffs for entry in rel]
             for shift in range(self.block):
+                # gamma^shift * comp is comp rotated by shift places
                 row = []
-                for comp in comps:
-                    shifted = comp * GroupRingElem.gamma(spec, level, shift)
-                    row.extend(shifted.coeffs)
+                for cs in comps:
+                    row.extend(cs[-shift:] + cs[:-shift])
                 rows.append(row)
         self.rel_rows = linalg.howell(rows, spec.p, spec.k) if rows else []
         self._rel_span = linalg.span_size(self.rel_rows, spec.p, spec.k)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from iwaheights import linalg
 from iwaheights.errors import PrecisionError
 from iwaheights.iwalg import (
     GroupRingElem,
@@ -71,16 +70,6 @@ def norm_class(spec: RingSpec, n: int, level: int) -> GroupRingElem:
     return GroupRingElem(spec, level, [scalar] * size)
 
 
-def _nu_class(spec: RingSpec, n: int, m_level: int) -> GroupRingElem:
-    """Class at level n of ((1+T)^(p^n)-1)/((1+T)^(p^m)-1)."""
-    size = spec.p**n
-    step = spec.p**m_level
-    cs = [0] * size
-    for j in range(spec.p ** (n - m_level)):
-        cs[(j * step) % size] = (cs[(j * step) % size] + 1) % spec.modulus
-    return GroupRingElem(spec, n, cs)
-
-
 class PoleElem:
     """Class of numerator/(gamma^(p^level)-1) in P, at minimal level."""
 
@@ -106,10 +95,9 @@ class PoleElem:
         """Numerator re-expressed with denominator at level n >= self.level."""
         if n < self.level:
             raise ValueError("can only raise the level")
-        if n == self.level:
-            return n, self.numerator
-        lift = GroupRingElem(self.spec, n, self.numerator.coeffs)
-        return n, lift * _nu_class(self.spec, n, self.level)
+        # times nu = sum_j gamma^(j*p^level): the numerator, repeated
+        reps = self.spec.p ** (n - self.level)
+        return n, GroupRingElem(self.spec, n, self.numerator.coeffs * reps)
 
     def __add__(self, other: "PoleElem") -> "PoleElem":
         if self.spec != other.spec:
@@ -156,16 +144,19 @@ class PoleElem:
 
 
 def _minimal_form(spec: RingSpec, level: int, num: GroupRingElem) -> tuple[int, GroupRingElem]:
+    """The class num/(gamma^(p^level)-1) at the least level expressing it.
+
+    The class drops to level m iff num is a multiple of nu = sum_j
+    gamma^(j*p^m), and those multiples are exactly the p^m-periodic
+    coefficient vectors; the level-m numerator is the first period.
+    """
     if num.is_zero():
         return 0, GroupRingElem.zero(spec, 0)
+    cs = num.coeffs
     for m_level in range(level):
-        nu = _nu_class(spec, level, m_level)
-        size = spec.p**level
-        rows = [list((nu * GroupRingElem.gamma(spec, level, j)).coeffs) for j in range(size)]
-        sol = linalg.solve_combination(rows, list(num.coeffs), spec.p, spec.k)
-        if sol is not None:
-            x = GroupRingElem(spec, level, sol)
-            return m_level, x.fold_to_level(m_level)
+        period = spec.p**m_level
+        if cs[period:] == cs[:-period]:
+            return m_level, GroupRingElem(spec, m_level, cs[:period])
     return level, num
 
 

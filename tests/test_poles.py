@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iwaheights import linalg
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, norm_element
 from iwaheights.poles import (
     JGradedValue,
@@ -95,6 +98,64 @@ class TestPoleReduce:
                 )
                 assert not omega_cls.is_zero()
                 assert (up_num * omega_cls).is_zero()
+
+
+def nu_class(spec, n, m_level):
+    """Class at level n of ((1+T)^(p^n)-1)/((1+T)^(p^m)-1), by its definition."""
+    size = spec.p**n
+    cs = [0] * size
+    for j in range(spec.p ** (n - m_level)):
+        cs[j * spec.p**m_level] = 1
+    return GroupRingElem(spec, n, cs)
+
+
+def howell_minimal_form(spec, level, num):
+    """Oracle for pole normalisation: solve num = x * nu over Z/p^k at each level."""
+    if num.is_zero():
+        return 0, GroupRingElem.zero(spec, 0)
+    size = spec.p**level
+    for m_level in range(level):
+        nu = nu_class(spec, level, m_level)
+        rows = [list((nu * GroupRingElem.gamma(spec, level, j)).coeffs) for j in range(size)]
+        sol = linalg.solve_combination(rows, list(num.coeffs), spec.p, spec.k)
+        if sol is not None:
+            return m_level, GroupRingElem(spec, level, sol).fold_to_level(m_level)
+    return level, num
+
+
+@st.composite
+def numerators(draw):
+    """(spec, level, numerator) with the numerator p^m-periodic for a drawn
+    m <= level (m = level is an arbitrary vector), times p for some k > 1."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    spec = RingSpec(p, k, 12)
+    level = draw(st.integers(0, 2))
+    m_level = draw(st.integers(0, level))
+    period = draw(
+        st.lists(st.integers(0, spec.modulus - 1), min_size=p**m_level, max_size=p**m_level)
+    )
+    scale = draw(st.sampled_from([1, p])) if k > 1 else 1
+    cs = [scale * c for c in period] * p ** (level - m_level)
+    return spec, level, GroupRingElem(spec, level, cs)
+
+
+class TestClosedFormNormalisation:
+    @given(numerators())
+    @settings(max_examples=300, deadline=None)
+    def test_minimal_form_matches_howell_solve(self, case):
+        spec, level, num = case
+        x = PoleElem(spec, level, num)
+        assert (x.level, x.numerator) == howell_minimal_form(spec, level, num)
+
+    @given(numerators(), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_raise_level_matches_nu_product(self, case, extra):
+        spec, level, num = case
+        x = PoleElem(spec, level, num)
+        n = x.level + extra
+        lift = GroupRingElem(spec, n, x.numerator.coeffs)
+        assert x.raise_level(n) == (n, lift * nu_class(spec, n, x.level))
+        assert PoleElem(spec, *x.raise_level(n)) == x
 
 
 class TestPoleInvolution:
