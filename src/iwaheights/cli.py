@@ -59,7 +59,10 @@ ANCHOR_ORACLE = "enumeration oracle agrees with the fast path"
 def _load(args) -> InstanceFile:
     if not args.input:
         raise SchemaError("--input PATH is required for this command")
-    text = Path(args.input).read_text()
+    try:
+        text = Path(args.input).read_text()
+    except OSError as e:
+        raise SchemaError(f"cannot read {args.input}: {e.strerror or e}") from None
     return parse_instance(text)
 
 
@@ -328,7 +331,10 @@ def cmd_generate(args) -> int:
     )
     text = render_generated(built)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as e:
+            raise SchemaError(f"cannot write {args.output}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -358,7 +364,8 @@ def cmd_oracle(args) -> Report:
 
         n = 1
         while n <= M.level + M.spec.k + 2:
-            img = {tuple(M.act(norm_class(M.spec, n, M.level), v)) for v in els}
+            nu = norm_class(M.spec, n, M.level)
+            img = {tuple(M.act(nu, v)) for v in els}
             inter &= img
             n += 1
         rep.add(

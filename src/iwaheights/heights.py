@@ -301,6 +301,9 @@ class DerivedHeightPairing:
 
     h^(1) is the restriction of h to the J-torsion; for r > 1 the left
     argument is pulled back through (gamma^u - 1)^(r-1) inside M[J^r].
+    That torsion preimage depends on the left argument only, so it is
+    solved once per exact `tuple(x)` and reused for every right argument;
+    the shifted torsion rows it is solved against are built once, here.
     """
 
     def __init__(self, h: HeightPairing, r: int):
@@ -314,6 +317,11 @@ class DerivedHeightPairing:
         self.right_stage = N.filtration_stage(r)
         self.left_torsion = M.j_torsion(r)
         self._shift_matrix = self._power_matrix(M)
+        m = self.spec.modulus
+        self._shifted_rows = [
+            linalg.matvec(self._shift_matrix, list(g), m) for g in self.left_torsion.hrows
+        ] + [list(rel) for rel in M.rel_rows]
+        self._preimages: dict[tuple[int, ...], list[int]] = {}
 
     def _power_matrix(self, M: FiniteLevelModule):
         t = M.T_class(self.h.u)
@@ -322,23 +330,30 @@ class DerivedHeightPairing:
             x = x * t
         return M.action_matrix(x)
 
-    def value(self, x: Vec, y: Vec) -> JGradedValue:
+    def _torsion_preimage(self, x: Vec) -> list[int]:
+        """A w in M[J^r] with (gamma^u - 1)^(r-1) w = x."""
         M = self.h.module_left
-        if not self.left_stage.contains(x):
-            raise IwaheightsError(f"left argument is not in the stage-{self.r} filtration")
-        if not self.right_stage.contains(y):
-            raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
         m = self.spec.modulus
         gens = self.left_torsion.hrows
-        rows = [linalg.matvec(self._shift_matrix, list(g), m) for g in gens]
-        sol = linalg.solve_combination(rows + [list(r) for r in M.rel_rows], list(x), self.spec.p, self.spec.k)
+        sol = linalg.solve_combination(self._shifted_rows, list(x), self.spec.p, self.spec.k)
         if sol is None:
             raise IwaheightsError("no torsion preimage found (filtration data broken)")
         w = [0] * M.dim
         for c, g in zip(sol, gens):
             if c:
                 w = [(a + c * b) % m for a, b in zip(w, g)]
-        coeff = pow(self.h.u, self.r - 1, m) * self.h.coeff(w, y)
+        return w
+
+    def value(self, x: Vec, y: Vec) -> JGradedValue:
+        if not self.left_stage.contains(x):
+            raise IwaheightsError(f"left argument is not in the stage-{self.r} filtration")
+        if not self.right_stage.contains(y):
+            raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
+        key = tuple(x)
+        w = self._preimages.get(key)
+        if w is None:
+            w = self._preimages[key] = self._torsion_preimage(x)
+        coeff = pow(self.h.u, self.r - 1, self.spec.modulus) * self.h.coeff(w, y)
         return JGradedValue(self.spec, self.r, coeff)
 
     def check_well_defined(self) -> bool:

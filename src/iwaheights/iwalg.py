@@ -180,7 +180,9 @@ class IwasawaPoly:
         return self.precision == other.precision and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs, self.precision))
+        # __eq__ compares only the shared prefix, so equal elements share
+        # just the ring and the constant term
+        return hash((self.spec, self.coeffs[0]))
 
     def __repr__(self) -> str:
         terms = [f"{c}*T^{i}" for i, c in enumerate(self.coeffs) if c]

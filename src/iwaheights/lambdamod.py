@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from iwaheights import linalg
+from iwaheights import kernels, linalg
 from iwaheights.errors import EnumerationCapError, IwaheightsError
 from iwaheights.iwalg import (
     GroupRingElem,
@@ -33,7 +33,11 @@ Vec = tuple[int, ...]
 
 
 class FiniteLevelModule:
-    """Lambda_N^g / (relation rows), as an explicit O-module quotient."""
+    """Lambda_N^g / (relation rows), as an explicit O-module quotient.
+
+    The module is immutable once built and caches `j_torsion(r)` per r.
+    Cached submodules are shared between callers and must not be mutated.
+    """
 
     def __init__(
         self,
@@ -63,6 +67,7 @@ class FiniteLevelModule:
         self.rel_rows = linalg.howell(rows, spec.p, spec.k) if rows else []
         self._rel_span = linalg.span_size(self.rel_rows, spec.p, spec.k)
         self.size = spec.modulus**self.dim // self._rel_span
+        self._j_torsion: dict[int, Submodule] = {}
 
     def _coerce(self, entry) -> GroupRingElem:
         if isinstance(entry, GroupRingElem):
@@ -123,22 +128,38 @@ class FiniteLevelModule:
         return [tuple(v) for v in out]
 
     # -- group-ring action ----------------------------------------------
+    def _at_level(self, x: GroupRingElem) -> GroupRingElem:
+        """x at this module's level: folded down from above, or its
+        coefficient vector zero-padded from below."""
+        if x.level == self.level:
+            return x
+        if x.level > self.level:
+            return x.fold_to_level(self.level)
+        return GroupRingElem(self.spec, self.level, x.coeffs)
+
     def action_matrix(self, x: GroupRingElem) -> list[list[int]]:
-        if x.level != self.level:
-            x = x.fold_to_level(self.level) if x.level > self.level else GroupRingElem(
-                self.spec, self.level, x.coeffs
-            )
+        """The matrix of multiplication by x: row a, column j of each
+        generator's block is x[(a - j) mod p^N]."""
+        xs = self._at_level(x).coeffs
         n = self.block
         rows = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.ngens):
             for a in range(n):
                 row = rows[i * n + a]
                 for j in range(n):
-                    row[i * n + j] = x.coeffs[(a - j) % n]
+                    row[i * n + j] = xs[(a - j) % n]
         return rows
 
     def act(self, x: GroupRingElem, vec: Sequence[int]) -> Vec:
-        return self.canon(linalg.matvec(self.action_matrix(x), list(vec), self.spec.modulus))
+        """x * vec, as a cyclic convolution of x with each generator's block
+        (the product action_matrix(x) . vec without building the matrix)."""
+        xs = self._at_level(x).coeffs
+        n = self.block
+        m = self.spec.modulus
+        out: list[int] = []
+        for i in range(self.ngens):
+            out.extend(kernels.cyclic_mul(xs, vec[i * n : (i + 1) * n], m))
+        return self.canon(out)
 
     def act_poly(self, f: IwasawaPoly, vec: Sequence[int]) -> Vec:
         return self.act(project_to_level(f, self.level), vec)
@@ -178,11 +199,15 @@ class FiniteLevelModule:
 
     # -- the J-adic machinery ---------------------------------------------
     def j_torsion(self, r: int) -> "Submodule":
-        t = self.T_class()
-        x = GroupRingElem.one(self.spec, self.level)
-        for _ in range(r):
-            x = x * t
-        return self.torsion(x)
+        """M[J^r], the (gamma - 1)^r-torsion; computed once per r and shared."""
+        tor = self._j_torsion.get(r)
+        if tor is None:
+            t = self.T_class()
+            x = GroupRingElem.one(self.spec, self.level)
+            for _ in range(r):
+                x = x * t
+            tor = self._j_torsion[r] = self.torsion(x)
+        return tor
 
     def filtration_stage(self, r: int, u: int = 1) -> "Submodule":
         """M^(r): the image of M[J^r] under (gamma^u - 1)^(r-1)."""
@@ -244,7 +269,13 @@ class FiniteLevelModule:
 @dataclass
 class Submodule:
     """A submodule of a finite-level module, as a Howell basis containing
-    the relation span."""
+    the relation span.
+
+    Equality compares the Howell bases and the owning module by identity
+    (`is`): submodules of two separately built but equal modules are never
+    equal.  Submodules handed out by a module's caches (`j_torsion`) are
+    shared, so callers must not mutate `hrows`.
+    """
 
     module: FiniteLevelModule
     hrows: list[list[int]]

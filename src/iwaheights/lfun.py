@@ -25,6 +25,7 @@ lets (b) and (c) coexist), and is deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -141,6 +142,34 @@ class LfunInstance:
             linalg.matvec(self.loc_matrix, list(c), self.spec.modulus)
         )
 
+    @functools.cached_property
+    def vanishing_order(self) -> Union[int, float]:
+        """The order of vanishing, computed on first use and kept.
+
+        A disagreement between the two characterizations raises and caches
+        nothing, so a broken instance raises on every call.
+        """
+        ord1: Union[int, float] = min(j_valuation(x) for x in self.L_z)
+        D = self.D_loc
+        bound = self.spec.k * self.spec.p**D.level + 1
+        ord2: Union[int, float] = 0
+        for r in range(1, bound + 1):
+            tor = D.j_torsion(r)
+            killed = all(self.duality.pair(self.L_z, list(g)) == 0 for g in tor.gens())
+            if not killed:
+                ord2 = r - 1
+                break
+            if tor.order() == D.size:
+                ord2 = math.inf
+                break
+        else:
+            ord2 = math.inf
+        if ord1 != ord2:
+            raise InstanceInvalidError(
+                f"order characterizations disagree: valuation {ord1}, annihilator {ord2}"
+            )
+        return ord1
+
     def validate(self) -> None:
         spec = self.spec
         m = spec.modulus
@@ -193,27 +222,9 @@ class LfunInstance:
 def order_of_vanishing(inst: LfunInstance) -> Union[int, float]:
     """Largest power of J dividing L_z; the two characterizations (T-adic
     valuation in the free module, annihilation of J-power torsion under the
-    duality) are both computed and must agree."""
-    ord1: Union[int, float] = min(j_valuation(x) for x in inst.L_z)
-    D = inst.D_loc
-    bound = inst.spec.k * inst.spec.p**D.level + 1
-    ord2: Union[int, float] = 0
-    for r in range(1, bound + 1):
-        tor = D.j_torsion(r)
-        killed = all(inst.duality.pair(inst.L_z, list(g)) == 0 for g in tor.gens())
-        if not killed:
-            ord2 = r - 1
-            break
-        if tor.order() == D.size:
-            ord2 = math.inf
-            break
-    else:
-        ord2 = math.inf
-    if ord1 != ord2:
-        raise InstanceInvalidError(
-            f"order characterizations disagree: valuation {ord1}, annihilator {ord2}"
-        )
-    return ord1
+    duality) are both computed and must agree.  Computed once per instance
+    (see `LfunInstance.vanishing_order`)."""
+    return inst.vanishing_order
 
 
 def der(inst: LfunInstance, r: int, u: int = 1) -> tuple[IwasawaPoly, ...]:
@@ -361,6 +372,9 @@ def build_synthetic(
     """
     if target_ord < 0:
         raise ValueError("target order must be nonnegative")
+    # reject a bad p or k up front: the level search below never ends for
+    # k <= 0 or p <= 1
+    RingSpec(p, k, 1)
     if global_levels is None:
         global_levels = {0: (1,), 1: (0, 1), 2: (1,), 3: (1,)}.get(target_ord, (1,))
     rng = random.Random(repr((seed, p, k, tuple(global_levels), target_ord)))

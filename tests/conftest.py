@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,19 @@ def random_poly(rng: random.Random, spec: RingSpec, precision=None) -> IwasawaPo
     return IwasawaPoly(
         spec, [rng.randrange(spec.modulus) for _ in range(precision + 1)], precision
     )
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter from the repository root, with
+    src/ on its path so that no installed copy is needed."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwaheights.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr

@@ -9,8 +9,6 @@ import itertools
 import json
 import math
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +34,7 @@ from iwaheights.lambdamod import ElementaryShape, infer_invariants, shape_dims
 from iwaheights.lfun import build_synthetic, main_theorem_check
 from iwaheights.poles import PoleElem, eta, phi
 from iwaheights.scenarios import POLARIZED, ScenarioInput, anticyclotomic_prediction, parity_check
-from tests.conftest import random_poly
+from tests.conftest import random_poly, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
@@ -267,16 +265,6 @@ def test_criterion_8_invariant_calculus():
         want = tuple(r for r in (2, 4) if seq[r - 1] % 2 == 1)
         assert flags == want
     report("8 invariant calculus", True, f"{count} shapes round-tripped")
-
-
-def run_cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "iwaheights.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_criterion_9_cli_determinism():

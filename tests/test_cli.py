@@ -1,8 +1,6 @@
 """CLI behaviour: subcommands, strict schema, exit codes, determinism."""
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -10,19 +8,10 @@ import pytest
 from iwaheights.cli import main
 from iwaheights.instancefile import parse_instance
 from iwaheights.errors import SchemaError
+from tests.conftest import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
-
-
-def run_cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "iwaheights.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestSchema:
@@ -144,6 +133,25 @@ class TestExitCodes:
     def test_missing_input_is_two(self):
         code, _, _ = run_cli("heights")
         assert code == 2
+
+    def test_unreadable_input_file_is_two(self, tmp_path, capsys):
+        code = main(["heights", "--input", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_unwritable_output_file_is_two(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "out.json"
+        code = main(["generate", "--seed", "0", "--ord", "1", "--output", str(out)])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["lfun-check", "generate"])
+    @pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "-1"), ("--p", "1")])
+    def test_bad_ring_flags_are_two(self, cmd, flags, capsys):
+        # the builder's level search does not terminate on these values
+        # unless p and k are checked before it starts
+        assert main([cmd, *flags]) == 2
+        assert "invalid input" in capsys.readouterr().err
 
     def test_non_unit_block_constant_is_two(self, tmp_path):
         bad = tmp_path / "nonunit.json"

@@ -9,7 +9,10 @@ and the kernel chain is span{T^2}, span{T^2}, span{T^2}, 0.
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from iwaheights import linalg
 from iwaheights.errors import IwaheightsError
 from iwaheights.heights import (
     BlockPairing,
@@ -20,7 +23,7 @@ from iwaheights.heights import (
     restricted_kernel_check,
     twist_equivariance_check,
 )
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly
+from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.poles import PoleElem
 
 
@@ -292,6 +295,79 @@ class TestDerivedTower:
             rep = M.j_filtration(6, check_generator_independence=False)
             for r in (2, 4):
                 assert rep.stage_quotient_log_order(r) % 2 == 0
+
+
+def uncached_derived_value(d, x, y):
+    """h^(r)(x, y) by a fresh torsion preimage solve on every call: the
+    torsion, the shifted rows and the solve are all rebuilt from M."""
+    h, r = d.h, d.r
+    M = h.module_left
+    spec = h.spec
+    m = spec.modulus
+    t = M.T_class()
+    tr = GroupRingElem.one(spec, M.level)
+    for _ in range(r):
+        tr = tr * t
+    gens = M.torsion(tr).hrows
+    tu = M.T_class(h.u)
+    shift = GroupRingElem.one(spec, M.level)
+    for _ in range(r - 1):
+        shift = shift * tu
+    mat = M.action_matrix(shift)
+    rows = [linalg.matvec(mat, list(g), m) for g in gens]
+    sol = linalg.solve_combination(rows + [list(rel) for rel in M.rel_rows], list(x), spec.p, spec.k)
+    assert sol is not None
+    w = [0] * M.dim
+    for c, g in zip(sol, gens):
+        w = [(a + c * b) % m for a, b in zip(w, g)]
+    return pow(h.u, r - 1, m) * h.coeff(w, y) % m
+
+
+@st.composite
+def block_pairings(draw):
+    """Block pairings with one or two blocks: (p,k) in {(3,1),(3,2),(5,1)},
+    ambient level 0-2, ambient dimension at most 27."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    spec = RingSpec(p, k, 16)
+    level = draw(st.integers(0, 2))
+    block = st.builds(
+        BlockSpec,
+        level=st.integers(0, level),
+        unit=st.sampled_from([1, 2]),
+        swapped=st.booleans(),
+    )
+    blocks = draw(st.lists(block, min_size=1, max_size=2))
+    assume(sum(b.ncomponents for b in blocks) * p**level <= 27)
+    return BlockPairing(spec, blocks, level=level)
+
+
+class TestMemoisedDerivedValue:
+    """DerivedHeightPairing.value keeps one torsion preimage per left
+    argument; it must agree with a fresh solve whatever the call order."""
+
+    @given(block_pairings(), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_uncached_solve_in_any_order(self, pairing, r, u, data):
+        h = HeightPairing(pairing, u=u, validate=False)
+        d = derived_height(h, r)
+        assume(d.left_stage.order() <= 81)
+        pairs = [(x, y) for x in d.left_stage.elements() for y in d.right_stage.gens()]
+        for x, y in data.draw(st.permutations(pairs), label="call order"):
+            v = d.value(x, y)
+            assert v.degree == r
+            assert v.coeff == uncached_derived_value(d, x, y)
+
+    def test_membership_checked_after_memoisation(self, spec31):
+        h = HeightPairing(single_block(spec31))
+        M = h.module_left
+        t2 = elem_from_poly(M, [0, 0, 1])
+        one = elem_from_poly(M, [1])
+        d2 = derived_height(h, 2)
+        d2.value(t2, t2)
+        with pytest.raises(IwaheightsError, match="right argument"):
+            d2.value(t2, one)
+        with pytest.raises(IwaheightsError, match="left argument"):
+            d2.value(one, t2)
 
 
 class TestRestrictedKernels:

@@ -329,3 +329,28 @@ def test_involution_is_involutive_hypothesis(data):
     cs = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=11))
     x = IwasawaPoly(spec, cs)
     assert involution(involution(x)) == x
+
+
+class TestHashContract:
+    """__eq__ compares the shared prefix, so elements that agree on it must
+    hash alike whatever their precisions."""
+
+    @given(
+        st.sampled_from([(3, 1), (3, 2), (5, 1)]),
+        st.integers(0, 8),
+        st.integers(0, 8),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_equal_pairs_hash_equal(self, pk, prec_a, prec_b, data):
+        spec = RingSpec(*pk, 8)
+        coeff = st.integers(0, spec.modulus - 1)
+        shared = min(prec_a, prec_b) + 1
+        prefix = data.draw(st.lists(coeff, min_size=shared, max_size=shared))
+        tail_a = data.draw(st.lists(coeff, min_size=8, max_size=8))
+        tail_b = data.draw(st.lists(coeff, min_size=8, max_size=8))
+        a = IwasawaPoly(spec, prefix + tail_a, prec_a)
+        b = IwasawaPoly(spec, prefix + tail_b, prec_b)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1

@@ -7,9 +7,12 @@ fast paths are Howell-based.  Both are compared on every desk-scale case.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iwaheights import linalg
 from iwaheights.errors import EnumerationCapError, IwaheightsError
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly
+from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import (
     ElementaryShape,
     FiniteLevelModule,
@@ -287,3 +290,52 @@ class TestZpRankEstimate:
     def test_too_few(self):
         with pytest.raises(ValueError):
             zp_rank_estimate([9], 3)
+
+
+@st.composite
+def modules(draw):
+    """A small finite-level module: (p,k) in {(3,1),(3,2),(5,1)}, level
+    0-2, one or two generators, and at most one random relation row."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    spec = RingSpec(p, k, 12)
+    level = draw(st.integers(0, 2))
+    ngens = 1 if p**level > 9 else draw(st.integers(1, 2))
+    coeff = st.integers(0, spec.modulus - 1)
+    relations = draw(
+        st.lists(
+            st.lists(st.lists(coeff, min_size=p**level, max_size=p**level), min_size=ngens, max_size=ngens),
+            max_size=1,
+        )
+    )
+    return FiniteLevelModule(spec, level, ngens, relations)
+
+
+class TestFastPathsAgainstOracles:
+    """act() convolves each generator's block with x; the oracle is the
+    explicit action matrix.  j_torsion(r) is cached per r; the oracle is
+    a fresh torsion computation."""
+
+    @given(modules(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_act_matches_action_matrix(self, M, data):
+        spec = M.spec
+        x_level = data.draw(st.integers(0, 2), label="x_level")
+        x = GroupRingElem(
+            spec,
+            x_level,
+            data.draw(st.lists(st.integers(0, spec.modulus - 1), min_size=spec.p**x_level, max_size=spec.p**x_level)),
+        )
+        v = data.draw(st.lists(st.integers(0, spec.modulus - 1), min_size=M.dim, max_size=M.dim))
+        want = M.canon(linalg.matvec(M.action_matrix(x), v, spec.modulus))
+        assert M.act(x, v) == want
+
+    @given(modules(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_j_torsion_matches_torsion(self, M, r):
+        t = M.T_class()
+        x = GroupRingElem.one(M.spec, M.level)
+        for _ in range(r):
+            x = x * t
+        first = M.j_torsion(r)
+        assert first == M.torsion(x)
+        assert M.j_torsion(r) is first

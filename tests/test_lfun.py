@@ -4,6 +4,8 @@ three-part consistency theorem on builder instances."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwaheights.errors import (
     InstanceInvalidError,
@@ -74,8 +76,26 @@ class TestOrderOfVanishing:
             strict=inst.strict,
             meta={},
         )
-        with pytest.raises(InstanceInvalidError, match="disagree"):
-            order_of_vanishing(broken)
+        # errors are never cached: every call raises
+        for _ in range(2):
+            with pytest.raises(InstanceInvalidError, match="disagree"):
+                order_of_vanishing(broken)
+
+    @given(
+        st.integers(0, 9),
+        st.sampled_from(
+            [((3, 1), (0,)), ((3, 1), (0, 1)), ((3, 1), (1, 2)), ((3, 2), (1,)), ((5, 1), (1,))]
+        ),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cached_order_matches_fresh_computation(self, seed, case, ordv):
+        (p, k), levels = case
+        inst = build_synthetic(seed, p=p, k=k, global_levels=levels, target_ord=ordv)
+        first = order_of_vanishing(inst)
+        assert first == ordv
+        assert order_of_vanishing(inst) == first
+        assert LfunInstance.vanishing_order.func(inst) == first
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
