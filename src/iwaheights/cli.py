@@ -212,12 +212,13 @@ def cmd_heights(args) -> Report:
                     ok = ok and lhs == rhs
             rep.add(f"sign law r={r}", ANCHOR_SIGNS, ok, {"parity": parity})
 
+    left_kernel = h1.left_kernel()
+    norms = M.universal_norms()
     rep.add(
         "global kernel",
         ANCHOR_GLOBAL_KERNEL,
-        h1.left_kernel() == M.universal_norms()
-        and h1.right_kernel() == M.universal_norms(),
-        {"kernel_order": h1.left_kernel().order()},
+        left_kernel == norms and h1.right_kernel() == norms,
+        {"kernel_order": left_kernel.order()},
     )
     return rep
 

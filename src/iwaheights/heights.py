@@ -303,7 +303,9 @@ class DerivedHeightPairing:
     argument is pulled back through (gamma^u - 1)^(r-1) inside M[J^r].
     That torsion preimage depends on the left argument only, so it is
     solved once per exact `tuple(x)` and reused for every right argument;
-    the shifted torsion rows it is solved against are built once, here.
+    the shifted torsion rows it is solved against are built once, here,
+    by applying the shift to each torsion generator with `act`.  When the
+    pairing has one module on both sides, the two stages are one object.
     """
 
     def __init__(self, h: HeightPairing, r: int):
@@ -314,21 +316,13 @@ class DerivedHeightPairing:
         self.spec = h.spec
         M, N = h.module_left, h.module_right
         self.left_stage = M.filtration_stage(r)
-        self.right_stage = N.filtration_stage(r)
+        self.right_stage = self.left_stage if N is M else N.filtration_stage(r)
         self.left_torsion = M.j_torsion(r)
-        self._shift_matrix = self._power_matrix(M)
-        m = self.spec.modulus
+        self._shift = M.T_class(h.u) ** (r - 1)
         self._shifted_rows = [
-            linalg.matvec(self._shift_matrix, list(g), m) for g in self.left_torsion.hrows
+            list(M.act(self._shift, g)) for g in self.left_torsion.hrows
         ] + [list(rel) for rel in M.rel_rows]
         self._preimages: dict[tuple[int, ...], list[int]] = {}
-
-    def _power_matrix(self, M: FiniteLevelModule):
-        t = M.T_class(self.h.u)
-        x = GroupRingElem.one(self.spec, M.level)
-        for _ in range(self.r - 1):
-            x = x * t
-        return M.action_matrix(x)
 
     def _torsion_preimage(self, x: Vec) -> list[int]:
         """A w in M[J^r] with (gamma^u - 1)^(r-1) w = x."""
@@ -360,16 +354,7 @@ class DerivedHeightPairing:
         """Preimage independence: two torsion preimages of the same stage
         element differ by ker((gamma^u-1)^(r-1)) inside M[J^r], so it
         suffices that h kills that kernel against the right stage."""
-        M = self.h.module_left
-        spec = self.spec
-        ker = linalg.preimage_span(
-            self._shift_matrix,
-            M.rel_rows or [[0] * M.dim],
-            M.dim,
-            spec.p,
-            spec.k,
-        )
-        ambiguity = M.submodule(ker).intersect(self.left_torsion)
+        ambiguity = self.h.module_left.torsion(self._shift).intersect(self.left_torsion)
         right_gens = self.right_stage.gens()
         return all(
             self.h.coeff(t, y) == 0 for t in ambiguity.gens() for y in right_gens
@@ -464,17 +449,12 @@ def twist_equivariance_check(
                 raise IwaheightsError("sigma does not preserve the relations")
         if omega % m not in (1, m - 1):
             raise IwaheightsError("only omega = +-1 twists are modelled")
-        gam = module.action_matrix(module.gamma_class())
-        gam_omega = module.action_matrix(
-            module.gamma_class().involution() if omega % m == m - 1 else module.gamma_class()
-        )
-        lhs = linalg.matmul(sigma, gam, m)
-        rhs = linalg.matmul(gam_omega, sigma, m)
+        gam = module.gamma_class()
+        gam_omega = gam.involution() if omega % m == m - 1 else gam
         for c in range(module.dim):
             e = [int(i == c) for i in range(module.dim)]
-            if module.canon(linalg.matvec(lhs, e, m)) != module.canon(
-                linalg.matvec(rhs, e, m)
-            ):
+            lhs = module.canon(linalg.matvec(sigma, module.act(gam, e), m))
+            if lhs != module.act(gam_omega, linalg.matvec(sigma, e, m)):
                 raise IwaheightsError("sigma does not conjugate gamma to gamma^omega")
     for a in range(M.dim):
         x = [int(c == a) for c in range(M.dim)]

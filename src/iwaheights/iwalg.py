@@ -164,10 +164,6 @@ class IwasawaPoly:
         """Multiply by T^j; the shift does not lose precision."""
         return IwasawaPoly(self.spec, (0,) * j + self.coeffs, min(self.precision + j, self.spec.cap))
 
-    def shift_down(self, mu: int) -> "IwasawaPoly":
-        """Drop the mu lowest coefficients (divide by T^mu after a split)."""
-        return IwasawaPoly(self.spec, self.coeffs[mu:], self.precision - mu)
-
     def __eq__(self, other: object) -> bool:
         """Precision-aware equality: compare the shared prefix."""
         if not isinstance(other, IwasawaPoly):
@@ -447,9 +443,6 @@ class GroupRingElem:
                     out[j] = (out[j] + c * row[j]) % m
         return out
 
-    def as_iwasawa_poly(self) -> IwasawaPoly:
-        return IwasawaPoly(self.spec, self.to_poly_coeffs())
-
     def _check(self, other: "GroupRingElem") -> None:
         if self.spec != other.spec or self.level != other.level:
             raise ValueError("mixed specs or levels")
@@ -476,6 +469,14 @@ class GroupRingElem:
         self._check(other)
         cs = kernels.cyclic_mul(list(self.coeffs), list(other.coeffs), self.spec.modulus)
         return GroupRingElem(self.spec, self.level, cs)
+
+    def __pow__(self, e: int) -> "GroupRingElem":
+        if e < 0:
+            raise ValueError("negative powers are not defined here")
+        out = GroupRingElem.one(self.spec, self.level)
+        for _ in range(e):
+            out = out * self
+        return out
 
     def involution(self) -> "GroupRingElem":
         size = self.spec.p**self.level

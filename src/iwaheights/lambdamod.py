@@ -103,10 +103,6 @@ class FiniteLevelModule:
         m = self.spec.modulus
         return self.canon([(x + y) % m for x, y in zip(a, b)])
 
-    def neg(self, a: Sequence[int]) -> Vec:
-        m = self.spec.modulus
-        return self.canon([(-x) % m for x in a])
-
     def scale(self, c: int, a: Sequence[int]) -> Vec:
         m = self.spec.modulus
         return self.canon([(c * x) % m for x in a])
@@ -161,9 +157,6 @@ class FiniteLevelModule:
             out.extend(kernels.cyclic_mul(xs, vec[i * n : (i + 1) * n], m))
         return self.canon(out)
 
-    def act_poly(self, f: IwasawaPoly, vec: Sequence[int]) -> Vec:
-        return self.act(project_to_level(f, self.level), vec)
-
     def gamma_class(self, u: int = 1) -> GroupRingElem:
         return GroupRingElem.gamma(self.spec, self.level, u)
 
@@ -202,24 +195,14 @@ class FiniteLevelModule:
         """M[J^r], the (gamma - 1)^r-torsion; computed once per r and shared."""
         tor = self._j_torsion.get(r)
         if tor is None:
-            t = self.T_class()
-            x = GroupRingElem.one(self.spec, self.level)
-            for _ in range(r):
-                x = x * t
-            tor = self._j_torsion[r] = self.torsion(x)
+            tor = self._j_torsion[r] = self.torsion(self.T_class() ** r)
         return tor
 
     def filtration_stage(self, r: int, u: int = 1) -> "Submodule":
-        """M^(r): the image of M[J^r] under (gamma^u - 1)^(r-1)."""
-        tor = self.j_torsion(r)
-        t = self.T_class(u)
-        x = GroupRingElem.one(self.spec, self.level)
-        for _ in range(r - 1):
-            x = x * t
-        A = self.action_matrix(x)
-        m = self.spec.modulus
-        imgs = [linalg.matvec(A, list(g), m) for g in tor.hrows]
-        return self.submodule(imgs)
+        """M^(r): the image of M[J^r] under (gamma^u - 1)^(r-1), applied to
+        each torsion generator with `act`."""
+        x = self.T_class(u) ** (r - 1)
+        return self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
 
     def j_filtration(self, r_max: int, check_generator_independence: bool = True) -> "FiltrationReport":
         torsions = []
@@ -319,9 +302,6 @@ class Submodule:
     def intersect(self, other: "Submodule") -> "Submodule":
         rows = linalg.span_intersection(self.hrows, other.hrows, self.module.spec.p, self.module.spec.k)
         return self.module.submodule(rows)
-
-    def sum(self, other: "Submodule") -> "Submodule":
-        return self.module.submodule(self.hrows + other.hrows)
 
     def is_contained_in(self, other: "Submodule") -> bool:
         return all(other.contains(r) for r in self.hrows)

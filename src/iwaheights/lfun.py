@@ -45,7 +45,6 @@ from iwaheights.heights import (
     derived_height,
 )
 from iwaheights.iwalg import (
-    GroupRingElem,
     IwasawaPoly,
     RingSpec,
     j_valuation,
@@ -372,38 +371,25 @@ def build_synthetic(
     """
     if target_ord < 0:
         raise ValueError("target order must be nonnegative")
-    # reject a bad p or k up front: the level search below never ends for
-    # k <= 0 or p <= 1
+    # reject a bad p or k up front, with the reason, before the level search
     RingSpec(p, k, 1)
     if global_levels is None:
         global_levels = {0: (1,), 1: (0, 1), 2: (1,), 3: (1,)}.get(target_ord, (1,))
     rng = random.Random(repr((seed, p, k, tuple(global_levels), target_ord)))
 
-    # local-only block: large enough that T^ord * D[T^(ord+1)] is nonzero
-    n_loc = 0
-    trial_spec = None
-    while True:
-        n_loc += 1
+    # local-only block: large enough that T^ord * D[T^(ord+1)] is nonzero.
+    # Levels above 4 are not searched: building and checking a level-5
+    # block ran for over a minute.
+    for n_loc in range(1, 5):
         if k * p**n_loc <= target_ord + 1:
             continue
         cap = k * p**n_loc + p**n_loc + target_ord + 8
-        trial_spec = RingSpec(p, k, cap)
-        D_test = block_module(trial_spec, [BlockSpec(n_loc)], enum_cap)
-        tcl = D_test.T_class()
-        x = GroupRingElem.one(trial_spec, D_test.level)
-        for _ in range(target_ord):
-            x = x * tcl
-        img = D_test.submodule(
-            [
-                linalg.matvec(D_test.action_matrix(x), list(g), trial_spec.modulus)
-                for g in D_test.j_torsion(target_ord + 1).hrows
-            ]
-        )
-        if img.order() > 1:
+        spec = RingSpec(p, k, cap)
+        D_test = block_module(spec, [BlockSpec(n_loc)], enum_cap)
+        if D_test.filtration_stage(target_ord + 1).order() > 1:
             break
-        if n_loc > 3:
-            raise InstanceInvalidError("no usable local block level found")
-    spec = trial_spec
+    else:
+        raise InstanceInvalidError("no usable local block level found")
 
     level = max(max(global_levels, default=0), n_loc)
     gblocks = [BlockSpec(n, unit=rng.choice([1, 2])) for n in global_levels]

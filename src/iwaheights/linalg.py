@@ -235,7 +235,3 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
 
 def det_is_unit(mat: Sequence[Sequence[int]], p: int) -> bool:
     return det_int(mat) % p != 0
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

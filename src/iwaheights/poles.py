@@ -124,9 +124,6 @@ class PoleElem:
             x = x.fold_to_level(self.level)
         return PoleElem(self.spec, self.level, self.numerator * x)
 
-    def act_iwasawa(self, lam: IwasawaPoly) -> "PoleElem":
-        return self.act_group(project_to_level(lam, self.level))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoleElem):
             return NotImplemented

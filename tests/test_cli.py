@@ -148,10 +148,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("cmd", ["lfun-check", "generate"])
     @pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "-1"), ("--p", "1")])
     def test_bad_ring_flags_are_two(self, cmd, flags, capsys):
-        # the builder's level search does not terminate on these values
-        # unless p and k are checked before it starts
+        # p and k are checked before the builder's level search starts
         assert main([cmd, *flags]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["lfun-check", "generate"])
+    def test_order_beyond_local_levels_is_two(self, cmd, capsys):
+        # ord 100 at p = 3, k = 1 needs a local block above level 4, which
+        # the builder refuses before building anything
+        assert main([cmd, "--ord", "100"]) == 2
+        assert "no usable local block level" in capsys.readouterr().err
 
     def test_non_unit_block_constant_is_two(self, tmp_path):
         bad = tmp_path / "nonunit.json"
@@ -188,6 +194,13 @@ class TestDeterminism:
         b = run_cli("generate", "--seed", "7", "--ord", "2")
         assert a == b
         assert a[0] == 0
+
+    @pytest.mark.parametrize("ord_", [1, 2])
+    def test_generate_reproduces_committed_instance(self, tmp_path, ord_):
+        out = tmp_path / "generated.json"
+        assert main(["generate", "--seed", "0", "--ord", str(ord_), "--output", str(out)]) == 0
+        golden = ROOT / "instances" / f"lfun_seed0_ord{ord_}.json"
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestOracle:

@@ -310,10 +310,33 @@ def modules(draw):
     return FiniteLevelModule(spec, level, ngens, relations)
 
 
+def matrix_filtration_stage(M, r, u):
+    """M^(r) by the action matrix: (gamma^u - 1)^(r-1) built by repeated
+    products, applied to each generator of M[J^r] with matvec."""
+    x = GroupRingElem.one(M.spec, M.level)
+    for _ in range(r - 1):
+        x = x * M.T_class(u)
+    A = M.action_matrix(x)
+    return M.submodule(linalg.matvec(A, list(g), M.spec.modulus) for g in M.j_torsion(r).hrows)
+
+
+@st.composite
+def group_ring_elems(draw):
+    """An element of the level 0-2 group ring over Z/p^k, (p,k) as in
+    modules()."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    spec = RingSpec(p, k, 12)
+    level = draw(st.integers(0, 2))
+    coeffs = draw(st.lists(st.integers(0, spec.modulus - 1), min_size=p**level, max_size=p**level))
+    return GroupRingElem(spec, level, coeffs)
+
+
 class TestFastPathsAgainstOracles:
     """act() convolves each generator's block with x; the oracle is the
     explicit action matrix.  j_torsion(r) is cached per r; the oracle is
-    a fresh torsion computation."""
+    a fresh torsion computation.  filtration_stage applies a power of
+    (gamma^u - 1) with act(); the oracle builds the power by repeated
+    products and applies its action matrix."""
 
     @given(modules(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -339,3 +362,19 @@ class TestFastPathsAgainstOracles:
         first = M.j_torsion(r)
         assert first == M.torsion(x)
         assert M.j_torsion(r) is first
+
+    @given(modules(), st.integers(1, 3), st.sampled_from([1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_filtration_stage_matches_matrix_image(self, M, r, u):
+        assert M.filtration_stage(r, u).hrows == matrix_filtration_stage(M, r, u).hrows
+
+    @given(group_ring_elems(), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_group_ring_power_is_repeated_product(self, x, e):
+        want = GroupRingElem.one(x.spec, x.level)
+        for _ in range(e):
+            want = want * x
+        assert x**e == want
+        assert x**0 == GroupRingElem.one(x.spec, x.level)
+        with pytest.raises(ValueError):
+            x ** -1
