@@ -17,11 +17,12 @@ u = 1 and u = 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from iwaheights import linalg
-from iwaheights.errors import IwaheightsError
+from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
@@ -57,6 +58,19 @@ class BlockSpec:
     @property
     def ncomponents(self) -> int:
         return 2 if self.swapped else 1
+
+
+def _basis(dim: int) -> list[tuple[int, ...]]:
+    return [tuple(int(c == a) for c in range(dim)) for a in range(dim)]
+
+
+def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int, m: int) -> list[int]:
+    """sum(coeffs_i * rows_i) mod m."""
+    w = [0] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            w = [(a + c * b) % m for a, b in zip(w, row)]
+    return w
 
 
 def block_module(
@@ -97,6 +111,9 @@ class BlockPairing:
     A swapped block pairs its two components as c*(x1*iota(y2) -
     x2*iota(y1)), which is iota-symmetric; plain blocks are
     iota-antisymmetric.  Dead blocks contribute zero.
+
+    `table` holds the values on the ambient basis pairs, computed once on
+    first use; like `TablePairing.table` it determines the pairing.
     """
 
     kind = "block"
@@ -152,6 +169,12 @@ class BlockPairing:
                 idx += 1
             total = total + PoleElem(spec, b.level, num)
         return total
+
+    @functools.cached_property
+    def table(self) -> list[list[PoleElem]]:
+        """[e_a, e_b] for every pair of ambient basis vectors."""
+        right = _basis(self.module_right.dim)
+        return [[self.value(x, y) for y in right] for x in _basis(self.module_left.dim)]
 
     def validate(self) -> None:
         validate_pole_pairing(self)
@@ -211,30 +234,32 @@ class TablePairing:
 
 
 def validate_pole_pairing(pairing) -> None:
-    """Check semilinearity and the declared symmetry on spanning sets."""
+    """Check semilinearity and the declared symmetry on spanning sets.
+
+    The basis values come from `pairing.table`; the two shifted sides of
+    the semilinearity check are evaluated with `pairing.value`, so that
+    check does not assume the pairing expands bilinearly over the table.
+    """
     M = pairing.module_left
     N = pairing.module_right
-    spec = pairing.spec
+    table = pairing.table
     tM = M.T_class()
-    tN = N.T_class()
-    tN_iota = tN.involution()
-    basis_left = [tuple(int(c == a) for c in range(M.dim)) for a in range(M.dim)]
-    basis_right = [tuple(int(c == b) for c in range(N.dim)) for b in range(N.dim)]
-    for x in basis_left:
-        for y in basis_right:
-            v = pairing.value(x, y)
+    tN_iota = N.T_class().involution()
+    basis_right = _basis(N.dim)
+    for a, x in enumerate(_basis(M.dim)):
+        for b, y in enumerate(basis_right):
+            mid = table[a][b].act_group(tM)
             left = pairing.value(M.act(tM, x), y)
-            mid = v.act_group(tM)
             right = pairing.value(x, N.act(tN_iota, y))
             if left != mid or right != mid:
                 raise IwaheightsError("pairing is not semilinear")
     sym = pairing.declared_symmetry()
     if sym in (IOTA_SYMMETRIC, IOTA_ANTISYMMETRIC, ZERO_PAIRING):
         sign = 1 if sym == IOTA_SYMMETRIC else -1
-        for x in basis_left:
-            for y in basis_right:
-                v = pairing.value(x, y)
-                w = pole_involution(pairing.value(y, x))
+        for a in range(M.dim):
+            for b in range(N.dim):
+                v = table[a][b]
+                w = pole_involution(table[b][a])
                 want = w if sign == 1 else -w
                 if sym == ZERO_PAIRING:
                     if not v.is_zero():
@@ -269,9 +294,37 @@ class HeightPairing:
     def module_right(self) -> FiniteLevelModule:
         return self.pairing.module_right
 
+    @functools.cached_property
+    def gram(self) -> Optional[list[list[int]]]:
+        """G[a][b] = u^(-1) * phi_u([e_a, e_b]) mod p^k on the ambient bases,
+        from `pairing.table`; None when phi_u raises `PrecisionError` on a
+        table entry.
+
+        phi_u is O-linear, so the Gram matrix determines h.  For u != 1 a
+        level-n basis value can need more precision than the ring cap
+        holds while a sum of such values drops to a lower level, where
+        phi_u is defined; h is then evaluated value by value.  u = 1
+        never needs the fallback.
+        """
+        try:
+            values = [[phi(self.u, v) for v in row] for row in self.pairing.table]
+        except PrecisionError:
+            return None
+        m = self.spec.modulus
+        return [[self._u_inv * c % m for c in row] for row in values]
+
     def coeff(self, x: Vec, y: Vec) -> int:
-        v = self.pairing.value(x, y)
-        return (self._u_inv * phi(self.u, v)) % self.spec.modulus
+        """u^(-1) * phi_u([x, y]) mod p^k: x^T G y with the Gram matrix, or,
+        when `gram` is None, phi_u of the pole value [x, y] itself."""
+        m = self.spec.modulus
+        G = self.gram
+        if G is None:
+            return (self._u_inv * phi(self.u, self.pairing.value(x, y))) % m
+        total = 0
+        for xa, row in zip(x, G):
+            if xa:
+                total += xa * sum(g * yb for g, yb in zip(row, y))
+        return total % m
 
     def value(self, x: Vec, y: Vec) -> JGradedValue:
         return JGradedValue(self.spec, 1, self.coeff(x, y))
@@ -301,11 +354,17 @@ class DerivedHeightPairing:
 
     h^(1) is the restriction of h to the J-torsion; for r > 1 the left
     argument is pulled back through (gamma^u - 1)^(r-1) inside M[J^r].
-    That torsion preimage depends on the left argument only, so it is
-    solved once per exact `tuple(x)` and reused for every right argument;
-    the shifted torsion rows it is solved against are built once, here,
-    by applying the shift to each torsion generator with `act`.  When the
-    pairing has one module on both sides, the two stages are one object.
+    The preimage problem is factored once, here: one batched
+    `solve_combination` against the shifted torsion rows (each torsion
+    generator times the shift, by `act`, plus the relation rows) gives a
+    torsion preimage w_i of every Howell row s_i of the left stage.  A
+    left argument x = sum q_i s_i (the quotients of its reduction against
+    the stage, `linalg.coordinates`) then has the preimage sum q_i w_i,
+    and h^(r)(x, y) is one evaluation of h.  That preimage may
+    differ from any other by an element of ker((gamma^u-1)^(r-1)) in
+    M[J^r], which h kills against the right stage (`check_well_defined`).
+    When the pairing has one module on both sides, the two stages are one
+    object.
     """
 
     def __init__(self, h: HeightPairing, r: int):
@@ -319,35 +378,22 @@ class DerivedHeightPairing:
         self.right_stage = self.left_stage if N is M else N.filtration_stage(r)
         self.left_torsion = M.j_torsion(r)
         self._shift = M.T_class(h.u) ** (r - 1)
-        self._shifted_rows = [
-            list(M.act(self._shift, g)) for g in self.left_torsion.hrows
-        ] + [list(rel) for rel in M.rel_rows]
-        self._preimages: dict[tuple[int, ...], list[int]] = {}
-
-    def _torsion_preimage(self, x: Vec) -> list[int]:
-        """A w in M[J^r] with (gamma^u - 1)^(r-1) w = x."""
-        M = self.h.module_left
-        m = self.spec.modulus
         gens = self.left_torsion.hrows
-        sol = linalg.solve_combination(self._shifted_rows, list(x), self.spec.p, self.spec.k)
-        if sol is None:
+        shifted = [list(M.act(self._shift, g)) for g in gens] + [list(rel) for rel in M.rel_rows]
+        sols = linalg.solve_combination(shifted, self.left_stage.hrows, self.spec.p, self.spec.k)
+        if None in sols:
             raise IwaheightsError("no torsion preimage found (filtration data broken)")
-        w = [0] * M.dim
-        for c, g in zip(sol, gens):
-            if c:
-                w = [(a + c * b) % m for a, b in zip(w, g)]
-        return w
+        self._stage_preimages = [_combine(sol, gens, M.dim, self.spec.modulus) for sol in sols]
 
     def value(self, x: Vec, y: Vec) -> JGradedValue:
-        if not self.left_stage.contains(x):
+        q = linalg.coordinates(x, self.left_stage.hrows, self.spec.p, self.spec.k)
+        if q is None:
             raise IwaheightsError(f"left argument is not in the stage-{self.r} filtration")
         if not self.right_stage.contains(y):
             raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
-        key = tuple(x)
-        w = self._preimages.get(key)
-        if w is None:
-            w = self._preimages[key] = self._torsion_preimage(x)
-        coeff = pow(self.h.u, self.r - 1, self.spec.modulus) * self.h.coeff(w, y)
+        m = self.spec.modulus
+        w = _combine(q, self._stage_preimages, self.h.module_left.dim, m)
+        coeff = pow(self.h.u, self.r - 1, m) * self.h.coeff(w, y)
         return JGradedValue(self.spec, self.r, coeff)
 
     def check_well_defined(self) -> bool:

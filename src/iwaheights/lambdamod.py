@@ -35,8 +35,9 @@ Vec = tuple[int, ...]
 class FiniteLevelModule:
     """Lambda_N^g / (relation rows), as an explicit O-module quotient.
 
-    The module is immutable once built and caches `j_torsion(r)` per r.
-    Cached submodules are shared between callers and must not be mutated.
+    The module is immutable once built and caches `j_torsion(r)` per r and
+    `filtration_stage(r, u)` per (r, u).  Cached submodules are shared
+    between callers and must not be mutated.
     """
 
     def __init__(
@@ -68,6 +69,7 @@ class FiniteLevelModule:
         self._rel_span = linalg.span_size(self.rel_rows, spec.p, spec.k)
         self.size = spec.modulus**self.dim // self._rel_span
         self._j_torsion: dict[int, Submodule] = {}
+        self._stages: dict[tuple[int, int], Submodule] = {}
 
     def _coerce(self, entry) -> GroupRingElem:
         if isinstance(entry, GroupRingElem):
@@ -200,9 +202,13 @@ class FiniteLevelModule:
 
     def filtration_stage(self, r: int, u: int = 1) -> "Submodule":
         """M^(r): the image of M[J^r] under (gamma^u - 1)^(r-1), applied to
-        each torsion generator with `act`."""
-        x = self.T_class(u) ** (r - 1)
-        return self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
+        each torsion generator with `act`; computed once per (r, u), and
+        the returned submodule is shared."""
+        stage = self._stages.get((r, u))
+        if stage is None:
+            x = self.T_class(u) ** (r - 1)
+            stage = self._stages[r, u] = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
+        return stage
 
     def j_filtration(self, r_max: int, check_generator_independence: bool = True) -> "FiltrationReport":
         torsions = []
@@ -256,8 +262,8 @@ class Submodule:
 
     Equality compares the Howell bases and the owning module by identity
     (`is`): submodules of two separately built but equal modules are never
-    equal.  Submodules handed out by a module's caches (`j_torsion`) are
-    shared, so callers must not mutate `hrows`.
+    equal.  Submodules handed out by a module's caches (`j_torsion`,
+    `filtration_stage`) are shared, so callers must not mutate `hrows`.
     """
 
     module: FiniteLevelModule

@@ -436,7 +436,7 @@ def build_synthetic(
             for b in range(D.dim):
                 e = [int(t == b) for t in range(D.dim)]
                 rows.append([duality.pair_class(e, list(lc)) for lc in locs])
-            sol = linalg.solve_combination(rows, targets, spec.p, spec.k)
+            sol = linalg.solve_combination(rows, [targets], spec.p, spec.k)[0]
             if sol is None:
                 raise InstanceInvalidError("no class vector matches the heights")
             vbar = list(sol)

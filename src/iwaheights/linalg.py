@@ -98,16 +98,29 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int) -> list[list[int]]:
     return pivots
 
 
-def reduce_vector(v: Sequence[int], hrows: Sequence[Sequence[int]], p: int, k: int) -> list[int]:
-    """Canonical representative of v modulo the span of a Howell basis."""
-    m = p**k
+def _reduce(v: Sequence[int], hrows: Sequence[Sequence[int]], m: int) -> tuple[list[int], list[int]]:
+    """(remainder, quotients q) with v = remainder + sum(q_i * hrows_i)."""
     out = [x % m for x in v]
+    qs = []
     for r in hrows:
         c = _pivot_col(r)
         q = out[c] // r[c]
+        qs.append(q)
         if q:
             out = [(x - q * y) % m for x, y in zip(out, r)]
-    return out
+    return out, qs
+
+
+def reduce_vector(v: Sequence[int], hrows: Sequence[Sequence[int]], p: int, k: int) -> list[int]:
+    """Canonical representative of v modulo the span of a Howell basis."""
+    return _reduce(v, hrows, p**k)[0]
+
+
+def coordinates(v: Sequence[int], hrows: Sequence[Sequence[int]], p: int, k: int) -> Optional[list[int]]:
+    """Quotients q with v = sum(q_i * hrows_i), read off the reduction that
+    reduce_vector performs, or None when v is outside the span."""
+    rem, qs = _reduce(v, hrows, p**k)
+    return None if any(rem) else qs
 
 
 def span_contains(v: Sequence[int], hrows: Sequence[Sequence[int]], p: int, k: int) -> bool:
@@ -138,27 +151,26 @@ def right_kernel(mat: Sequence[Sequence[int]], ncols: int, p: int, k: int) -> li
 
 
 def solve_combination(
-    rows: Sequence[Sequence[int]], target: Sequence[int], p: int, k: int
-) -> Optional[list[int]]:
-    """One coefficient vector a with sum(a_i * rows_i) = target, or None."""
+    rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]], p: int, k: int
+) -> list[Optional[list[int]]]:
+    """For each target, one coefficient vector a with sum(a_i * rows_i) =
+    target, or None when the target is outside the span.
+
+    The Howell form of [rows | I] is computed once for all the targets;
+    each target then costs one reduction against it.
+    """
     m = p**k
     n = len(rows)
     if n == 0:
-        return [] if not any(x % m for x in target) else None
+        return [[] if not any(x % m for x in t) else None for t in targets]
     width = len(rows[0])
     aug = [list(r) + [1 if t == i else 0 for t in range(n)] for i, r in enumerate(rows)]
-    H = howell(aug, p, k)
-    v = [x % m for x in target] + [0] * n
-    for r in H:
-        c = _pivot_col(r)
-        if c >= width:
-            continue
-        q = v[c] // r[c]
-        if q:
-            v = [(x - q * y) % m for x, y in zip(v, r)]
-    if any(v[:width]):
-        return None
-    return [(-x) % m for x in v[width:]]
+    H = [r for r in howell(aug, p, k) if _pivot_col(r) < width]
+    out: list[Optional[list[int]]] = []
+    for target in targets:
+        v, _ = _reduce(list(target) + [0] * n, H, m)
+        out.append(None if any(v[:width]) else [(-x) % m for x in v[width:]])
+    return out
 
 
 def span_intersection(

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwaheights import linalg
-from iwaheights.errors import IwaheightsError
+from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.heights import (
     BlockPairing,
     BlockSpec,
@@ -24,7 +24,7 @@ from iwaheights.heights import (
     twist_equivariance_check,
 )
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
-from iwaheights.poles import PoleElem
+from iwaheights.poles import PoleElem, phi
 
 
 def single_block(spec, level=1, unit=1):
@@ -299,7 +299,8 @@ class TestDerivedTower:
 
 def uncached_derived_value(d, x, y):
     """h^(r)(x, y) by a fresh torsion preimage solve on every call: the
-    torsion, the shifted rows and the solve are all rebuilt from M."""
+    torsion, the shifted rows and the solve are all rebuilt from M, and h
+    is evaluated as phi_u of the pole value, without the Gram matrix."""
     h, r = d.h, d.r
     M = h.module_left
     spec = h.spec
@@ -315,12 +316,12 @@ def uncached_derived_value(d, x, y):
         shift = shift * tu
     mat = M.action_matrix(shift)
     rows = [linalg.matvec(mat, list(g), m) for g in gens]
-    sol = linalg.solve_combination(rows + [list(rel) for rel in M.rel_rows], list(x), spec.p, spec.k)
+    (sol,) = linalg.solve_combination(rows + [list(rel) for rel in M.rel_rows], [list(x)], spec.p, spec.k)
     assert sol is not None
     w = [0] * M.dim
     for c, g in zip(sol, gens):
         w = [(a + c * b) % m for a, b in zip(w, g)]
-    return pow(h.u, r - 1, m) * h.coeff(w, y) % m
+    return pow(h.u, r - 1, m) * pow(h.u, -1, m) * phi(h.u, h.pairing.value(w, y)) % m
 
 
 @st.composite
@@ -368,6 +369,46 @@ class TestMemoisedDerivedValue:
             d2.value(t2, one)
         with pytest.raises(IwaheightsError, match="left argument"):
             d2.value(one, t2)
+
+
+class TestGramMatrix:
+    """HeightPairing.coeff is x^T G y with G from the basis table, or phi_u
+    of the pole value when phi_u needs more precision on a basis value
+    than on the sum (gram is None)."""
+
+    @given(block_pairings(), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coeff_is_phi_of_value(self, pairing, u, data):
+        h = HeightPairing(pairing, u=u, validate=False)
+        M = h.module_left
+        m = h.spec.modulus
+        draw_vec = st.lists(st.integers(0, m - 1), min_size=M.dim, max_size=M.dim)
+        for _ in range(3):
+            x = M.canon(data.draw(draw_vec, label="x"))
+            y = M.canon(data.draw(draw_vec, label="y"))
+            try:
+                want = pow(u, -1, m) * phi(u, pairing.value(x, y)) % m
+            except PrecisionError:
+                assert h.gram is None
+                with pytest.raises(PrecisionError):
+                    h.coeff(x, y)
+            else:
+                assert h.coeff(x, y) == want
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[BlockSpec(2)], [BlockSpec(2, 2, swapped=True)], [BlockSpec(0), BlockSpec(2)]],
+    )
+    def test_precision_boundary_falls_back(self, blocks):
+        # at u = 2 the level-2 basis values need more than cap 16, so
+        # there is no Gram matrix; every stage value must still come out
+        pairing = BlockPairing(RingSpec(3, 2, 16), blocks, level=2)
+        h = HeightPairing(pairing, u=2, validate=False)
+        assert h.gram is None
+        d = derived_height(h, 1)
+        for x in d.left_stage.elements():
+            for y in d.right_stage.gens():
+                assert d.value(x, y).coeff == uncached_derived_value(d, x, y)
 
 
 class TestRestrictedKernels:

@@ -368,6 +368,15 @@ class TestFastPathsAgainstOracles:
     def test_filtration_stage_matches_matrix_image(self, M, r, u):
         assert M.filtration_stage(r, u).hrows == matrix_filtration_stage(M, r, u).hrows
 
+    @given(modules(), st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2])), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_filtration_stage_cached_per_r_and_u(self, M, calls):
+        # stages of other (r, u) built in between must not disturb the cache
+        for r, u in calls:
+            stage = M.filtration_stage(r, u)
+            assert stage.hrows == matrix_filtration_stage(M, r, u).hrows
+            assert M.filtration_stage(r, u) is stage
+
     @given(group_ring_elems(), st.integers(0, 5))
     @settings(max_examples=80, deadline=None)
     def test_group_ring_power_is_repeated_product(self, x, e):

@@ -65,6 +65,63 @@ def test_reduce_vector_canonical_reps(rows, v):
         assert linalg.reduce_vector(shifted, H, 3, 2) == red
 
 
+def combine(coeffs, rows, m, width):
+    """sum(coeffs_i * rows_i) mod m."""
+    v = [0] * width
+    for c, r in zip(coeffs, rows):
+        v = [(a + c * b) % m for a, b in zip(v, r)]
+    return v
+
+
+@st.composite
+def span_problems(draw):
+    """(p, k, rows, v) over (3,1), (3,2), (5,1): up to three rows of width
+    three, and v either a drawn combination of the rows or any vector."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    m = p**k
+    rows = draw(small_matrices(p, k))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
+        v = combine(coeffs, rows, m, 3)
+    else:
+        v = draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3))
+    return p, k, rows, v
+
+
+@given(span_problems())
+@settings(max_examples=150, deadline=None)
+def test_coordinates_reconstruct_or_none(problem):
+    p, k, rows, v = problem
+    H = linalg.howell(rows, p, k)
+    q = linalg.coordinates(v, H, p, k)
+    if linalg.span_contains(v, H, p, k):
+        assert q is not None and len(q) == len(H)
+        assert combine(q, H, p**k, 3) == v
+    else:
+        assert q is None
+
+
+@given(st.sampled_from([(3, 1), (3, 2), (5, 1)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_solve_combination_per_target(pk, data):
+    # one Howell form for every target: each answer reconstructs its own
+    # target, and None comes back exactly for the targets outside the span
+    p, k = pk
+    m = p**k
+    rows = data.draw(small_matrices(p, k), label="rows")
+    targets = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=3, max_size=3), max_size=4), label="targets")
+    if rows:
+        targets.append(combine([1] * len(rows), rows, m, 3))
+    H = linalg.howell(rows, p, k)
+    sols = linalg.solve_combination(rows, targets, p, k)
+    assert len(sols) == len(targets)
+    for target, sol in zip(targets, sols):
+        if linalg.span_contains(target, H, p, k):
+            assert sol is not None and combine(sol, rows, m, 3) == target
+        else:
+            assert sol is None
+
+
 def test_right_kernel_against_enumeration():
     rng = random.Random(4)
     for _ in range(40):
@@ -87,7 +144,7 @@ def test_solve_combination_roundtrip():
         for c, r in zip(coeffs, rows):
             for i in range(4):
                 target[i] = (target[i] + c * r[i]) % 9
-        sol = linalg.solve_combination(rows, target, 3, 2)
+        (sol,) = linalg.solve_combination(rows, [target], 3, 2)
         assert sol is not None
         back = [0] * 4
         for c, r in zip(sol, rows):
@@ -98,8 +155,8 @@ def test_solve_combination_roundtrip():
 
 def test_solve_combination_detects_unsolvable():
     rows = [[3, 0], [0, 3]]
-    assert linalg.solve_combination(rows, [1, 0], 3, 2) is None
-    assert linalg.solve_combination(rows, [6, 3], 3, 2) is not None
+    assert linalg.solve_combination(rows, [[1, 0]], 3, 2) == [None]
+    assert linalg.solve_combination(rows, [[6, 3]], 3, 2)[0] is not None
 
 
 def test_span_intersection_oracle():

@@ -117,7 +117,7 @@ def howell_minimal_form(spec, level, num):
     for m_level in range(level):
         nu = nu_class(spec, level, m_level)
         rows = [list((nu * GroupRingElem.gamma(spec, level, j)).coeffs) for j in range(size)]
-        sol = linalg.solve_combination(rows, list(num.coeffs), spec.p, spec.k)
+        (sol,) = linalg.solve_combination(rows, [list(num.coeffs)], spec.p, spec.k)
         if sol is not None:
             return m_level, GroupRingElem(spec, level, sol).fold_to_level(m_level)
     return level, num
