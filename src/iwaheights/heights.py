@@ -239,6 +239,7 @@ def validate_pole_pairing(pairing) -> None:
     The basis values come from `pairing.table`; the two shifted sides of
     the semilinearity check are evaluated with `pairing.value`, so that
     check does not assume the pairing expands bilinearly over the table.
+    Each basis vector is shifted once, not once per pair.
     """
     M = pairing.module_left
     N = pairing.module_right
@@ -246,11 +247,13 @@ def validate_pole_pairing(pairing) -> None:
     tM = M.T_class()
     tN_iota = N.T_class().involution()
     basis_right = _basis(N.dim)
+    shifted_right = [N.act(tN_iota, y) for y in basis_right]
     for a, x in enumerate(_basis(M.dim)):
+        tx = M.act(tM, x)
         for b, y in enumerate(basis_right):
             mid = table[a][b].act_group(tM)
-            left = pairing.value(M.act(tM, x), y)
-            right = pairing.value(x, N.act(tN_iota, y))
+            left = pairing.value(tx, y)
+            right = pairing.value(x, shifted_right[b])
             if left != mid or right != mid:
                 raise IwaheightsError("pairing is not semilinear")
     sym = pairing.declared_symmetry()

@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Union
 
 from iwaheights import linalg
 from iwaheights.errors import (
+    EnumerationCapError,
     InstanceInvalidError,
     NotDivisibleError,
     PrecisionError,
@@ -52,18 +53,54 @@ from iwaheights.iwalg import (
     weierstrass_divide,
 )
 from iwaheights.lambdamod import FiniteLevelModule, Submodule
-from iwaheights.poles import JGradedValue, PoleElem, phi
+from iwaheights.poles import JGradedValue
 
 Vec = Sequence[int]
 
+# The builder refuses a dual module whose ambient O-rank (components times
+# p^level) exceeds this, before building any block: a level-4 block at
+# p = 5 (rank 1250) ran for over a minute.  It admits the measured cases
+# p = 3 at level 4 (rank 162, --ord 30), p = 5 at level 3 (rank 250,
+# --p 5 --ord 30) and p = 7 at level 2 (rank 98).
+MAX_DUAL_RANK = 256
 
-class CanonicalDuality:
+
+def _dot(f: Vec, d: Vec, m: int) -> int:
+    return sum(a * b for a, b in zip(f, d)) % m
+
+
+class Duality:
+    """A duality between the free module and a dual module D, given by
+    `functional(x)`: the vector f over D's ambient basis with
+    <x, d> = f . d mod p^k for every d."""
+
+    module: FiniteLevelModule
+
+    def functional(self, x: Sequence[IwasawaPoly]) -> list[int]:
+        raise NotImplementedError
+
+    def pair(self, x: Sequence[IwasawaPoly], d: Vec) -> int:
+        return _dot(self.functional(x), d, self.module.spec.modulus)
+
+
+class CanonicalDuality(Duality):
     """Componentwise duality: <x, d> = phi(1, x_i * iota(d_i) / omega_(n_i)).
 
     The Z_s coordinate i pairs with the i-th component of the dual module
     through the pole class of the product; the value only depends on x_i
     modulo omega_(n_i), which is what makes the pairing factor through the
     finite level.
+
+    Closed form: phi_1 of a level-n pole is the identity coefficient of its
+    numerator (the minimal form keeps it), and the identity coefficient of
+    a * iota(b) is sum_g a[g] * b[g].  So
+
+        <x, d> = sum_i sum_c xbar_i[c mod p^(n_i)] * d_i[c]  mod p^k,
+
+    with xbar_i = project_to_level(x_i, n_i) and c running over the p^N
+    group elements of the dual module's level N.  `functional(x)` is that
+    coefficient vector over the dual module's ambient basis, so a fixed x
+    is projected once and each pairing is a dot product.
     """
 
     kind = "canonical"
@@ -74,28 +111,17 @@ class CanonicalDuality:
         self.levels = tuple(levels)
         self.module = module
 
-    def pair(self, x: Sequence[IwasawaPoly], d: Vec) -> int:
-        spec = self.module.spec
-        total = 0
+    def functional(self, x: Sequence[IwasawaPoly]) -> list[int]:
+        """The vector f with <x, d> = f . d mod p^k for every d."""
+        out: list[int] = []
         for i, n in enumerate(self.levels):
-            xi = project_to_level(x[i], n)
-            di = self.module.component(d, i).fold_to_level(n)
-            num = xi * di.involution()
-            total += phi(1, PoleElem(spec, n, num))
-        return total % spec.modulus
-
-    def pair_class(self, xbar: Vec, d: Vec) -> int:
-        """Same pairing with the left side given by its finite-level class."""
-        spec = self.module.spec
-        total = 0
-        for i, n in enumerate(self.levels):
-            xi = self.module.component(xbar, i).fold_to_level(n)
-            di = self.module.component(d, i).fold_to_level(n)
-            total += phi(1, PoleElem(spec, n, xi * di.involution()))
-        return total % spec.modulus
+            xs = project_to_level(x[i], n).coeffs
+            q = len(xs)
+            out.extend(xs[c % q] for c in range(self.module.block))
+        return out
 
 
-class TableDuality:
+class TableDuality(Duality):
     """Duality given by an explicit table: row (i, j) is the functional of
     the monomial T^j in coordinate i on the dual module's ambient basis."""
 
@@ -105,17 +131,22 @@ class TableDuality:
         self.table = [[list(row) for row in coord] for coord in table]
         self.module = module
 
-    def pair(self, x: Sequence[IwasawaPoly], d: Vec) -> int:
+    def functional(self, x: Sequence[IwasawaPoly]) -> list[int]:
+        """sum over (i, j) of x_i[j] * table[i][j]: the vector f with
+        <x, d> = f . d mod p^k for every d."""
         m = self.module.spec.modulus
-        total = 0
+        dim = self.module.dim
+        f = [0] * dim
         for i, xi in enumerate(x):
             rows = self.table[i]
             for j, c in enumerate(xi.coeffs):
-                if c and j < len(rows):
-                    total += c * sum(a * b for a, b in zip(rows[j], d))
-                elif c and j >= len(rows):
+                if not c:
+                    continue
+                if j >= len(rows):
                     raise PrecisionError("duality table too short for this class")
-        return total % m
+                for t, a in enumerate(rows[j][:dim]):
+                    f[t] += c * a
+        return [a % m for a in f]
 
 
 @dataclass
@@ -125,7 +156,7 @@ class LfunInstance:
     spec: RingSpec
     L_z: tuple[IwasawaPoly, ...]
     D_loc: FiniteLevelModule
-    duality: Union[CanonicalDuality, TableDuality]
+    duality: Duality
     height: HeightPairing
     loc_matrix: list[list[int]]
     z0: tuple[int, ...]
@@ -150,11 +181,13 @@ class LfunInstance:
         """
         ord1: Union[int, float] = min(j_valuation(x) for x in self.L_z)
         D = self.D_loc
+        m = self.spec.modulus
+        f = self.duality.functional(self.L_z)
         bound = self.spec.k * self.spec.p**D.level + 1
         ord2: Union[int, float] = 0
         for r in range(1, bound + 1):
             tor = D.j_torsion(r)
-            killed = all(self.duality.pair(self.L_z, list(g)) == 0 for g in tor.gens())
+            killed = all(_dot(f, g, m) == 0 for g in tor.gens())
             if not killed:
                 ord2 = r - 1
                 break
@@ -179,36 +212,39 @@ class LfunInstance:
         for x in self.L_z:
             if x.precision != spec.cap:
                 raise InstanceInvalidError("L_z coordinates must carry full precision")
-        # adjunction <T x, d> = <x, iota(T) d> on monomial/basis spanning sets
-        tD = D.T_class()
-        tD_iota = tD.involution()
+        # the functionals of the monomials T^j (j <= 3) in each coordinate
+        mono = []
         for i in range(D.ngens):
-            for j in range(0, 3):
+            row = []
+            for j in range(4):
                 x = [IwasawaPoly.zero(spec)] * D.ngens
                 x[i] = IwasawaPoly(spec, [0] * j + [1])
-                tx = [xi.times_T_power(1) for xi in x]
+                row.append(self.duality.functional(x))
+            mono.append(row)
+        # adjunction <T x, d> = <x, iota(T) d> on monomial/basis spanning
+        # sets: f_(T x)[b] = f_x . (iota(T) e_b)
+        tD_iota = D.T_class().involution()
+        shifted = [D.act(tD_iota, [int(c == b) for c in range(D.dim)]) for b in range(D.dim)]
+        for i in range(D.ngens):
+            for j in range(0, 3):
+                f_x, f_tx = mono[i][j], mono[i][j + 1]
                 for b in range(D.dim):
-                    d = [int(c == b) for c in range(D.dim)]
-                    lhs = self.duality.pair(tx, d)
-                    rhs = self.duality.pair(x, list(D.act(tD_iota, d)))
-                    if lhs != rhs:
+                    if f_tx[b] % m != _dot(f_x, shifted[b], m):
                         raise InstanceInvalidError(
                             f"duality adjunction fails at coordinate {i}, T^{j}"
                         )
         # the duality must be well defined on the quotient
         for rel in D.rel_rows:
             for i in range(D.ngens):
-                x = [IwasawaPoly.zero(spec)] * D.ngens
-                x[i] = IwasawaPoly.one(spec)
-                if self.duality.pair(x, list(rel)) != 0:
+                if _dot(mono[i][0], rel, m) != 0:
                     raise InstanceInvalidError("duality does not kill the relations")
         # localization must be Lambda-linear
-        gM = M.action_matrix(M.gamma_class())
-        gD = D.action_matrix(D.gamma_class())
-        for c in range(M.dim):
-            e = [int(i == c) for i in range(M.dim)]
-            lhs = self.localize(linalg.matvec(gM, e, m))
-            rhs = D.canon(linalg.matvec(gD, linalg.matvec(self.loc_matrix, e, m), m))
+        gM = M.gamma_class()
+        gD = D.gamma_class()
+        for a in range(M.dim):
+            e = [int(c == a) for c in range(M.dim)]
+            lhs = self.localize(M.act(gM, e))
+            rhs = D.act(gD, linalg.matvec(self.loc_matrix, e, m))
             if lhs != rhs:
                 raise InstanceInvalidError("localization is not Lambda-linear")
         # z0 must be J-torsion on the global side
@@ -252,7 +288,7 @@ class LambdaFunctional:
         self.inst = inst
         self.r = r
         self.u = u
-        self._der = der(inst, r, u)
+        self._functional = inst.duality.functional(der(inst, r, u))
         self._torsion = inst.D_loc.j_torsion(1)
         self._scale = pow(u, r, inst.spec.modulus)
 
@@ -261,7 +297,7 @@ class LambdaFunctional:
             raise InstanceInvalidError(
                 "special values are defined on the J-torsion of the dual module only"
             )
-        val = self.inst.duality.pair(self._der, list(c))
+        val = _dot(self._functional, c, self.inst.spec.modulus)
         return JGradedValue(self.inst.spec, self.r, self._scale * val)
 
     def is_identically_zero(self) -> bool:
@@ -377,21 +413,31 @@ def build_synthetic(
         global_levels = {0: (1,), 1: (0, 1), 2: (1,), 3: (1,)}.get(target_ord, (1,))
     rng = random.Random(repr((seed, p, k, tuple(global_levels), target_ord)))
 
+    def ring_cap(n: int) -> int:
+        # room to project to level n (k*p^n) and for L_z = T^ord * class
+        return k * p**n + p**n + target_ord + 8
+
     # local-only block: large enough that T^ord * D[T^(ord+1)] is nonzero.
     # Levels above 4 are not searched: building and checking a level-5
     # block ran for over a minute.
     for n_loc in range(1, 5):
         if k * p**n_loc <= target_ord + 1:
             continue
-        cap = k * p**n_loc + p**n_loc + target_ord + 8
-        spec = RingSpec(p, k, cap)
-        D_test = block_module(spec, [BlockSpec(n_loc)], enum_cap)
+        level = max(max(global_levels, default=0), n_loc)
+        rank = (len(global_levels) + 1) * p**level
+        if rank > MAX_DUAL_RANK:
+            raise EnumerationCapError(
+                f"dual module of O-rank {rank} at level {level}, above the cap {MAX_DUAL_RANK}"
+            )
+        D_test = block_module(RingSpec(p, k, ring_cap(n_loc)), [BlockSpec(n_loc)], enum_cap)
         if D_test.filtration_stage(target_ord + 1).order() > 1:
             break
     else:
         raise InstanceInvalidError("no usable local block level found")
 
-    level = max(max(global_levels, default=0), n_loc)
+    # the duality projects to every block level, so the cap follows the
+    # ambient level (equal to n_loc for the default global levels)
+    spec = RingSpec(p, k, ring_cap(level))
     gblocks = [BlockSpec(n, unit=rng.choice([1, 2])) for n in global_levels]
     pairing = BlockPairing(spec, gblocks, enum_cap=enum_cap, level=level)
     height = HeightPairing(pairing, u=1, validate=False)
@@ -406,6 +452,11 @@ def build_synthetic(
     loc = [[0] * M.dim for _ in range(D.dim)]
     for c in range(M.dim):
         loc[c][c] = 1
+
+    def lift(v: Vec) -> list[IwasawaPoly]:
+        """The free-module vector whose coordinates are the T-expansions
+        of the components of the class vector v."""
+        return [IwasawaPoly(spec, D.component(v, i).to_poly_coeffs()) for i in range(D.ngens)]
 
     # choose z0
     if target_ord == 0:
@@ -434,8 +485,8 @@ def build_synthetic(
             locs = [D.canon(linalg.matvec(loc, list(c), m)) for c in cgens]
             rows = []
             for b in range(D.dim):
-                e = [int(t == b) for t in range(D.dim)]
-                rows.append([duality.pair_class(e, list(lc)) for lc in locs])
+                f = duality.functional(lift([int(t == b) for t in range(D.dim)]))
+                rows.append([_dot(f, lc, m) for lc in locs])
             sol = linalg.solve_combination(rows, [targets], spec.p, spec.k)[0]
             if sol is None:
                 raise InstanceInvalidError("no class vector matches the heights")
@@ -449,11 +500,7 @@ def build_synthetic(
     vbar[local_start] = u_v
     vbar = list(D.canon(vbar))
 
-    L_z = []
-    for i in range(D.ngens):
-        cls = D.component(vbar, i)
-        poly = IwasawaPoly(spec, cls.to_poly_coeffs())
-        L_z.append(poly.times_T_power(target_ord))
+    L_z = [x.times_T_power(target_ord) for x in lift(vbar)]
 
     inst = LfunInstance(
         spec=spec,
@@ -509,7 +556,7 @@ def instance_from_data(
     d_blocks = list(global_blocks) + [BlockSpec(n) for n in local_levels]
     D = block_module(spec, d_blocks, enum_cap, level=level)
     if duality_table is None:
-        duality: Union[CanonicalDuality, TableDuality] = CanonicalDuality(
+        duality: Duality = CanonicalDuality(
             [b.level for b in d_blocks], D
         )
     else:

@@ -29,9 +29,10 @@ def random_poly(rng: random.Random, spec: RingSpec, precision=None) -> IwasawaPo
     )
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     """Run the CLI in a fresh interpreter from the repository root, with
-    src/ on its path so that no installed copy is needed."""
+    src/ on its path so that no installed copy is needed.  A run longer
+    than `timeout` seconds raises `subprocess.TimeoutExpired`."""
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -41,5 +42,6 @@ def run_cli(*argv):
         text=True,
         cwd=root,
         env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr

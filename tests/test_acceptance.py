@@ -241,6 +241,22 @@ def test_criterion_7_main_theorem(ordv):
     report(f"7 main theorem ord={ordv}", not failures, f"20 seeds, failures: {failures}")
 
 
+@pytest.mark.parametrize(
+    "p, levels, ordv",
+    [(3, (3,), 1), (3, (3,), 3), (5, (2,), 1), (5, (2,), 2)],
+)
+def test_criterion_7_level_ladder(p, levels, ordv):
+    # global blocks above the local level: the ring cap follows the
+    # ambient level (instances/lfun_level3_ord1.json, lfun_p5_level2.json)
+    failures = []
+    for seed in range(3):
+        inst = build_synthetic(seed, p=p, global_levels=levels, target_ord=ordv)
+        for c in main_theorem_check(inst, 4):
+            if not c["ok"]:
+                failures.append((seed, c["name"]))
+    report(f"7 level ladder p={p} levels={levels} ord={ordv}", not failures, f"3 seeds, failures: {failures}")
+
+
 def test_criterion_8_invariant_calculus():
     count = 0
     for e_inf in range(4):

@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, strict schema, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,38 @@ class TestExitCodes:
         assert main([cmd, "--ord", "100"]) == 2
         assert "no usable local block level" in capsys.readouterr().err
 
+    def test_oversized_dual_module_is_three(self):
+        # p = 5, ord 124 needs a level-4 local block: a dual module of
+        # O-rank 1250, refused before any block is built
+        t0 = time.perf_counter()
+        code, _, err = run_cli("lfun-check", "--p", "5", "--ord", "124", timeout=60)
+        assert code == 3
+        assert "O-rank 1250" in err and "Traceback" not in err
+        assert time.perf_counter() - t0 < 10
+
+    def test_wide_ring_is_three(self):
+        t0 = time.perf_counter()
+        code, _, err = run_cli("lfun-check", "--p", "101", "--k", "3", timeout=60)
+        assert code == 3
+        assert err.startswith("resource cap:") and "Traceback" not in err
+        assert time.perf_counter() - t0 < 10
+
+    def test_p7_level2_builder_file_passes(self, tmp_path):
+        # ambient O-rank 98, inside the builder's cap
+        path = tmp_path / "p7.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "ring": {"p": 7, "k": 1, "cap": 107, "level": 2},
+                    "lfun": {"seed": 0, "target_ord": 1, "global_levels": [2]},
+                }
+            )
+        )
+        code, out, err = run_cli("lfun-check", "--input", str(path), "--format", "json", timeout=120)
+        assert code == 0, err
+        assert json.loads(out)["all_ok"]
+
     def test_non_unit_block_constant_is_two(self, tmp_path):
         bad = tmp_path / "nonunit.json"
         bad.write_text(
@@ -201,6 +234,24 @@ class TestDeterminism:
         assert main(["generate", "--seed", "0", "--ord", str(ord_), "--output", str(out)]) == 0
         golden = ROOT / "instances" / f"lfun_seed0_ord{ord_}.json"
         assert out.read_bytes() == golden.read_bytes()
+
+
+class TestLevelLadder:
+    @pytest.mark.parametrize(
+        "name, p, level",
+        [("lfun_level3_ord1.json", 3, 3), ("lfun_p5_level2.json", 5, 2)],
+    )
+    def test_builder_instance_passes(self, name, p, level):
+        # the ring cap follows the ambient level, so the duality can
+        # project to the level-n global block
+        code, out, err = run_cli(
+            "lfun-check", "--input", f"instances/{name}", "--format", "json", timeout=120
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["all_ok"]
+        params = payload["meta"]["params"]
+        assert params["p"] == p and params["global_levels"] == [level]
 
 
 class TestOracle:

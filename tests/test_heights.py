@@ -79,6 +79,16 @@ class TestBlockPairing:
             BlockPairing(spec, [BlockSpec(1, 1, swapped=True)]).validate()
             BlockPairing(spec, [BlockSpec(0), BlockSpec(1)]).validate()
 
+    def test_non_semilinear_table_rejected(self, spec31):
+        # a single pole value on (e_0, e_0): [T e_0, e_0] = -[e_0, e_0]
+        # differs from T * [e_0, e_0]
+        M = single_block(spec31).module_left
+        zero = PoleElem.zero(spec31)
+        table = [[zero] * M.dim for _ in range(M.dim)]
+        table[0][0] = PoleElem(spec31, 1, GroupRingElem.one(spec31, 1))
+        with pytest.raises(IwaheightsError, match="not semilinear"):
+            TablePairing(M, M, table).validate()
+
     def test_declared_symmetry(self, spec31):
         assert single_block(spec31).declared_symmetry() == "iota_antisymmetric"
         assert (

@@ -1,7 +1,12 @@
 """The L-function model: orders, derivatives, special values, and the
 three-part consistency theorem on builder instances."""
 
+import dataclasses
+import functools
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +15,11 @@ from hypothesis import strategies as st
 from iwaheights.errors import (
     InstanceInvalidError,
     NotDivisibleError,
+    PrecisionError,
 )
-from iwaheights.iwalg import IwasawaPoly
+from iwaheights.iwalg import IwasawaPoly, project_to_level
 from iwaheights.lfun import (
+    CanonicalDuality,
     LfunInstance,
     TableDuality,
     build_synthetic,
@@ -22,6 +29,74 @@ from iwaheights.lfun import (
     main_theorem_check,
     order_of_vanishing,
 )
+from iwaheights.poles import PoleElem, phi
+from tests.conftest import random_poly
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pole_pair(duality, x, d):
+    """The canonical duality evaluated through the pole class of each
+    product: sum_i phi(1, xbar_i * iota(fold(d_i)) / omega_(n_i))."""
+    spec = duality.module.spec
+    total = 0
+    for i, n in enumerate(duality.levels):
+        xi = project_to_level(x[i], n)
+        di = duality.module.component(d, i).fold_to_level(n)
+        total += phi(1, PoleElem(spec, n, xi * di.involution()))
+    return total % spec.modulus
+
+
+def table_pair(table, x, d, m):
+    """A table duality evaluated monomial by monomial."""
+    total = 0
+    for i, xi in enumerate(x):
+        rows = table[i]
+        for j, c in enumerate(xi.coeffs):
+            if c and j < len(rows):
+                total += c * sum(a * b for a, b in zip(rows[j], d))
+            elif c and j >= len(rows):
+                raise PrecisionError("duality table too short for this class")
+    return total % m
+
+
+def builder_params(name):
+    """build_synthetic arguments of a builder-form instance file."""
+    doc = json.loads((ROOT / "instances" / name).read_text())
+    lf = doc["lfun"]
+    return doc["ring"]["p"], doc["ring"]["k"], tuple(lf["global_levels"]), lf["target_ord"], lf["seed"]
+
+
+# (p, k, global levels, order, seed), including the level-3 and p = 5
+# level-2 instance files
+DUALITY_CASES = [
+    (3, 1, (0, 1), 1, 0),
+    (3, 1, (1,), 2, 1),
+    (3, 2, (1,), 1, 2),
+    (5, 1, (1,), 1, 3),
+    builder_params("lfun_level3_ord1.json"),
+    builder_params("lfun_p5_level2.json"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_instance(case):
+    p, k, levels, ordv, seed = case
+    return build_synthetic(seed, p=p, k=k, global_levels=levels, target_ord=ordv)
+
+
+def monomial_table(inst, nrows):
+    """Table rows (i, j) = the canonical functional of T^j in coordinate i."""
+    spec, D = inst.spec, inst.D_loc
+    table = []
+    for i in range(D.ngens):
+        rows = []
+        for j in range(nrows):
+            x = [IwasawaPoly.zero(spec)] * D.ngens
+            x[i] = IwasawaPoly(spec, [0] * j + [1])
+            rows.append(inst.duality.functional(x))
+        table.append(rows)
+    return table
 
 
 class TestOrderOfVanishing:
@@ -235,21 +310,7 @@ class TestMainTheorem:
         inst = build_synthetic(17, target_ord=1)
         D = inst.D_loc
         spec = inst.spec
-        table = []
-        for i in range(D.ngens):
-            rows = []
-            for j in range(spec.cap + 1):
-                x = [IwasawaPoly.zero(spec)] * D.ngens
-                x[i] = IwasawaPoly(spec, [0] * j + [1]) if j <= spec.cap else None
-                rows.append(
-                    [
-                        inst.duality.pair(
-                            x, [int(c == b) for c in range(D.dim)]
-                        )
-                        for b in range(D.dim)
-                    ]
-                )
-            table.append(rows)
+        table = monomial_table(inst, spec.cap + 1)
         clone = LfunInstance(
             spec=spec,
             L_z=inst.L_z,
@@ -281,3 +342,122 @@ class TestBuilder:
             inst = build_synthetic(0, target_ord=ordv)
             inst.validate()
             assert order_of_vanishing(inst) == ordv
+
+
+class TestClosedFormDuality:
+    @given(st.sampled_from(DUALITY_CASES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_matches_pole_oracle(self, case, seed):
+        inst = cached_instance(case)
+        spec, D = inst.spec, inst.D_loc
+        rng = random.Random(seed)
+        x = [random_poly(rng, spec) for _ in range(D.ngens)]
+        d = [rng.randrange(spec.modulus) for _ in range(D.dim)]
+        assert isinstance(inst.duality, CanonicalDuality)
+        assert inst.duality.pair(x, d) == pole_pair(inst.duality, x, d)
+        # on the instance's own L_z as well
+        assert inst.duality.pair(inst.L_z, d) == pole_pair(inst.duality, inst.L_z, d)
+
+    @given(st.sampled_from(DUALITY_CASES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_adjunction_in_vector_form(self, case, seed):
+        # f_(T x)[b] = f_x . (iota(T) e_b) for every ambient basis vector e_b
+        inst = cached_instance(case)
+        spec, D = inst.spec, inst.D_loc
+        m = spec.modulus
+        rng = random.Random(seed)
+        x = [random_poly(rng, spec) for _ in range(D.ngens)]
+        f_x = inst.duality.functional(x)
+        f_tx = inst.duality.functional([xi.times_T_power(1) for xi in x])
+        t_iota = D.T_class().involution()
+        for b in range(D.dim):
+            e = [int(c == b) for c in range(D.dim)]
+            shifted = D.act(t_iota, e)
+            assert f_tx[b] % m == sum(a * s for a, s in zip(f_x, shifted)) % m
+
+    @given(st.sampled_from(DUALITY_CASES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_table_functional_matches_monomial_sum(self, case, seed):
+        inst = cached_instance(case)
+        spec, D = inst.spec, inst.D_loc
+        m = spec.modulus
+        rng = random.Random(seed)
+        table = [
+            [[rng.randrange(m) for _ in range(D.dim)] for _ in range(spec.cap + 1)]
+            for _ in range(D.ngens)
+        ]
+        dual = TableDuality(table, D)
+        x = [random_poly(rng, spec) for _ in range(D.ngens)]
+        d = [rng.randrange(m) for _ in range(D.dim)]
+        f = dual.functional(x)
+        assert len(f) == D.dim
+        assert dual.pair(x, d) == table_pair(table, x, d, m)
+        assert sum(a * b for a, b in zip(f, d)) % m == table_pair(table, x, d, m)
+        # a table shorter than the highest nonzero coefficient of x refuses
+        top = max(j for xi in x for j, c in enumerate(xi.coeffs) if c)
+        short = [coord[: rng.randrange(top + 1)] for coord in table]
+        with pytest.raises(PrecisionError, match="too short"):
+            table_pair(short, x, d, m)
+        with pytest.raises(PrecisionError, match="too short"):
+            TableDuality(short, D).functional(x)
+        with pytest.raises(PrecisionError, match="too short"):
+            TableDuality(short, D).pair(x, d)
+
+    def test_monomial_table_reproduces_canonical(self):
+        inst = cached_instance(DUALITY_CASES[0])
+        table = monomial_table(inst, inst.spec.cap + 1)
+        dual = TableDuality(table, inst.D_loc)
+        rng = random.Random(5)
+        for _ in range(20):
+            x = [random_poly(rng, inst.spec) for _ in range(inst.D_loc.ngens)]
+            assert dual.functional(x) == inst.duality.functional(x)
+
+
+class TestValidateRejects:
+    """One negative control per rejection branch of `LfunInstance.validate`,
+    each a change to the instance of `test_faithful_table_duality_accepted`
+    that the earlier branches pass, so the message is its own."""
+
+    def with_table(self, inst, table):
+        return dataclasses.replace(inst, duality=TableDuality(table, inst.D_loc), meta={})
+
+    def test_adjunction_failure_at_one_monomial(self):
+        inst = build_synthetic(17, target_ord=1)
+        table = monomial_table(inst, inst.spec.cap + 1)
+        # perturb the functional of T^2 in coordinate 1: the first failing
+        # case is <T * T^1, e_0> against <T^1, iota(T) e_0>
+        table[1][2][0] += 1
+        with pytest.raises(InstanceInvalidError, match=r"adjunction fails at coordinate 1, T\^1$"):
+            self.with_table(inst, table).validate()
+
+    def test_relation_not_killed(self):
+        inst = build_synthetic(17, target_ord=1)
+        D = inst.D_loc
+        m = inst.spec.modulus
+        assert D.rel_rows
+        table = monomial_table(inst, inst.spec.cap + 1)
+        # add v_j to the functional of T^j in coordinate 0, with v_0 not
+        # killing the first relation row and v_(j+1)[b] = v_j . (iota(T) e_b),
+        # so the checked adjunction cases (j <= 2) still hold
+        rel = D.rel_rows[0]
+        pivot = next(c for c, a in enumerate(rel) if a)
+        v = [int(c == pivot) for c in range(D.dim)]
+        t_iota = D.T_class().involution()
+        shifted = [D.act(t_iota, [int(c == b) for c in range(D.dim)]) for b in range(D.dim)]
+        for j in range(4):
+            table[0][j] = [(a + b) % m for a, b in zip(table[0][j], v)]
+            v = [sum(a * s for a, s in zip(v, shifted[b])) % m for b in range(D.dim)]
+        with pytest.raises(InstanceInvalidError, match="does not kill the relations"):
+            self.with_table(inst, table).validate()
+
+    def test_localization_not_lambda_linear(self):
+        inst = build_synthetic(17, target_ord=1)
+        M = inst.global_module
+        # double one coordinate of the level-1 block: gamma moves the basis
+        # vector before it onto that coordinate, which the doubling sees
+        c0 = M.dim - 1
+        loc = [row[:] for row in inst.loc_matrix]
+        loc[c0][c0] = 2
+        broken = dataclasses.replace(inst, loc_matrix=loc, meta={})
+        with pytest.raises(InstanceInvalidError, match="not Lambda-linear"):
+            broken.validate()
