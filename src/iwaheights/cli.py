@@ -28,6 +28,7 @@ from iwaheights.heights import (
 )
 from iwaheights.instancefile import InstanceFile, parse_instance, render_generated
 from iwaheights.lambdamod import (
+    DEFAULT_ENUM_CAP,
     ElementaryShape,
     FiniteLevelModule,
     infer_invariants,
@@ -161,8 +162,8 @@ def cmd_heights(args) -> Report:
         pairing.validate()
     except IwaheightsError as e:
         raise InstanceInvalidError(str(e)) from None
-    h1 = HeightPairing(pairing, u=1, validate=False)
-    h2 = HeightPairing(pairing, u=2, validate=False)
+    h1 = HeightPairing(pairing, u=1)
+    h2 = HeightPairing(pairing, u=2)
     M = h1.module_left
     rep = Report(
         "heights",
@@ -383,6 +384,7 @@ def cmd_oracle(args) -> Report:
                 f"pairing module has {pairing.module_left.size} elements, above --max-size"
             )
         ran_any = True
+        pairing.validate()
         h = HeightPairing(pairing, u=1)
         M = h.module_left
         for r in range(1, args.max_r + 1):
@@ -420,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="deterministic seed")
     common.add_argument(
-        "--max-size", type=int, default=3**10, help="element cap for enumeration"
+        "--max-size", type=int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"
     )
     common.add_argument(
         "--max-r", type=int, default=4, help="largest derived degree to check"

@@ -275,15 +275,14 @@ class HeightPairing:
     """The J/J^2-valued height attached to a pole-valued pairing.
 
     The coefficient is u^(-1) * phi_u([x, y]) for the chosen generator
-    exponent u; the value does not depend on u.
+    exponent u; the value does not depend on u.  The pairing is not
+    validated here: callers run `pairing.validate()` on input pairings.
     """
 
-    def __init__(self, pairing, u: int = 1, validate: bool = True):
+    def __init__(self, pairing, u: int = 1):
         spec = pairing.spec
         if not spec.is_unit(u):
             raise ValueError("generator exponent must be a unit")
-        if validate:
-            pairing.validate()
         self.pairing = pairing
         self.spec = spec
         self.u = u

@@ -168,12 +168,16 @@ def parse_instance(text: str) -> InstanceFile:
             strict = lf["strict"]
             if strict not in ("all", "zero"):
                 raise SchemaError("$.lfun.strict: expected 'all' or 'zero'")
+            local_levels = _int_list(lf["local_levels"], "$.lfun.local_levels")
+            for i, n in enumerate(local_levels):
+                if n < 0:
+                    raise SchemaError(f"$.lfun.local_levels[{i}]: must be >= 0")
             out.lfun = {
                 "form": "explicit",
                 "rank": rank,
                 "l_z": lz,
                 "duality": duality,
-                "local_levels": _int_list(lf["local_levels"], "$.lfun.local_levels"),
+                "local_levels": local_levels,
                 "z0": _int_list(lf["z0"], "$.lfun.z0"),
                 "strict": strict,
             }

@@ -29,6 +29,11 @@ from iwaheights.poles import norm_class
 
 DEFAULT_ENUM_CAP = 3**10
 
+# Largest ambient O-rank (generators times p^level) of any module: a p = 5
+# dual module of rank 1250 ran for over a minute.  It admits the builder's
+# ranks 162 (--ord 30), 250 (--p 5 --ord 30) and 98 (p = 7, level 2).
+MAX_RANK = 256
+
 Vec = tuple[int, ...]
 
 
@@ -37,7 +42,8 @@ class FiniteLevelModule:
 
     The module is immutable once built and caches `j_torsion(r)` per r and
     `filtration_stage(r, u)` per (r, u).  Cached submodules are shared
-    between callers and must not be mutated.
+    between callers and must not be mutated.  A rank above `MAX_RANK` is
+    refused before any relation row is built.
     """
 
     def __init__(
@@ -53,6 +59,10 @@ class FiniteLevelModule:
         self.ngens = ngens
         self.block = spec.p**level
         self.dim = ngens * self.block
+        if self.dim > MAX_RANK:
+            raise EnumerationCapError(
+                f"module of O-rank {self.dim} at level {level}, above the cap {MAX_RANK}"
+            )
         self.enum_cap = enum_cap
         rows = []
         for rel in relations:

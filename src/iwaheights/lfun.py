@@ -1,9 +1,10 @@
 """The cohomological L-function model and the order/derivative machinery.
 
 An instance couples a local side (a free module over the truncated ring
-with a class L_z, in duality with a finite-level module) to a global side
-(a height pairing with a distinguished J-torsion element z0 and a
-localization map).  The three consistency statements checked are:
+with a class L_z, in duality with a finite-level module D) to a global side
+(a height pairing with a distinguished J-torsion element z0); the global
+module is D's first blocks, and the localization c -> c_p is their
+inclusion.  The three consistency statements checked are:
 
   (a) the degree-0 special value vanishes iff z0 lies in the designated
       strict submodule;
@@ -52,17 +53,10 @@ from iwaheights.iwalg import (
     project_to_level,
     weierstrass_divide,
 )
-from iwaheights.lambdamod import FiniteLevelModule, Submodule
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_RANK, FiniteLevelModule, Submodule
 from iwaheights.poles import JGradedValue
 
 Vec = Sequence[int]
-
-# The builder refuses a dual module whose ambient O-rank (components times
-# p^level) exceeds this, before building any block: a level-4 block at
-# p = 5 (rank 1250) ran for over a minute.  It admits the measured cases
-# p = 3 at level 4 (rank 162, --ord 30), p = 5 at level 3 (rank 250,
-# --p 5 --ord 30) and p = 7 at level 2 (rank 98).
-MAX_DUAL_RANK = 256
 
 
 def _dot(f: Vec, d: Vec, m: int) -> int:
@@ -123,20 +117,26 @@ class CanonicalDuality(Duality):
 
 class TableDuality(Duality):
     """Duality given by an explicit table: row (i, j) is the functional of
-    the monomial T^j in coordinate i on the dual module's ambient basis."""
+    the monomial T^j in coordinate i on the dual module's ambient basis;
+    one coordinate per dual-module component, rows of the ambient rank."""
 
     kind = "table"
 
     def __init__(self, table: Sequence[Sequence[Sequence[int]]], module: FiniteLevelModule):
         self.table = [[list(row) for row in coord] for coord in table]
         self.module = module
+        if len(self.table) != module.ngens or any(
+            len(row) != module.dim for coord in self.table for row in coord
+        ):
+            raise InstanceInvalidError(
+                f"duality table needs {module.ngens} coordinates of rows of width {module.dim}"
+            )
 
     def functional(self, x: Sequence[IwasawaPoly]) -> list[int]:
         """sum over (i, j) of x_i[j] * table[i][j]: the vector f with
         <x, d> = f . d mod p^k for every d."""
         m = self.module.spec.modulus
-        dim = self.module.dim
-        f = [0] * dim
+        f = [0] * self.module.dim
         for i, xi in enumerate(x):
             rows = self.table[i]
             for j, c in enumerate(xi.coeffs):
@@ -144,9 +144,15 @@ class TableDuality(Duality):
                     continue
                 if j >= len(rows):
                     raise PrecisionError("duality table too short for this class")
-                for t, a in enumerate(rows[j][:dim]):
+                for t, a in enumerate(rows[j]):
                     f[t] += c * a
         return [a % m for a in f]
+
+
+def _include(D: FiniteLevelModule, c: Vec) -> tuple[int, ...]:
+    """The localization c_p: c on D's first blocks, which carry the global
+    module's relations, so it is Lambda-linear (`act` works per block)."""
+    return D.canon(list(c) + [0] * (D.dim - len(c)))
 
 
 @dataclass
@@ -158,7 +164,6 @@ class LfunInstance:
     D_loc: FiniteLevelModule
     duality: Duality
     height: HeightPairing
-    loc_matrix: list[list[int]]
     z0: tuple[int, ...]
     strict: Submodule
     meta: dict
@@ -168,9 +173,7 @@ class LfunInstance:
         return self.height.module_left
 
     def localize(self, c: Vec) -> tuple[int, ...]:
-        return self.D_loc.canon(
-            linalg.matvec(self.loc_matrix, list(c), self.spec.modulus)
-        )
+        return _include(self.D_loc, c)
 
     @functools.cached_property
     def vanishing_order(self) -> Union[int, float]:
@@ -238,15 +241,6 @@ class LfunInstance:
             for i in range(D.ngens):
                 if _dot(mono[i][0], rel, m) != 0:
                     raise InstanceInvalidError("duality does not kill the relations")
-        # localization must be Lambda-linear
-        gM = M.gamma_class()
-        gD = D.gamma_class()
-        for a in range(M.dim):
-            e = [int(c == a) for c in range(M.dim)]
-            lhs = self.localize(M.act(gM, e))
-            rhs = D.act(gD, linalg.matvec(self.loc_matrix, e, m))
-            if lhs != rhs:
-                raise InstanceInvalidError("localization is not Lambda-linear")
         # z0 must be J-torsion on the global side
         if not M.j_torsion(1).contains(self.z0):
             raise InstanceInvalidError("z0 is not J-torsion")
@@ -389,21 +383,34 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
     return checks
 
 
+def _assemble(
+    spec: RingSpec, level: int, global_blocks: Sequence[BlockSpec], local_levels: Sequence[int], enum_cap: int
+) -> tuple[HeightPairing, FiniteLevelModule, CanonicalDuality]:
+    """The instance layout of the builder and of instance files: the u = 1
+    height of the global block pairing, the dual module D (the global
+    blocks, then one block per local level, all at the ambient `level`)
+    and the canonical duality on the block levels."""
+    pairing = BlockPairing(spec, global_blocks, enum_cap=enum_cap, level=level)
+    d_blocks = list(global_blocks) + [BlockSpec(n) for n in local_levels]
+    D = block_module(spec, d_blocks, enum_cap, level=level)
+    return HeightPairing(pairing, u=1), D, CanonicalDuality([b.level for b in d_blocks], D)
+
+
 def build_synthetic(
     seed: int,
     p: int = 3,
     k: int = 1,
     global_levels: Optional[Sequence[int]] = None,
     target_ord: int = 1,
-    enum_cap: int = 3**10,
+    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> LfunInstance:
     """Deterministically construct a valid instance with the target order.
 
     The dual module carries one extra local-only block (of a level chosen
-    so the order witness survives); the global module maps into it by the
-    identity on the shared blocks.  The class vector of L_z solves the
-    linear system matching the derived height of z0, so part (c) holds by
-    construction but is re-verified through the independent paths.
+    so the order witness survives) after the global blocks (`_assemble`).
+    The class vector of L_z solves the linear system matching the derived
+    height of z0, so part (c) holds by construction but is re-verified
+    through the independent paths.
     """
     if target_ord < 0:
         raise ValueError("target order must be nonnegative")
@@ -425,9 +432,9 @@ def build_synthetic(
             continue
         level = max(max(global_levels, default=0), n_loc)
         rank = (len(global_levels) + 1) * p**level
-        if rank > MAX_DUAL_RANK:
+        if rank > MAX_RANK:
             raise EnumerationCapError(
-                f"dual module of O-rank {rank} at level {level}, above the cap {MAX_DUAL_RANK}"
+                f"dual module of O-rank {rank} at level {level}, above the cap {MAX_RANK}"
             )
         D_test = block_module(RingSpec(p, k, ring_cap(n_loc)), [BlockSpec(n_loc)], enum_cap)
         if D_test.filtration_stage(target_ord + 1).order() > 1:
@@ -439,19 +446,9 @@ def build_synthetic(
     # ambient level (equal to n_loc for the default global levels)
     spec = RingSpec(p, k, ring_cap(level))
     gblocks = [BlockSpec(n, unit=rng.choice([1, 2])) for n in global_levels]
-    pairing = BlockPairing(spec, gblocks, enum_cap=enum_cap, level=level)
-    height = HeightPairing(pairing, u=1, validate=False)
-    M = pairing.module_left
-
-    d_blocks = list(gblocks) + [BlockSpec(n_loc)]
-    D = block_module(spec, d_blocks, enum_cap, level=level)
-    levels = [b.level for b in d_blocks]
-    duality = CanonicalDuality(levels, D)
-
+    height, D, duality = _assemble(spec, level, gblocks, [n_loc], enum_cap)
+    M = height.module_left
     m = spec.modulus
-    loc = [[0] * M.dim for _ in range(D.dim)]
-    for c in range(M.dim):
-        loc[c][c] = 1
 
     def lift(v: Vec) -> list[IwasawaPoly]:
         """The free-module vector whose coordinates are the T-expansions
@@ -482,7 +479,7 @@ def build_synthetic(
         cgens = d_r.right_stage.gens()
         if cgens:
             targets = [d_r.value(z0, c).coeff for c in cgens]
-            locs = [D.canon(linalg.matvec(loc, list(c), m)) for c in cgens]
+            locs = [_include(D, c) for c in cgens]
             rows = []
             for b in range(D.dim):
                 f = duality.functional(lift([int(t == b) for t in range(D.dim)]))
@@ -508,7 +505,6 @@ def build_synthetic(
         D_loc=D,
         duality=duality,
         height=height,
-        loc_matrix=loc,
         z0=tuple(z0),
         strict=strict,
         meta={
@@ -539,36 +535,25 @@ def instance_from_data(
     z0: Sequence[int],
     strict: str,
     duality_table: Optional[Sequence] = None,
-    enum_cap: int = 3**10,
+    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> LfunInstance:
     """Rebuild an instance from explicit file data.
 
-    The global side comes from the pairing blocks, the dual module appends
-    the local-only levels, and the localization is the block inclusion.
-    The duality is canonical unless an explicit table is supplied.  All
-    consistency conditions are re-checked by validate()/the checkers, so a
-    tampered file fails loudly rather than producing a verdict.
+    The layout is the builder's (`_assemble`).  The duality is canonical
+    unless an explicit table is supplied.  All consistency conditions are
+    re-checked by validate()/the checkers, so a tampered file fails loudly
+    rather than producing a verdict.
     """
     level = max([level] + [b.level for b in global_blocks] + list(local_levels))
-    pairing = BlockPairing(spec, global_blocks, enum_cap=enum_cap, level=level)
-    height = HeightPairing(pairing, u=1, validate=False)
-    M = pairing.module_left
-    d_blocks = list(global_blocks) + [BlockSpec(n) for n in local_levels]
-    D = block_module(spec, d_blocks, enum_cap, level=level)
-    if duality_table is None:
-        duality: Duality = CanonicalDuality(
-            [b.level for b in d_blocks], D
-        )
-    else:
+    height, D, duality = _assemble(spec, level, global_blocks, local_levels, enum_cap)
+    M = height.module_left
+    if duality_table is not None:
         duality = TableDuality(duality_table, D)
     if len(l_z_coeffs) != D.ngens:
         raise InstanceInvalidError(
             f"need {D.ngens} class coordinates, got {len(l_z_coeffs)}"
         )
     L_z = tuple(IwasawaPoly(spec, cs) for cs in l_z_coeffs)
-    loc = [[0] * M.dim for _ in range(D.dim)]
-    for c in range(M.dim):
-        loc[c][c] = 1
     if len(z0) != M.dim:
         raise InstanceInvalidError(f"z0 needs {M.dim} coordinates, got {len(z0)}")
     if strict == "all":
@@ -583,21 +568,7 @@ def instance_from_data(
         D_loc=D,
         duality=duality,
         height=height,
-        loc_matrix=loc,
         z0=tuple(x % spec.modulus for x in z0),
         strict=strict_sub,
         meta={"source": "file", "local_levels": list(local_levels)},
     )
-
-
-def instance_fingerprint(inst: LfunInstance) -> dict:
-    """A JSON-able rendering of all instance data (for determinism checks
-    and the file format)."""
-    return {
-        "ring": {"p": inst.spec.p, "k": inst.spec.k, "cap": inst.spec.cap},
-        "l_z": [list(x.coeffs) for x in inst.L_z],
-        "z0": list(inst.z0),
-        "loc": [row[:] for row in inst.loc_matrix],
-        "strict_order": inst.strict.order(),
-        "meta": {k: v for k, v in sorted(inst.meta.items())},
-    }

@@ -29,6 +29,21 @@ def random_poly(rng: random.Random, spec: RingSpec, precision=None) -> IwasawaPo
     )
 
 
+def monomial_table(inst, nrows):
+    """Table rows (i, j) = the functional of T^j in coordinate i under the
+    instance's duality: a faithful explicit table of that duality."""
+    spec, D = inst.spec, inst.D_loc
+    table = []
+    for i in range(D.ngens):
+        rows = []
+        for j in range(nrows):
+            x = [IwasawaPoly.zero(spec)] * D.ngens
+            x[i] = IwasawaPoly(spec, [0] * j + [1])
+            rows.append(inst.duality.functional(x))
+        table.append(rows)
+    return table
+
+
 def run_cli(*argv, timeout=None):
     """Run the CLI in a fresh interpreter from the repository root, with
     src/ on its path so that no installed copy is needed.  A run longer

@@ -158,8 +158,8 @@ def test_criterion_3_convolution():
 def test_criterion_4_height_well_definedness():
     for name, spec, blocks in BLOCK_INSTANCES:
         bp = BlockPairing(spec, blocks)
-        h1 = HeightPairing(bp, u=1, validate=False)
-        h2 = HeightPairing(bp, u=2, validate=False)
+        h1 = HeightPairing(bp, u=1)
+        h2 = HeightPairing(bp, u=2)
         M = bp.module_left
         for a in range(M.dim):
             x = [int(c == a) for c in range(M.dim)]
@@ -171,7 +171,7 @@ def test_criterion_4_height_well_definedness():
 
 def test_criterion_5_derived_tower():
     for name, spec, blocks in BLOCK_INSTANCES:
-        h = HeightPairing(BlockPairing(spec, blocks), validate=False)
+        h = HeightPairing(BlockPairing(spec, blocks))
         M = h.module_left
         sym = h.pairing.declared_symmetry()
         parity = 1 if sym in ("iota_antisymmetric", "zero") else 0

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from iwaheights.cli import main
+from iwaheights.cli import _instance_from_file, main
 from iwaheights.instancefile import parse_instance
 from iwaheights.errors import SchemaError
-from tests.conftest import run_cli
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP
+from tests.conftest import monomial_table, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
@@ -201,6 +202,90 @@ class TestExitCodes:
         code, _, err = run_cli("heights", "--input", str(bad))
         assert code == 2
         assert "unit" in err and "Traceback" not in err
+
+
+def edited_instance(tmp_path, name, edit):
+    """A copy of a shipped instance file with `edit` applied to its JSON."""
+    doc = json.loads((ROOT / "instances" / name).read_text())
+    edit(doc)
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def faithful_table():
+    """The canonical duality of lfun_seed0_ord1.json as an explicit table:
+    3 coordinates of rows of width 9, the dual module's ambient rank."""
+    text = (ROOT / "instances" / "lfun_seed0_ord1.json").read_text()
+    inst = _instance_from_file(parse_instance(text), DEFAULT_ENUM_CAP)
+    return monomial_table(inst, inst.spec.cap + 1)
+
+
+def set_table(table):
+    def edit(doc):
+        doc["lfun"]["duality"] = table
+
+    return edit
+
+
+def set_field(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+
+    return edit
+
+
+class TestBadFileInputs:
+    """File inputs that must end in exit 2 or 3, never in a traceback,
+    a silent pass or a hang."""
+
+    def test_faithful_table_passes(self, tmp_path):
+        # the control: the same table with the right shape is accepted
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_table(faithful_table()))
+        code, out, err = run_cli("lfun-check", "--input", str(path), timeout=60)
+        assert code == 0, err
+        assert "all checks passed" in out
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            pytest.param(lambda t: [[row + [0, 0, 0] for row in coord] for coord in t], id="wide-rows"),
+            pytest.param(lambda t: t[:1], id="one-coordinate"),
+        ],
+    )
+    def test_misshapen_table_is_two(self, tmp_path, reshape):
+        table = reshape(faithful_table())
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_table(table))
+        code, out, err = run_cli("lfun-check", "--input", str(path), timeout=60)
+        assert code == 2, out
+        assert "duality table needs 3 coordinates of rows of width 9" in err
+        assert "Traceback" not in err
+
+    def test_negative_local_level_is_two(self, tmp_path):
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_field("lfun", "local_levels", [-1]))
+        code, _, err = run_cli("lfun-check", "--input", str(path), timeout=60)
+        assert code == 2
+        assert "local_levels[0]: must be >= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cmd, name, edit",
+        [
+            ("heights", "single_block_f3.json", set_field("ring", "level", 8)),
+            ("invariants", "single_block_f3.json", set_field("ring", "level", 8)),
+            ("lfun-check", "lfun_seed0_ord1.json", set_field("lfun", "local_levels", [9])),
+            ("lfun-check", "lfun_seed0_ord1.json", set_field("ring", "level", 7)),
+        ],
+        ids=["heights-level8", "invariants-level8", "lfun-local9", "lfun-level7"],
+    )
+    def test_oversized_file_module_is_three(self, tmp_path, cmd, name, edit):
+        # every module is refused above the O-rank cap before its relation
+        # rows are built, file-built ones included
+        path = edited_instance(tmp_path, name, edit)
+        t0 = time.perf_counter()
+        code, _, err = run_cli(cmd, "--input", str(path), timeout=60)
+        assert code == 3
+        assert "above the cap 256" in err and "Traceback" not in err
+        assert time.perf_counter() - t0 < 10
 
 
 class TestDeterminism:

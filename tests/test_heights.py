@@ -78,6 +78,9 @@ class TestBlockPairing:
             single_block(spec).validate()
             BlockPairing(spec, [BlockSpec(1, 1, swapped=True)]).validate()
             BlockPairing(spec, [BlockSpec(0), BlockSpec(1)]).validate()
+            # the pairings other tests build their heights on without a check
+            BlockPairing(spec, [BlockSpec(0)]).validate()
+            BlockPairing(spec, [BlockSpec(0, 1), BlockSpec(0, -1)]).validate()
 
     def test_non_semilinear_table_rejected(self, spec31):
         # a single pole value on (e_0, e_0): [T e_0, e_0] = -[e_0, e_0]
@@ -117,8 +120,8 @@ class TestHeightPairing:
                 [BlockSpec(0), BlockSpec(1)],
             ):
                 bp = BlockPairing(spec, blocks)
-                h1 = HeightPairing(bp, u=1, validate=False)
-                h2 = HeightPairing(bp, u=2, validate=False)
+                h1 = HeightPairing(bp, u=1)
+                h2 = HeightPairing(bp, u=2)
                 M = bp.module_left
                 rng = random.Random(5)
                 for _ in range(30):
@@ -156,7 +159,7 @@ class TestHeightPairing:
                 [BlockSpec(0), BlockSpec(1)],
                 [BlockSpec(1, 2, swapped=True)],
             ):
-                h = HeightPairing(BlockPairing(spec, blocks), validate=False)
+                h = HeightPairing(BlockPairing(spec, blocks))
                 M = h.module_left
                 assert h.left_kernel().order() == M.universal_norms().order() == 1
                 assert h.right_kernel().order() == 1
@@ -191,7 +194,7 @@ class TestDerivedTower:
 
     def test_r1_is_restriction(self, spec31, spec32):
         for spec in (spec31, spec32):
-            h = HeightPairing(single_block(spec), validate=False)
+            h = HeightPairing(single_block(spec))
             M = h.module_left
             d1 = derived_height(h, 1)
             for x in d1.left_stage.elements():
@@ -237,7 +240,7 @@ class TestDerivedTower:
             (spec32, [BlockSpec(1)]),
         ]
         for spec, blocks in cases:
-            h = HeightPairing(BlockPairing(spec, blocks), validate=False)
+            h = HeightPairing(BlockPairing(spec, blocks))
             M = h.module_left
             for r in range(1, 5):
                 d = derived_height(h, r)
@@ -254,7 +257,7 @@ class TestDerivedTower:
                 ([BlockSpec(1)], 1),
                 ([BlockSpec(1, 1, swapped=True)], 0),
             ):
-                h = HeightPairing(BlockPairing(spec, blocks), validate=False)
+                h = HeightPairing(BlockPairing(spec, blocks))
                 for r in range(1, 5):
                     d = derived_height(h, r)
                     sign = (-1) ** (r + parity)
@@ -281,8 +284,8 @@ class TestDerivedTower:
 
     def test_generator_independence_of_tower(self, spec31):
         bp = single_block(spec31)
-        h1 = HeightPairing(bp, u=1, validate=False)
-        h2 = HeightPairing(bp, u=2, validate=False)
+        h1 = HeightPairing(bp, u=1)
+        h2 = HeightPairing(bp, u=2)
         for r in (1, 2, 3):
             d1, d2 = derived_height(h1, r), derived_height(h2, r)
             for x in d1.left_stage.elements():
@@ -359,7 +362,7 @@ class TestMemoisedDerivedValue:
     @given(block_pairings(), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_uncached_solve_in_any_order(self, pairing, r, u, data):
-        h = HeightPairing(pairing, u=u, validate=False)
+        h = HeightPairing(pairing, u=u)
         d = derived_height(h, r)
         assume(d.left_stage.order() <= 81)
         pairs = [(x, y) for x in d.left_stage.elements() for y in d.right_stage.gens()]
@@ -389,7 +392,7 @@ class TestGramMatrix:
     @given(block_pairings(), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=80, deadline=None)
     def test_coeff_is_phi_of_value(self, pairing, u, data):
-        h = HeightPairing(pairing, u=u, validate=False)
+        h = HeightPairing(pairing, u=u)
         M = h.module_left
         m = h.spec.modulus
         draw_vec = st.lists(st.integers(0, m - 1), min_size=M.dim, max_size=M.dim)
@@ -413,7 +416,7 @@ class TestGramMatrix:
         # at u = 2 the level-2 basis values need more than cap 16, so
         # there is no Gram matrix; every stage value must still come out
         pairing = BlockPairing(RingSpec(3, 2, 16), blocks, level=2)
-        h = HeightPairing(pairing, u=2, validate=False)
+        h = HeightPairing(pairing, u=2)
         assert h.gram is None
         d = derived_height(h, 1)
         for x in d.left_stage.elements():
@@ -442,7 +445,7 @@ class TestRestrictedKernels:
         assert rep["left_match"] and rep["right_match"]
 
     def test_random_mod9(self, spec32):
-        h = HeightPairing(single_block(spec32), validate=False)
+        h = HeightPairing(single_block(spec32))
         rep = restricted_kernel_check(h, IwasawaPoly.T(spec32), IwasawaPoly.T(spec32))
         assert rep["left_match"] and rep["right_match"]
 

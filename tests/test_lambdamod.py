@@ -14,6 +14,7 @@ from iwaheights import linalg
 from iwaheights.errors import EnumerationCapError, IwaheightsError
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import (
+    MAX_RANK,
     ElementaryShape,
     FiniteLevelModule,
     infer_invariants,
@@ -37,6 +38,16 @@ class TestModuleBasics:
         assert lambda_block(spec31, 1).size == 27
         assert lambda_block(spec32, 1).size == 729
         assert lambda_block(spec31, 1, 2).size == 729
+
+    def test_rank_cap(self):
+        # rank 3^5 = 243 is admitted; one more generator or level is
+        # refused before any relation row is built
+        spec = RingSpec(3, 1, 300)
+        assert MAX_RANK == 256
+        assert FiniteLevelModule(spec, 5, 1).dim == 243
+        for level, ngens in ((5, 2), (6, 1)):
+            with pytest.raises(EnumerationCapError, match="above the cap 256"):
+                FiniteLevelModule(spec, level, ngens, [[[0, 1]] * ngens])
 
     def test_quotient_size(self, spec31):
         # Lambda_1 / (T) over F_3 is O

@@ -12,25 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwaheights.cli import _instance_from_file
 from iwaheights.errors import (
     InstanceInvalidError,
     NotDivisibleError,
     PrecisionError,
 )
+from iwaheights.instancefile import parse_instance, render_generated
 from iwaheights.iwalg import IwasawaPoly, project_to_level
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP
 from iwaheights.lfun import (
     CanonicalDuality,
     LfunInstance,
     TableDuality,
     build_synthetic,
     der,
-    instance_fingerprint,
     lambda_special,
     main_theorem_check,
     order_of_vanishing,
 )
 from iwaheights.poles import PoleElem, phi
-from tests.conftest import random_poly
+from tests.conftest import monomial_table, random_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,20 +87,6 @@ def cached_instance(case):
     return build_synthetic(seed, p=p, k=k, global_levels=levels, target_ord=ordv)
 
 
-def monomial_table(inst, nrows):
-    """Table rows (i, j) = the canonical functional of T^j in coordinate i."""
-    spec, D = inst.spec, inst.D_loc
-    table = []
-    for i in range(D.ngens):
-        rows = []
-        for j in range(nrows):
-            x = [IwasawaPoly.zero(spec)] * D.ngens
-            x[i] = IwasawaPoly(spec, [0] * j + [1])
-            rows.append(inst.duality.functional(x))
-        table.append(rows)
-    return table
-
-
 class TestOrderOfVanishing:
     def test_designed_orders(self):
         for ordv in (0, 1, 2, 3):
@@ -124,7 +112,6 @@ class TestOrderOfVanishing:
             D_loc=inst.D_loc,
             duality=inst.duality,
             height=inst.height,
-            loc_matrix=inst.loc_matrix,
             z0=inst.z0,
             strict=inst.strict,
             meta={},
@@ -146,7 +133,6 @@ class TestOrderOfVanishing:
             D_loc=D,
             duality=dead,
             height=inst.height,
-            loc_matrix=inst.loc_matrix,
             z0=inst.z0,
             strict=inst.strict,
             meta={},
@@ -297,7 +283,6 @@ class TestMainTheorem:
             D_loc=D,
             duality=TableDuality(table, D),
             height=inst.height,
-            loc_matrix=inst.loc_matrix,
             z0=inst.z0,
             strict=inst.strict,
             meta={},
@@ -317,7 +302,6 @@ class TestMainTheorem:
             D_loc=D,
             duality=TableDuality(table, D),
             height=inst.height,
-            loc_matrix=inst.loc_matrix,
             z0=inst.z0,
             strict=inst.strict,
             meta={},
@@ -328,13 +312,13 @@ class TestMainTheorem:
 
 class TestBuilder:
     def test_determinism(self):
-        a = instance_fingerprint(build_synthetic(42, target_ord=2))
-        b = instance_fingerprint(build_synthetic(42, target_ord=2))
+        a = render_generated(build_synthetic(42, target_ord=2))
+        b = render_generated(build_synthetic(42, target_ord=2))
         assert a == b
 
     def test_seeds_differ(self):
-        a = instance_fingerprint(build_synthetic(1, target_ord=1))
-        b = instance_fingerprint(build_synthetic(2, target_ord=1))
+        a = render_generated(build_synthetic(1, target_ord=1))
+        b = render_generated(build_synthetic(2, target_ord=1))
         assert a != b
 
     def test_all_orders_validate(self):
@@ -450,14 +434,43 @@ class TestValidateRejects:
         with pytest.raises(InstanceInvalidError, match="does not kill the relations"):
             self.with_table(inst, table).validate()
 
-    def test_localization_not_lambda_linear(self):
-        inst = build_synthetic(17, target_ord=1)
-        M = inst.global_module
-        # double one coordinate of the level-1 block: gamma moves the basis
-        # vector before it onto that coordinate, which the doubling sees
-        c0 = M.dim - 1
-        loc = [row[:] for row in inst.loc_matrix]
-        loc[c0][c0] = 2
-        broken = dataclasses.replace(inst, loc_matrix=loc, meta={})
-        with pytest.raises(InstanceInvalidError, match="not Lambda-linear"):
-            broken.validate()
+
+# builder instances of every desk class: (p, k, order, seed)
+DESK_CASES = [(3, 1, o, o) for o in range(4)] + [
+    (p, k, o, 10 + o) for p, k in ((3, 2), (5, 1)) for o in (1, 2)
+]
+LFUN_FILES = [
+    "lfun_seed0_ord1.json",
+    "lfun_seed0_ord2.json",
+    "lfun_level3_ord1.json",
+    "lfun_p5_level2.json",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def desk_or_file_instance(case):
+    if isinstance(case, str):
+        text = (ROOT / "instances" / case).read_text()
+        return _instance_from_file(parse_instance(text), DEFAULT_ENUM_CAP)
+    p, k, ordv, seed = case
+    return build_synthetic(seed, p=p, k=k, target_ord=ordv)
+
+
+class TestLocalizationIsInclusion:
+    """The localization puts the global module on the dual module's first
+    blocks: it is Lambda-linear and kills the global relations."""
+
+    @pytest.mark.parametrize("case", DESK_CASES + LFUN_FILES, ids=str)
+    def test_commutes_with_gamma_and_kills_relations(self, case):
+        inst = desk_or_file_instance(case)
+        M, D = inst.global_module, inst.D_loc
+        assert M.level == D.level and M.dim < D.dim
+        gM, gD = M.gamma_class(), D.gamma_class()
+        for a in range(M.dim):
+            e = [int(c == a) for c in range(M.dim)]
+            loc = inst.localize(e)
+            # injective on the basis: zero in D only where zero in M
+            assert any(loc) == any(M.canon(e))
+            assert inst.localize(M.act(gM, e)) == D.act(gD, loc)
+        for rel in M.rel_rows:
+            assert not any(inst.localize(rel))

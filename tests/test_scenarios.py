@@ -99,7 +99,7 @@ class TestDegeneracyFloor:
                 BlockSpec(0, dead=True) for _ in range(dp + dm)
             ]
             bp = BlockPairing(spec31, blocks)
-            h = HeightPairing(bp, validate=False)
+            h = HeightPairing(bp)
             M = h.module_left
             dim = M.dim
             # tau: swap the paired blocks; eigenvalue +1 on the first dp
