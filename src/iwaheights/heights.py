@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from iwaheights import linalg
+from iwaheights import kernels, linalg
 from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.iwalg import (
     GroupRingElem,
@@ -29,8 +29,8 @@ from iwaheights.iwalg import (
     RingSpec,
     project_to_level,
 )
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule
-from iwaheights.poles import JGradedValue, PoleElem, phi, pole_involution
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank
+from iwaheights.poles import JGradedValue, PoleElem, phi, pole_involution, pole_sum
 
 Vec = Sequence[int]
 
@@ -73,6 +73,18 @@ def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int, m: int) -> list[int]:
     return w
 
 
+def _fold(v: Vec, start: int, width: int, s: int) -> list[int]:
+    """The level-s fold of the component v[start : start + width]: the
+    coefficient of gamma^j sums the entries at j, j + s, j + 2s, ..."""
+    end = start + width
+    return [sum(v[start + j : end : s]) for j in range(s)]
+
+
+def _iota(c: Sequence[int]) -> list[int]:
+    """The involution gamma -> gamma^(-1) on a coefficient list."""
+    return [c[-j] for j in range(len(c))]
+
+
 def block_module(
     spec: RingSpec,
     blocks: Sequence[BlockSpec],
@@ -89,6 +101,7 @@ def block_module(
     if level < max((b.level for b in blocks), default=0):
         raise ValueError("ambient level below a block level")
     ngens = sum(b.ncomponents for b in blocks)
+    check_rank(spec.p, level, ngens)
     relations = []
     zero = GroupRingElem.zero(spec, level)
     idx = 0
@@ -147,28 +160,30 @@ class BlockPairing:
         return NO_SYMMETRY
 
     def value(self, x: Vec, y: Vec) -> PoleElem:
-        spec = self.spec
-        M = self.module_left
-        total = PoleElem.zero(spec)
+        """Each block's numerator is computed on coefficient lists (fold to
+        the block level, iota by index, cyclic product) and the blocks are
+        summed into one pole by `pole_sum`."""
+        m = self.spec.modulus
+        width = self.module_left.block
+        parts = []
         idx = 0
         for b in self.blocks:
             if b.dead:
                 idx += b.ncomponents
                 continue
+            s = self.spec.p**b.level
+            starts = [(idx + i) * width for i in range(b.ncomponents)]
+            xs = [_fold(x, start, width, s) for start in starts]
+            ys = [_fold(y, start, width, s) for start in starts]
             if b.swapped:
-                x1 = M.component(x, idx).fold_to_level(b.level)
-                x2 = M.component(x, idx + 1).fold_to_level(b.level)
-                y1 = M.component(y, idx).fold_to_level(b.level)
-                y2 = M.component(y, idx + 1).fold_to_level(b.level)
-                num = (x1 * y2.involution() - x2 * y1.involution()).scale(b.unit)
-                idx += 2
+                a = kernels.cyclic_mul(xs[0], _iota(ys[1]), m)
+                c = kernels.cyclic_mul(xs[1], _iota(ys[0]), m)
+                num = [b.unit * (u - v) for u, v in zip(a, c)]
             else:
-                xb = M.component(x, idx).fold_to_level(b.level)
-                yb = M.component(y, idx).fold_to_level(b.level)
-                num = (xb * yb.involution()).scale(b.unit)
-                idx += 1
-            total = total + PoleElem(spec, b.level, num)
-        return total
+                num = [b.unit * u for u in kernels.cyclic_mul(xs[0], _iota(ys[0]), m)]
+            parts.append((b.level, num))
+            idx += b.ncomponents
+        return pole_sum(self.spec, parts)
 
     @functools.cached_property
     def table(self) -> list[list[PoleElem]]:
@@ -206,7 +221,8 @@ class TablePairing:
         return self._symmetry
 
     def value(self, x: Vec, y: Vec) -> PoleElem:
-        total = PoleElem.zero(self.spec)
+        """sum x_a * y_b * table[a][b], normalised once by `pole_sum`."""
+        parts = []
         for a, xa in enumerate(x):
             if xa == 0:
                 continue
@@ -214,8 +230,10 @@ class TablePairing:
             for b, yb in enumerate(y):
                 if yb == 0:
                     continue
-                total = total + row[b].scale(xa * yb)
-        return total
+                v = row[b]
+                c = xa * yb
+                parts.append((v.level, [c * t for t in v.numerator.coeffs]))
+        return pole_sum(self.spec, parts)
 
     def validate(self) -> None:
         # the table must kill the relation span on both sides

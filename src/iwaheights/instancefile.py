@@ -3,6 +3,7 @@
 Versioned, human-writable, diffable.  All integers are base-10 JSON
 numbers; coefficient sequences are little-endian in the T-degree.  Unknown
 fields are rejected by name, so a typo cannot silently change a run.
+A `ring.cap` above `lambdamod.MAX_CAP` is refused as a resource cap.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from iwaheights.errors import SchemaError
+from iwaheights.errors import EnumerationCapError, SchemaError
 from iwaheights.heights import BlockSpec
 from iwaheights.iwalg import RingSpec
+from iwaheights.lambdamod import MAX_CAP
 
 CURRENT_VERSION = 1
 
@@ -80,6 +82,8 @@ def parse_instance(text: str) -> InstanceFile:
         spec = RingSpec(_int(ring["p"], "$.ring.p"), _int(ring["k"], "$.ring.k"), _int(ring["cap"], "$.ring.cap"))
     except ValueError as e:
         raise SchemaError(f"$.ring: {e}") from None
+    if spec.cap > MAX_CAP:
+        raise EnumerationCapError(f"$.ring.cap: {spec.cap} is above the cap {MAX_CAP}")
     level = _int(ring["level"], "$.ring.level")
     if level < 0:
         raise SchemaError("$.ring.level: must be >= 0")

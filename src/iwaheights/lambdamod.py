@@ -34,7 +34,35 @@ DEFAULT_ENUM_CAP = 3**10
 # ranks 162 (--ord 30), 250 (--p 5 --ord 30) and 98 (p = 7, level 2).
 MAX_RANK = 256
 
+# Largest T-adic precision (ring.cap) an instance file may ask for.  Series
+# products cost cap^2: lfun-check on lfun_seed0_ord1.json took 0.4 s at cap
+# 1024 and 5 s at cap 4096, and at cap 10^9 it ran out of a 1 GB address
+# space.  The shipped files use at most 63.  The builder's cap
+# (k+1)*p^n + ord + 8 at level n, with ord + 1 < k*p^n and p^n <= 128 under
+# MAX_RANK, is at most 7*128 + 6 = 902 for k <= 3: 200 for --ord 30 and 288
+# for --p 5 --ord 30.
+MAX_CAP = 1024
+
 Vec = tuple[int, ...]
+
+
+def check_rank(p: int, level: int, ngens: int) -> None:
+    """Raise EnumerationCapError when the ambient O-rank ngens * p^level, or
+    the block size p^level, is above MAX_RANK.
+
+    p^level is multiplied out one factor at a time and the loop stops at
+    the first product above the cap, so a huge level is refused at once,
+    before anything of its size is built.
+    """
+    block = 1
+    for _ in range(level):
+        block *= p
+        if block > MAX_RANK:
+            break
+    if max(ngens, 1) * block > MAX_RANK:
+        raise EnumerationCapError(
+            f"module of O-rank {ngens}*{p}^{level}, above the cap {MAX_RANK}"
+        )
 
 
 class FiniteLevelModule:
@@ -43,7 +71,7 @@ class FiniteLevelModule:
     The module is immutable once built and caches `j_torsion(r)` per r and
     `filtration_stage(r, u)` per (r, u).  Cached submodules are shared
     between callers and must not be mutated.  A rank above `MAX_RANK` is
-    refused before any relation row is built.
+    refused by `check_rank` before any relation row is built.
     """
 
     def __init__(
@@ -54,15 +82,12 @@ class FiniteLevelModule:
         relations: Sequence[Sequence[Union[GroupRingElem, Sequence[int]]]] = (),
         enum_cap: int = DEFAULT_ENUM_CAP,
     ):
+        check_rank(spec.p, level, ngens)
         self.spec = spec
         self.level = level
         self.ngens = ngens
         self.block = spec.p**level
         self.dim = ngens * self.block
-        if self.dim > MAX_RANK:
-            raise EnumerationCapError(
-                f"module of O-rank {self.dim} at level {level}, above the cap {MAX_RANK}"
-            )
         self.enum_cap = enum_cap
         rows = []
         for rel in relations:
@@ -448,6 +473,7 @@ def module_from_shape(
     blocks and blocks with i >= p^level degenerate identically at this
     level."""
     ngens = shape.e_infinity + sum(e for _, e in shape.j_blocks) + len(shape.coprime_part)
+    check_rank(spec.p, level, ngens)
     relations = []
     idx = shape.e_infinity
     zero = GroupRingElem.zero(spec, level)

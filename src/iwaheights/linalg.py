@@ -55,6 +55,7 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int) -> list[list[int]]:
     for r in work:
         r.extend([0] * (width - len(r)))
     pivots: list[list[int]] = []
+    cols: list[int] = []
     for c in range(width):
         best = -1
         best_v = k + 1
@@ -85,12 +86,13 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int) -> list[list[int]]:
             if any(shadow):
                 work.append(shadow)
         pivots.append(row)
+        cols.append(c)
     # upward reduction for canonical form: reduce each row against every
     # later pivot row, in pivot-column order, exactly like reduce_vector
     for j in range(len(pivots)):
         row = pivots[j]
         for i in range(j + 1, len(pivots)):
-            c = _pivot_col(pivots[i])
+            c = cols[i]
             q = row[c] // pivots[i][c]
             if q:
                 row = [(x - q * y) % m for x, y in zip(row, pivots[i])]
@@ -99,15 +101,25 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int) -> list[list[int]]:
 
 
 def _reduce(v: Sequence[int], hrows: Sequence[Sequence[int]], m: int) -> tuple[list[int], list[int]]:
-    """(remainder, quotients q) with v = remainder + sum(q_i * hrows_i)."""
+    """(remainder, quotients q) with v = remainder + sum(q_i * hrows_i).
+
+    hrows must be a Howell basis, or rows taken in order from one, so that
+    pivot columns strictly increase: each pivot is searched for from the
+    column after the previous one.  Every caller passes one: a module's
+    `rel_rows`, a `Submodule`'s `hrows` (a derived height's left stage
+    among them) and the filtered Howell form in `solve_combination`.
+    """
     out = [x % m for x in v]
     qs = []
+    c = 0
     for r in hrows:
-        c = _pivot_col(r)
+        while r[c] == 0:
+            c += 1
         q = out[c] // r[c]
         qs.append(q)
         if q:
             out = [(x - q * y) % m for x, y in zip(out, r)]
+        c += 1
     return out, qs
 
 

@@ -14,6 +14,7 @@ the full re-expression pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from iwaheights.errors import PrecisionError
 from iwaheights.iwalg import (
@@ -102,19 +103,16 @@ class PoleElem:
     def __add__(self, other: "PoleElem") -> "PoleElem":
         if self.spec != other.spec:
             raise ValueError("mixed specs")
-        n = max(self.level, other.level)
-        _, a = self.raise_level(n)
-        _, b = other.raise_level(n)
-        return PoleElem(self.spec, n, a + b)
+        return pole_sum(
+            self.spec,
+            [(self.level, self.numerator.coeffs), (other.level, other.numerator.coeffs)],
+        )
 
     def __sub__(self, other: "PoleElem") -> "PoleElem":
         return self + (-other)
 
     def __neg__(self) -> "PoleElem":
         return PoleElem(self.spec, self.level, -self.numerator, _normalise=False)
-
-    def scale(self, c: int) -> "PoleElem":
-        return PoleElem(self.spec, self.level, self.numerator.scale(c))
 
     def act_group(self, x: GroupRingElem) -> "PoleElem":
         """Action of a finite-level group-ring element (level >= self.level)."""
@@ -155,6 +153,24 @@ def _minimal_form(spec: RingSpec, level: int, num: GroupRingElem) -> tuple[int, 
         if cs[period:] == cs[:-period]:
             return m_level, GroupRingElem(spec, m_level, cs[:period])
     return level, num
+
+
+def pole_sum(spec: RingSpec, parts: Sequence[tuple[int, Sequence[int]]]) -> PoleElem:
+    """The class of sum_i c_i/(gamma^(p^(n_i))-1) for parts (n_i, coefficients of c_i).
+
+    Each numerator is raised to the top level by repetition (the
+    `PoleElem.raise_level` rule), the numerators are added mod p^k and the
+    sum is normalised once.  The coefficients (lists or tuples) need not be
+    reduced.
+    """
+    n = max((level for level, _ in parts), default=0)
+    size = spec.p**n
+    total = [0] * size
+    for level, cs in parts:
+        if len(cs) != spec.p**level:
+            raise ValueError("numerator must live at the stated level")
+        total = [a + b for a, b in zip(total, cs * (size // len(cs)))]
+    return PoleElem(spec, n, GroupRingElem(spec, n, total))
 
 
 def pole_reduce(lam: IwasawaPoly, n: int) -> PoleElem:

@@ -1,5 +1,6 @@
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -44,13 +45,19 @@ def monomial_table(inst, nrows):
     return table
 
 
-def run_cli(*argv, timeout=None):
+def run_cli(*argv, timeout=None, max_memory=None):
     """Run the CLI in a fresh interpreter from the repository root, with
     src/ on its path so that no installed copy is needed.  A run longer
-    than `timeout` seconds raises `subprocess.TimeoutExpired`."""
+    than `timeout` seconds raises `subprocess.TimeoutExpired`.  With
+    `max_memory` (bytes) the child's address space is limited to it, so a
+    run that tries to allocate more fails with a `MemoryError`."""
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
+
     proc = subprocess.run(
         [sys.executable, "-m", "iwaheights.cli", *argv],
         capture_output=True,
@@ -58,5 +65,6 @@ def run_cli(*argv, timeout=None):
         cwd=root,
         env=env,
         timeout=timeout,
+        preexec_fn=limit if max_memory is not None else None,
     )
     return proc.returncode, proc.stdout, proc.stderr

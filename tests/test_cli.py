@@ -287,6 +287,26 @@ class TestBadFileInputs:
         assert "above the cap 256" in err and "Traceback" not in err
         assert time.perf_counter() - t0 < 10
 
+    @pytest.mark.parametrize(
+        "cmd, name, edit, reason",
+        [
+            ("heights", "single_block_f3.json", set_field("ring", "level", 25), "above the cap 256"),
+            ("invariants", "single_block_f3.json", set_field("ring", "level", 10**9), "above the cap 256"),
+            ("lfun-check", "lfun_seed0_ord1.json", set_field("ring", "cap", 10**9), "above the cap 1024"),
+        ],
+        ids=["heights-level25", "invariants-level1e9", "lfun-cap1e9"],
+    )
+    def test_refused_before_allocation(self, tmp_path, cmd, name, edit, reason):
+        # refused before any level-sized object, p**level or cap-sized
+        # series is built: under a 1 GB address space an allocation would
+        # end in a MemoryError, and computing p**level would not finish
+        path = edited_instance(tmp_path, name, edit)
+        t0 = time.perf_counter()
+        code, _, err = run_cli(cmd, "--input", str(path), timeout=30, max_memory=10**9)
+        assert code == 3, err
+        assert reason in err and "Traceback" not in err
+        assert time.perf_counter() - t0 < 10
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -24,6 +24,7 @@ from iwaheights.heights import (
     twist_equivariance_check,
 )
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
+from iwaheights.lambdamod import FiniteLevelModule
 from iwaheights.poles import PoleElem, phi
 
 
@@ -338,9 +339,10 @@ def uncached_derived_value(d, x, y):
 
 
 @st.composite
-def block_pairings(draw):
+def block_pairings(draw, dead=st.just(False)):
     """Block pairings with one or two blocks: (p,k) in {(3,1),(3,2),(5,1)},
-    ambient level 0-2, ambient dimension at most 27."""
+    ambient level 0-2, ambient dimension at most 27; `dead` draws each
+    block's dead flag."""
     p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
     spec = RingSpec(p, k, 16)
     level = draw(st.integers(0, 2))
@@ -349,10 +351,93 @@ def block_pairings(draw):
         level=st.integers(0, level),
         unit=st.sampled_from([1, 2]),
         swapped=st.booleans(),
+        dead=dead,
     )
     blocks = draw(st.lists(block, min_size=1, max_size=2))
     assume(sum(b.ncomponents for b in blocks) * p**level <= 27)
     return BlockPairing(spec, blocks, level=level)
+
+
+def raise_and_add(a, b):
+    """a + b by raising both numerators to the larger level with
+    `raise_level` and normalising the sum."""
+    n = max(a.level, b.level)
+    return PoleElem(a.spec, n, a.raise_level(n)[1] + b.raise_level(n)[1])
+
+
+def blockwise_value(bp, x, y):
+    """[x, y] as a sum of one normalised PoleElem per block, built from
+    GroupRingElem folds, involutions and products."""
+    spec, M = bp.spec, bp.module_left
+    total = PoleElem.zero(spec)
+    idx = 0
+    for b in bp.blocks:
+        if b.dead:
+            idx += b.ncomponents
+            continue
+        xs = [M.component(x, idx + i).fold_to_level(b.level) for i in range(b.ncomponents)]
+        ys = [M.component(y, idx + i).fold_to_level(b.level) for i in range(b.ncomponents)]
+        if b.swapped:
+            num = xs[0] * ys[1].involution() - xs[1] * ys[0].involution()
+        else:
+            num = xs[0] * ys[0].involution()
+        total = raise_and_add(total, PoleElem(spec, b.level, num.scale(b.unit)))
+        idx += b.ncomponents
+    return total
+
+
+def entrywise_value(tp, x, y):
+    """sum x_a * y_b * table[a][b], one scaled PoleElem per nonzero entry."""
+    total = PoleElem.zero(tp.spec)
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            if xa and yb:
+                v = tp.table[a][b]
+                total = raise_and_add(total, PoleElem(tp.spec, v.level, v.numerator.scale(xa * yb)))
+    return total
+
+
+def raw_vectors(dim, m):
+    """Vectors of residues mod m, not reduced against any relations."""
+    return st.lists(st.integers(0, m - 1), min_size=dim, max_size=dim)
+
+
+class TestPoleValuesInCoefficientSpace:
+    """BlockPairing.value and TablePairing.value sum integer numerators and
+    normalise once; they must agree with the sum of normalised poles."""
+
+    @given(block_pairings(dead=st.booleans()), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_block_value_matches_blockwise_sum(self, pairing, data):
+        M = pairing.module_left
+        vecs = raw_vectors(M.dim, pairing.spec.modulus)
+        for _ in range(4):
+            x = data.draw(vecs, label="x")
+            y = data.draw(vecs, label="y")
+            assert pairing.value(x, y) == blockwise_value(pairing, x, y)
+
+    @given(st.sampled_from([(3, 1, 2), (3, 2, 2), (5, 1, 1)]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_table_value_matches_entrywise_sum(self, pk, data):
+        # entries at every level up to the ambient one, ambient rank <= 9
+        p, k, top = pk
+        spec = RingSpec(p, k, 16)
+        level = data.draw(st.integers(0, top), label="level")
+        ngens = data.draw(st.integers(1, 9 // p**level), label="ngens")
+        M = FiniteLevelModule(spec, level, ngens)
+        m = spec.modulus
+
+        def pole():
+            n = data.draw(st.integers(0, level), label="entry level")
+            cs = data.draw(raw_vectors(p**n, m), label="numerator")
+            return PoleElem(spec, n, GroupRingElem(spec, n, cs))
+
+        table = [[pole() for _ in range(M.dim)] for _ in range(M.dim)]
+        tp = TablePairing(M, M, table)
+        for _ in range(3):
+            x = data.draw(raw_vectors(M.dim, m), label="x")
+            y = data.draw(raw_vectors(M.dim, m), label="y")
+            assert tp.value(x, y) == entrywise_value(tp, x, y)
 
 
 class TestMemoisedDerivedValue:

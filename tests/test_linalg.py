@@ -122,6 +122,44 @@ def test_batched_solve_combination_per_target(pk, data):
             assert sol is None
 
 
+def scanning_reduce(v, hrows, m):
+    """(remainder, quotients) of v against hrows, each pivot column found
+    by scanning its row from the start."""
+    out = [x % m for x in v]
+    qs = []
+    for r in hrows:
+        c = next(i for i, x in enumerate(r) if x)
+        q = out[c] // r[c]
+        qs.append(q)
+        if q:
+            out = [(x - q * y) % m for x, y in zip(out, r)]
+    return out, qs
+
+
+@given(st.sampled_from([(3, 1), (3, 2), (5, 1), (2, 3)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pivot_walk_matches_scanning_reduction(pk, data):
+    p, k = pk
+    m = p**k
+    width = data.draw(st.integers(1, 6), label="width")
+    vec = st.lists(st.integers(0, m - 1), min_size=width, max_size=width)
+    rows = data.draw(st.lists(vec, max_size=5), label="rows")
+    H = linalg.howell(rows, p, k)
+    # pivot columns strictly increase, and each row is already reduced
+    # against the rows below it, as the upward loop of howell leaves it
+    cols = [next(i for i, x in enumerate(r) if x) for r in H]
+    assert all(a < b for a, b in zip(cols, cols[1:]))
+    for j, r in enumerate(H):
+        assert scanning_reduce(r, H[j + 1 :], m) == (r, [0] * (len(H) - j - 1))
+    targets = data.draw(st.lists(vec, min_size=1, max_size=4), label="targets")
+    if rows:
+        targets.append(combine([1] * len(rows), rows, m, width))
+    for v in targets:
+        rem, qs = scanning_reduce(v, H, m)
+        assert linalg.reduce_vector(v, H, p, k) == rem
+        assert linalg.coordinates(v, H, p, k) == (None if any(rem) else qs)
+
+
 def test_right_kernel_against_enumeration():
     rng = random.Random(4)
     for _ in range(40):

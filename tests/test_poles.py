@@ -17,6 +17,7 @@ from iwaheights.poles import (
     phi,
     pole_involution,
     pole_reduce,
+    pole_sum,
 )
 from tests.conftest import random_poly
 
@@ -156,6 +157,25 @@ class TestClosedFormNormalisation:
         lift = GroupRingElem(spec, n, x.numerator.coeffs)
         assert x.raise_level(n) == (n, lift * nu_class(spec, n, x.level))
         assert PoleElem(spec, *x.raise_level(n)) == x
+
+    @given(st.sampled_from([(3, 1), (3, 2), (5, 1)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pole_sum_matches_nu_products(self, pk, data):
+        # each raw numerator times nu at the top level, summed and normalised
+        p, k = pk
+        spec = RingSpec(p, k, 12)
+        m = spec.modulus
+        part = st.integers(0, 2).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(-m, 2 * m), min_size=p**n, max_size=p**n)
+            )
+        )
+        parts = data.draw(st.lists(part, max_size=4), label="parts")
+        n = max((level for level, _ in parts), default=0)
+        total = GroupRingElem.zero(spec, n)
+        for level, cs in parts:
+            total = total + GroupRingElem(spec, n, cs) * nu_class(spec, n, level)
+        assert pole_sum(spec, parts) == PoleElem(spec, n, total)
 
 
 class TestPoleInvolution:
