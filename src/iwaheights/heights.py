@@ -27,6 +27,8 @@ from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
     RingSpec,
+    fold_coeffs,
+    iota_coeffs,
     project_to_level,
 )
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank
@@ -71,18 +73,6 @@ def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int, m: int) -> list[int]:
         if c:
             w = [(a + c * b) % m for a, b in zip(w, row)]
     return w
-
-
-def _fold(v: Vec, start: int, width: int, s: int) -> list[int]:
-    """The level-s fold of the component v[start : start + width]: the
-    coefficient of gamma^j sums the entries at j, j + s, j + 2s, ..."""
-    end = start + width
-    return [sum(v[start + j : end : s]) for j in range(s)]
-
-
-def _iota(c: Sequence[int]) -> list[int]:
-    """The involution gamma -> gamma^(-1) on a coefficient list."""
-    return [c[-j] for j in range(len(c))]
 
 
 def block_module(
@@ -160,9 +150,10 @@ class BlockPairing:
         return NO_SYMMETRY
 
     def value(self, x: Vec, y: Vec) -> PoleElem:
-        """Each block's numerator is computed on coefficient lists (fold to
-        the block level, iota by index, cyclic product) and the blocks are
-        summed into one pole by `pole_sum`."""
+        """Each block's numerator is computed on coefficient lists (each
+        component folded to the block level by `fold_coeffs`, `iota_coeffs`,
+        a cyclic product) and the blocks are summed into one pole by
+        `pole_sum`."""
         m = self.spec.modulus
         width = self.module_left.block
         parts = []
@@ -173,14 +164,14 @@ class BlockPairing:
                 continue
             s = self.spec.p**b.level
             starts = [(idx + i) * width for i in range(b.ncomponents)]
-            xs = [_fold(x, start, width, s) for start in starts]
-            ys = [_fold(y, start, width, s) for start in starts]
+            xs = [fold_coeffs(x[start : start + width], s) for start in starts]
+            ys = [fold_coeffs(y[start : start + width], s) for start in starts]
             if b.swapped:
-                a = kernels.cyclic_mul(xs[0], _iota(ys[1]), m)
-                c = kernels.cyclic_mul(xs[1], _iota(ys[0]), m)
+                a = kernels.cyclic_mul(xs[0], iota_coeffs(ys[1]), m)
+                c = kernels.cyclic_mul(xs[1], iota_coeffs(ys[0]), m)
                 num = [b.unit * (u - v) for u, v in zip(a, c)]
             else:
-                num = [b.unit * u for u in kernels.cyclic_mul(xs[0], _iota(ys[0]), m)]
+                num = [b.unit * u for u in kernels.cyclic_mul(xs[0], iota_coeffs(ys[0]), m)]
             parts.append((b.level, num))
             idx += b.ncomponents
         return pole_sum(self.spec, parts)

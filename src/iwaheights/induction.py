@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from iwaheights import linalg
+from iwaheights import kernels, linalg
 from iwaheights.errors import IwaheightsError
-from iwaheights.iwalg import GroupRingElem, RingSpec
+from iwaheights.iwalg import GroupRingElem, RingSpec, fold_coeffs, iota_coeffs, transfer_coeffs
 
 Vector = tuple[int, ...]
 InducedElem = tuple[Vector, ...]
@@ -110,20 +110,13 @@ class InducedModule:
         return tuple(tuple((c * x) % m for x in v) for v in a)
 
     def lambda_act(self, lam: GroupRingElem, a: InducedElem) -> InducedElem:
-        """Tensor-side action of the finite-level group ring."""
+        """Tensor-side action of the finite-level group ring: a cyclic
+        product with lam in each coordinate of T."""
         if lam.level != self.level:
             raise ValueError("group-ring element at the wrong level")
         m = self.spec.modulus
-        out = []
-        for t in range(self.size):
-            acc = [0] * self.base.rank
-            for b, cb in enumerate(lam.coeffs):
-                if cb:
-                    v = a[(t - b) % self.size]
-                    for i in range(self.base.rank):
-                        acc[i] = (acc[i] + cb * v[i]) % m
-            out.append(tuple(acc))
-        return tuple(out)
+        cols = [kernels.cyclic_mul(list(lam.coeffs), [v[i] for v in a], m) for i in range(self.base.rank)]
+        return _rows(cols, self.size)
 
     def gamma_function_act(self, a: InducedElem, e: int = 1) -> InducedElem:
         """Function-side action of gamma0^e: mu goes to mu(gamma0^(-e) . )."""
@@ -145,6 +138,11 @@ class InducedModule:
         return out
 
 
+def _rows(cols: Sequence[Sequence[int]], size: int) -> InducedElem:
+    """The dictionary whose i-th coordinate, over the group, is cols[i]."""
+    return tuple(tuple(c[j] for c in cols) for j in range(size))
+
+
 def induce(base: FiniteGaloisModule, level: int) -> InducedModule:
     return InducedModule(base, level)
 
@@ -157,7 +155,7 @@ def spread(module_from: InducedModule, a: InducedElem, module_to: InducedModule)
     """Natural inclusion into a higher level (restriction side of the limit)."""
     if module_to.level < module_from.level or module_to.base is not module_from.base:
         raise ValueError("spread goes to a higher level of the same base")
-    return tuple(a[j % module_from.size] for j in range(module_to.size))
+    return tuple(transfer_coeffs(a, module_to.size))
 
 
 def fold(module_from: InducedModule, a: InducedElem, module_to: InducedModule) -> InducedElem:
@@ -165,25 +163,18 @@ def fold(module_from: InducedModule, a: InducedElem, module_to: InducedModule) -
     if module_to.level > module_from.level or module_to.base is not module_from.base:
         raise ValueError("fold goes to a lower level of the same base")
     m = module_from.spec.modulus
-    rank = module_from.base.rank
-    out = [[0] * rank for _ in range(module_to.size)]
-    for j, v in enumerate(a):
-        t = j % module_to.size
-        for i in range(rank):
-            out[t][i] = (out[t][i] + v[i]) % m
-    return tuple(tuple(v) for v in out)
+    cols = [
+        [c % m for c in fold_coeffs([v[i] for v in a], module_to.size)]
+        for i in range(module_from.base.rank)
+    ]
+    return _rows(cols, module_to.size)
 
 
 def group_ring_transfer(x: GroupRingElem, to_level: int) -> GroupRingElem:
     """Transfer map of group rings: each group element to the sum of its lifts."""
     if to_level < x.level:
         raise ValueError("transfer goes to a higher level")
-    size_to = x.spec.p**to_level
-    size_fr = x.spec.p**x.level
-    cs = [0] * size_to
-    for j in range(size_to):
-        cs[j] = x.coeffs[j % size_fr]
-    return GroupRingElem(x.spec, to_level, cs)
+    return GroupRingElem(x.spec, to_level, transfer_coeffs(x.coeffs, x.spec.p**to_level))
 
 
 def frobenius_reciprocity(
@@ -217,7 +208,9 @@ class ConvolutionPairing:
     """The level-n pairing induced by a perfect O-pairing of S and T.
 
     Values lie in the level-n group ring; the defining convolution is
-    mu(gamma) = sum over x of e(mu_s(x), mu_t(x gamma^(-1))).
+    mu(gamma) = sum over x of e(mu_s(x), mu_t(x gamma^(-1))).  With
+    w(x) = mu_s(x) . e, that is sum_j w_j * iota(t_j), one cyclic product
+    per coordinate j of T.
     """
 
     def __init__(
@@ -242,26 +235,13 @@ class ConvolutionPairing:
         self.T = induce(T, level)
         self.level = level
 
-    def base_pair(self, s: Sequence[int], t: Sequence[int]) -> int:
-        m = self.spec.modulus
-        return (
-            sum(
-                s[i] * self.e_matrix[i][j] * t[j]
-                for i in range(len(s))
-                for j in range(len(t))
-            )
-            % m
-        )
-
     def pair(self, s: InducedElem, t: InducedElem) -> GroupRingElem:
-        size = self.spec.p**self.level
-        cs = [0] * size
         m = self.spec.modulus
-        for a in range(size):
-            acc = 0
-            for x in range(size):
-                acc += self.base_pair(s[x], t[(x - a) % size])
-            cs[a] = acc % m
+        cs = [0] * self.S.size
+        for j in range(self.T.base.rank):
+            wj = [sum(si * ei[j] for si, ei in zip(v, self.e_matrix)) % m for v in s]
+            tj = iota_coeffs([v[j] for v in t])
+            cs = [a + b for a, b in zip(cs, kernels.cyclic_mul(wj, tj, m))]
         return GroupRingElem(self.spec, self.level, cs)
 
     def gram_matrix_over_O(self) -> list[list[int]]:

@@ -37,6 +37,12 @@ def _int(obj, path) -> int:
     return obj
 
 
+def _bool(obj, path) -> bool:
+    if not isinstance(obj, bool):
+        raise SchemaError(f"{path}: expected true or false")
+    return obj
+
+
 def _int_list(obj, path) -> list[int]:
     if not isinstance(obj, list):
         raise SchemaError(f"{path}: expected a list of integers")
@@ -129,8 +135,8 @@ def parse_instance(text: str) -> InstanceFile:
                 BlockSpec(
                     level=_int(b["level"], f"$.pairing.blocks[{i}].level"),
                     unit=_int(b.get("unit", 1), f"$.pairing.blocks[{i}].unit"),
-                    swapped=bool(b.get("swapped", False)),
-                    dead=bool(b.get("dead", False)),
+                    swapped=_bool(b.get("swapped", False), f"$.pairing.blocks[{i}].swapped"),
+                    dead=_bool(b.get("dead", False), f"$.pairing.blocks[{i}].dead"),
                 )
             )
         out.pairing = {"kind": "block", "blocks": parsed}

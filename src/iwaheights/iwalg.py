@@ -172,9 +172,6 @@ class IwasawaPoly:
         n = min(self.precision, other.precision) + 1
         return self.coeffs[:n] == other.coeffs[:n]
 
-    def eq_strict(self, other: "IwasawaPoly") -> bool:
-        return self.precision == other.precision and self.coeffs == other.coeffs
-
     def __hash__(self):
         # __eq__ compares only the shared prefix, so equal elements share
         # just the ring and the constant term
@@ -307,23 +304,10 @@ def involution(lam: IwasawaPoly) -> IwasawaPoly:
     return IwasawaPoly(spec, out, prec)
 
 
-def norm_element(spec: RingSpec, n: int) -> IwasawaPoly:
-    """((1+T)^(p^n) - 1) / T, exactly, as a polynomial of degree p^n - 1."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    q = spec.p**n
-    if spec.cap < q - 1:
-        raise PrecisionError(f"cap too small: need cap >= {q - 1} for level {n}")
-    return IwasawaPoly(spec, [math.comb(q, i) for i in range(1, q + 1)])
-
-
-def cyclotomic_factor(spec: RingSpec, n: int, m_level: int) -> IwasawaPoly:
-    """The exact quotient ((1+T)^(p^n) - 1) / ((1+T)^(p^m) - 1) for m <= n."""
-    if m_level > n:
-        raise ValueError("need m_level <= n")
-    step = spec.p**m_level
-    count = spec.p ** (n - m_level)
-    deg = spec.p**n - step
+def _geometric_sum(spec: RingSpec, step: int, count: int) -> IwasawaPoly:
+    """sum_(j < count) (1+T)^(j*step), exactly, as a polynomial of degree
+    (count-1)*step; refused before anything is built when that is above the cap."""
+    deg = (count - 1) * step
     if spec.cap < deg:
         raise PrecisionError(f"cap too small: need cap >= {deg}")
     coeffs = [0] * (deg + 1)
@@ -334,6 +318,20 @@ def cyclotomic_factor(spec: RingSpec, n: int, m_level: int) -> IwasawaPoly:
     return IwasawaPoly(spec, coeffs)
 
 
+def norm_element(spec: RingSpec, n: int) -> IwasawaPoly:
+    """((1+T)^(p^n) - 1) / T, exactly, as a polynomial of degree p^n - 1."""
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    return _geometric_sum(spec, 1, spec.p**n)
+
+
+def cyclotomic_factor(spec: RingSpec, n: int, m_level: int) -> IwasawaPoly:
+    """The exact quotient ((1+T)^(p^n) - 1) / ((1+T)^(p^m) - 1) for m <= n."""
+    if m_level > n:
+        raise ValueError("need m_level <= n")
+    return _geometric_sum(spec, spec.p**m_level, spec.p ** (n - m_level))
+
+
 def generator_ratio(spec: RingSpec, n: int, u: int) -> IwasawaPoly:
     """The exact quotient (gamma^(u*p^n) - 1) / (gamma^(p^n) - 1).
 
@@ -342,16 +340,7 @@ def generator_ratio(spec: RingSpec, n: int, u: int) -> IwasawaPoly:
     """
     if u < 1 or not spec.is_unit(u):
         raise ValueError(f"u = {u} is not a positive unit exponent mod p^{spec.k}")
-    q = spec.p**n
-    deg = (u - 1) * q
-    if spec.cap < deg:
-        raise PrecisionError(f"cap too small: need cap >= {deg} for generator_ratio")
-    coeffs = [0] * (deg + 1)
-    for j in range(u):
-        e = j * q
-        for t in range(e + 1):
-            coeffs[t] += math.comb(e, t)
-    return IwasawaPoly(spec, coeffs)
+    return _geometric_sum(spec, spec.p**n, u)
 
 
 def omega_poly_coeffs(spec: RingSpec, n: int) -> list[int]:
@@ -379,6 +368,26 @@ def _T_to_gamma_matrix(size: int, m: int) -> tuple[tuple[int, ...], ...]:
         )
         for j in range(size)
     )
+
+
+def fold_coeffs(cs: Sequence[int], size: int) -> list[int]:
+    """The fold to the group of order `size` (dividing len(cs)): the
+    coefficient of gamma^j sums the entries at j, j + size, j + 2*size, ...
+    The sums are not reduced."""
+    return [sum(cs[j::size]) for j in range(size)]
+
+
+def transfer_coeffs(cs: Sequence[int], size: int) -> Sequence[int]:
+    """The transfer to the group of order `size` (a multiple of len(cs)):
+    times nu, each group element to the sum of its lifts, i.e. the list (or
+    tuple) repeated up to `size`."""
+    return cs * (size // len(cs))
+
+
+def iota_coeffs(c: Sequence[int]) -> list[int]:
+    """The involution gamma -> gamma^(-1): the coefficient of gamma^j is
+    the old coefficient of gamma^(-j)."""
+    return [c[-j] for j in range(len(c))]
 
 
 class GroupRingElem:
@@ -479,10 +488,7 @@ class GroupRingElem:
         return out
 
     def involution(self) -> "GroupRingElem":
-        size = self.spec.p**self.level
-        return GroupRingElem(
-            self.spec, self.level, [self.coeffs[(-i) % size] for i in range(size)]
-        )
+        return GroupRingElem(self.spec, self.level, iota_coeffs(self.coeffs))
 
     def augmentation(self) -> int:
         return sum(self.coeffs) % self.spec.modulus
@@ -495,12 +501,16 @@ class GroupRingElem:
         """Image under the quotient map to the level-m group ring."""
         if m_level > self.level:
             raise ValueError("fold target must be a lower level")
-        size = self.spec.p**m_level
-        m = self.spec.modulus
-        out = [0] * size
-        for i, c in enumerate(self.coeffs):
-            out[i % size] = (out[i % size] + c) % m
-        return GroupRingElem(self.spec, m_level, out)
+        return GroupRingElem(self.spec, m_level, fold_coeffs(self.coeffs, self.spec.p**m_level))
+
+    def at_level(self, n: int) -> "GroupRingElem":
+        """This element at level n: folded down from above, or its
+        coefficient vector zero-padded from below."""
+        if n == self.level:
+            return self
+        if n < self.level:
+            return self.fold_to_level(n)
+        return GroupRingElem(self.spec, n, self.coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -40,7 +40,8 @@ MAX_RANK = 256
 # space.  The shipped files use at most 63.  The builder's cap
 # (k+1)*p^n + ord + 8 at level n, with ord + 1 < k*p^n and p^n <= 128 under
 # MAX_RANK, is at most 7*128 + 6 = 902 for k <= 3: 200 for --ord 30 and 288
-# for --p 5 --ord 30.
+# for --p 5 --ord 30.  The builder refuses a larger cap before its level
+# search builds anything (--k 12 --ord 323 would need 1384).
 MAX_CAP = 1024
 
 Vec = tuple[int, ...]
@@ -161,19 +162,10 @@ class FiniteLevelModule:
         return [tuple(v) for v in out]
 
     # -- group-ring action ----------------------------------------------
-    def _at_level(self, x: GroupRingElem) -> GroupRingElem:
-        """x at this module's level: folded down from above, or its
-        coefficient vector zero-padded from below."""
-        if x.level == self.level:
-            return x
-        if x.level > self.level:
-            return x.fold_to_level(self.level)
-        return GroupRingElem(self.spec, self.level, x.coeffs)
-
     def action_matrix(self, x: GroupRingElem) -> list[list[int]]:
         """The matrix of multiplication by x: row a, column j of each
         generator's block is x[(a - j) mod p^N]."""
-        xs = self._at_level(x).coeffs
+        xs = x.at_level(self.level).coeffs
         n = self.block
         rows = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.ngens):
@@ -186,7 +178,7 @@ class FiniteLevelModule:
     def act(self, x: GroupRingElem, vec: Sequence[int]) -> Vec:
         """x * vec, as a cyclic convolution of x with each generator's block
         (the product action_matrix(x) . vec without building the matrix)."""
-        xs = self._at_level(x).coeffs
+        xs = x.at_level(self.level).coeffs
         n = self.block
         m = self.spec.modulus
         out: list[int] = []

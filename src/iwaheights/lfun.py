@@ -51,9 +51,10 @@ from iwaheights.iwalg import (
     RingSpec,
     j_valuation,
     project_to_level,
+    transfer_coeffs,
     weierstrass_divide,
 )
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_RANK, FiniteLevelModule, Submodule
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_CAP, MAX_RANK, FiniteLevelModule, Submodule
 from iwaheights.poles import JGradedValue
 
 Vec = Sequence[int]
@@ -92,7 +93,8 @@ class CanonicalDuality(Duality):
         <x, d> = sum_i sum_c xbar_i[c mod p^(n_i)] * d_i[c]  mod p^k,
 
     with xbar_i = project_to_level(x_i, n_i) and c running over the p^N
-    group elements of the dual module's level N.  `functional(x)` is that
+    group elements of the dual module's level N: the block of coordinate i
+    is the transfer of xbar_i to level N.  `functional(x)` is that
     coefficient vector over the dual module's ambient basis, so a fixed x
     is projected once and each pairing is a dot product.
     """
@@ -109,9 +111,7 @@ class CanonicalDuality(Duality):
         """The vector f with <x, d> = f . d mod p^k for every d."""
         out: list[int] = []
         for i, n in enumerate(self.levels):
-            xs = project_to_level(x[i], n).coeffs
-            q = len(xs)
-            out.extend(xs[c % q] for c in range(self.module.block))
+            out.extend(transfer_coeffs(project_to_level(x[i], n).coeffs, self.module.block))
         return out
 
 
@@ -435,6 +435,10 @@ def build_synthetic(
         if rank > MAX_RANK:
             raise EnumerationCapError(
                 f"dual module of O-rank {rank} at level {level}, above the cap {MAX_RANK}"
+            )
+        if ring_cap(level) > MAX_CAP:
+            raise EnumerationCapError(
+                f"ring cap {ring_cap(level)} at level {level}, above the cap {MAX_CAP}"
             )
         D_test = block_module(RingSpec(p, k, ring_cap(n_loc)), [BlockSpec(n_loc)], enum_cap)
         if D_test.filtration_stage(target_ord + 1).order() > 1:

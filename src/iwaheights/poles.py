@@ -24,6 +24,7 @@ from iwaheights.iwalg import (
     generator_ratio,
     project_to_level,
     required_projection_precision,
+    transfer_coeffs,
 )
 
 
@@ -96,9 +97,7 @@ class PoleElem:
         """Numerator re-expressed with denominator at level n >= self.level."""
         if n < self.level:
             raise ValueError("can only raise the level")
-        # times nu = sum_j gamma^(j*p^level): the numerator, repeated
-        reps = self.spec.p ** (n - self.level)
-        return n, GroupRingElem(self.spec, n, self.numerator.coeffs * reps)
+        return n, GroupRingElem(self.spec, n, transfer_coeffs(self.numerator.coeffs, self.spec.p**n))
 
     def __add__(self, other: "PoleElem") -> "PoleElem":
         if self.spec != other.spec:
@@ -116,11 +115,7 @@ class PoleElem:
 
     def act_group(self, x: GroupRingElem) -> "PoleElem":
         """Action of a finite-level group-ring element (level >= self.level)."""
-        if x.level < self.level:
-            x = GroupRingElem(self.spec, self.level, x.coeffs)
-        else:
-            x = x.fold_to_level(self.level)
-        return PoleElem(self.spec, self.level, self.numerator * x)
+        return PoleElem(self.spec, self.level, self.numerator * x.at_level(self.level))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoleElem):
@@ -158,10 +153,10 @@ def _minimal_form(spec: RingSpec, level: int, num: GroupRingElem) -> tuple[int, 
 def pole_sum(spec: RingSpec, parts: Sequence[tuple[int, Sequence[int]]]) -> PoleElem:
     """The class of sum_i c_i/(gamma^(p^(n_i))-1) for parts (n_i, coefficients of c_i).
 
-    Each numerator is raised to the top level by repetition (the
-    `PoleElem.raise_level` rule), the numerators are added mod p^k and the
-    sum is normalised once.  The coefficients (lists or tuples) need not be
-    reduced.
+    Each numerator is raised to the top level by `transfer_coeffs` (times
+    nu, as in `PoleElem.raise_level`), the numerators are added mod p^k and
+    the sum is normalised once.  The coefficients (lists or tuples) need not
+    be reduced.
     """
     n = max((level for level, _ in parts), default=0)
     size = spec.p**n
@@ -169,7 +164,7 @@ def pole_sum(spec: RingSpec, parts: Sequence[tuple[int, Sequence[int]]]) -> Pole
     for level, cs in parts:
         if len(cs) != spec.p**level:
             raise ValueError("numerator must live at the stated level")
-        total = [a + b for a, b in zip(total, cs * (size // len(cs)))]
+        total = [a + b for a, b in zip(total, transfer_coeffs(cs, size))]
     return PoleElem(spec, n, GroupRingElem(spec, n, total))
 
 

@@ -170,6 +170,17 @@ class TestExitCodes:
         assert "O-rank 1250" in err and "Traceback" not in err
         assert time.perf_counter() - t0 < 10
 
+    @pytest.mark.parametrize("cmd", ["generate", "lfun-check"])
+    def test_oversized_ring_cap_is_three(self, cmd):
+        # k = 12, ord 323 needs a level-4 local block: O-rank 162 is inside
+        # the rank cap, but the ring cap 12*81 + 81 + 323 + 8 = 1384 is
+        # above MAX_CAP, refused before the level search builds a block
+        t0 = time.perf_counter()
+        code, _, err = run_cli(cmd, "--k", "12", "--ord", "323", timeout=60)
+        assert code == 3, err
+        assert "ring cap 1384" in err and "Traceback" not in err
+        assert time.perf_counter() - t0 < 10
+
     def test_wide_ring_is_three(self):
         t0 = time.perf_counter()
         code, _, err = run_cli("lfun-check", "--p", "101", "--k", "3", timeout=60)
@@ -266,6 +277,18 @@ class TestBadFileInputs:
         code, _, err = run_cli("lfun-check", "--input", str(path), timeout=60)
         assert code == 2
         assert "local_levels[0]: must be >= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["dead", "swapped"])
+    @pytest.mark.parametrize("value", ["false", 0], ids=["string", "number"])
+    def test_non_boolean_block_flag_is_two(self, tmp_path, key, value):
+        # only JSON true/false is a flag: the string "false" is not false
+        def edit(doc):
+            doc["pairing"]["blocks"][0][key] = value
+
+        path = edited_instance(tmp_path, "single_block_f3.json", edit)
+        code, out, err = run_cli("heights", "--input", str(path))
+        assert code == 2, out
+        assert f"blocks[0].{key}: expected true or false" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "cmd, name, edit",

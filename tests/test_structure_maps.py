@@ -1,0 +1,318 @@
+"""The group-ring structure maps on coefficient lists, against the loops
+they replaced.
+
+`fold_coeffs`, `transfer_coeffs` and `iota_coeffs` (and `at_level`, the
+induced-module action and convolution pairing, and the geometric sums
+behind `norm_element`, `cyclotomic_factor` and `generator_ratio`) each
+have one implementation in the package.  Each test here keeps the
+hand-written version that one of them replaced as its oracle and compares
+the two over (p, k) in {(3,1), (3,2), (5,1)} and levels 0-2.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from iwaheights import linalg
+from iwaheights.errors import PrecisionError
+from iwaheights.induction import (
+    FiniteGaloisModule,
+    convolution_pairing,
+    fold,
+    group_ring_transfer,
+    induce,
+    spread,
+)
+from iwaheights.iwalg import (
+    GroupRingElem,
+    IwasawaPoly,
+    RingSpec,
+    cyclotomic_factor,
+    fold_coeffs,
+    generator_ratio,
+    iota_coeffs,
+    norm_element,
+    transfer_coeffs,
+)
+from iwaheights.poles import PoleElem
+
+SPECS = st.sampled_from([(3, 1), (3, 2), (5, 1)])
+LEVELS = st.integers(0, 2)
+
+
+def draw_coeffs(data, spec, size):
+    return data.draw(st.lists(st.integers(0, spec.modulus - 1), min_size=size, max_size=size))
+
+
+def draw_elem(data, spec, level):
+    return GroupRingElem(spec, level, draw_coeffs(data, spec, spec.p**level))
+
+
+def draw_levels(data):
+    """Two levels lo <= hi in 0-2."""
+    lo = data.draw(LEVELS)
+    return lo, data.draw(st.integers(lo, 2))
+
+
+# -- the replaced code, kept as oracles -------------------------------------
+def loop_fold_to_level(x, m_level):
+    """The former `GroupRingElem.fold_to_level`."""
+    size = x.spec.p**m_level
+    m = x.spec.modulus
+    out = [0] * size
+    for i, c in enumerate(x.coeffs):
+        out[i % size] = (out[i % size] + c) % m
+    return GroupRingElem(x.spec, m_level, out)
+
+
+def slice_fold(v, start, width, s):
+    """The former `heights._fold` of the component v[start : start + width]."""
+    end = start + width
+    return [sum(v[start + j : end : s]) for j in range(s)]
+
+
+def index_iota(c):
+    """The former `heights._iota`."""
+    return [c[-j] for j in range(len(c))]
+
+
+def modular_iota(x):
+    """The former `GroupRingElem.involution`."""
+    size = x.spec.p**x.level
+    return GroupRingElem(x.spec, x.level, [x.coeffs[(-i) % size] for i in range(size)])
+
+
+def loop_transfer(x, to_level):
+    """The former `induction.group_ring_transfer`."""
+    size_to = x.spec.p**to_level
+    size_fr = x.spec.p**x.level
+    return GroupRingElem(x.spec, to_level, [x.coeffs[j % size_fr] for j in range(size_to)])
+
+
+def module_at_level(level, x):
+    """The former `FiniteLevelModule._at_level` for a module of this level."""
+    if x.level == level:
+        return x
+    if x.level > level:
+        return loop_fold_to_level(x, level)
+    return GroupRingElem(x.spec, level, x.coeffs)
+
+
+def loop_lambda_act(module, lam, a):
+    """The former `InducedModule.lambda_act`."""
+    m = module.spec.modulus
+    out = []
+    for t in range(module.size):
+        acc = [0] * module.base.rank
+        for b, cb in enumerate(lam.coeffs):
+            if cb:
+                v = a[(t - b) % module.size]
+                for i in range(module.base.rank):
+                    acc[i] = (acc[i] + cb * v[i]) % m
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def loop_fold(module_from, a, module_to):
+    """The former `induction.fold`."""
+    m = module_from.spec.modulus
+    rank = module_from.base.rank
+    out = [[0] * rank for _ in range(module_to.size)]
+    for j, v in enumerate(a):
+        t = j % module_to.size
+        for i in range(rank):
+            out[t][i] = (out[t][i] + v[i]) % m
+    return tuple(tuple(v) for v in out)
+
+
+def loop_pair(e, s, t):
+    """The former `ConvolutionPairing.pair`, with its `base_pair`."""
+    size = e.spec.p**e.level
+    m = e.spec.modulus
+
+    def base_pair(sv, tv):
+        return sum(sv[i] * e.e_matrix[i][j] * tv[j] for i in range(len(sv)) for j in range(len(tv))) % m
+
+    cs = [0] * size
+    for a in range(size):
+        acc = 0
+        for x in range(size):
+            acc += base_pair(s[x], t[(x - a) % size])
+        cs[a] = acc % m
+    return GroupRingElem(e.spec, e.level, cs)
+
+
+def closed_norm_element(spec, n):
+    """The former `norm_element`: C(p^n, i) for i = 1..p^n."""
+    q = spec.p**n
+    if spec.cap < q - 1:
+        raise PrecisionError("cap too small")
+    return IwasawaPoly(spec, [math.comb(q, i) for i in range(1, q + 1)])
+
+
+def loop_cyclotomic_factor(spec, n, m_level):
+    """The former `cyclotomic_factor`."""
+    step = spec.p**m_level
+    count = spec.p ** (n - m_level)
+    deg = spec.p**n - step
+    if spec.cap < deg:
+        raise PrecisionError("cap too small")
+    coeffs = [0] * (deg + 1)
+    for j in range(count):
+        e = j * step
+        for t in range(e + 1):
+            coeffs[t] += math.comb(e, t)
+    return IwasawaPoly(spec, coeffs)
+
+
+def loop_generator_ratio(spec, n, u):
+    """The former `generator_ratio`."""
+    q = spec.p**n
+    deg = (u - 1) * q
+    if spec.cap < deg:
+        raise PrecisionError("cap too small")
+    coeffs = [0] * (deg + 1)
+    for j in range(u):
+        e = j * q
+        for t in range(e + 1):
+            coeffs[t] += math.comb(e, t)
+    return IwasawaPoly(spec, coeffs)
+
+
+def same_outcome(new, old):
+    """new() and old() both raise PrecisionError or return equal values."""
+    try:
+        expected = old()
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            new()
+        return
+    assert new() == expected
+
+
+# -- fold --------------------------------------------------------------------
+@given(SPECS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_fold_matches_replaced_folds(pk, data):
+    spec = RingSpec(*pk, 8)
+    lo, hi = draw_levels(data)
+    x = draw_elem(data, spec, hi)
+    s = spec.p**lo
+    assert x.fold_to_level(lo) == loop_fold_to_level(x, lo)
+    # a component of a longer vector, as `BlockPairing.value` folds it
+    width = spec.p**hi
+    v = draw_coeffs(data, spec, 3 * width)
+    start = data.draw(st.sampled_from([0, width, 2 * width]))
+    assert fold_coeffs(v[start : start + width], s) == slice_fold(v, start, width, s)
+
+
+# -- transfer ----------------------------------------------------------------
+@given(SPECS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_transfer_matches_replaced_transfers(pk, data):
+    spec = RingSpec(*pk, 8)
+    lo, hi = draw_levels(data)
+    x = draw_elem(data, spec, lo)
+    assert group_ring_transfer(x, hi) == loop_transfer(x, hi)
+    assert PoleElem(spec, lo, x, _normalise=False).raise_level(hi) == (hi, loop_transfer(x, hi))
+    # tuples stay tuples (`PoleElem.raise_level`, `spread`), lists stay lists
+    assert transfer_coeffs(x.coeffs, spec.p**hi) == loop_transfer(x, hi).coeffs
+    assert transfer_coeffs(list(x.coeffs), spec.p**hi) == list(loop_transfer(x, hi).coeffs)
+
+
+@given(SPECS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_fold_of_transfer_is_multiplication_by_index(pk, data):
+    spec = RingSpec(*pk, 8)
+    lo, hi = draw_levels(data)
+    x = draw_elem(data, spec, lo)
+    assert group_ring_transfer(x, hi).fold_to_level(lo) == x.scale(spec.p ** (hi - lo))
+
+
+# -- involution --------------------------------------------------------------
+@given(SPECS, LEVELS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_iota_matches_replaced_involutions(pk, level, data):
+    spec = RingSpec(*pk, 8)
+    x = draw_elem(data, spec, level)
+    assert x.involution() == modular_iota(x)
+    assert iota_coeffs(list(x.coeffs)) == index_iota(list(x.coeffs))
+    assert iota_coeffs(iota_coeffs(x.coeffs)) == list(x.coeffs)
+    assert x.involution().involution() == x
+
+
+# -- level coercion ----------------------------------------------------------
+@given(SPECS, LEVELS, LEVELS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_at_level_matches_module_coercion(pk, level, n, data):
+    spec = RingSpec(*pk, 8)
+    x = draw_elem(data, spec, level)
+    assert x.at_level(n) == module_at_level(n, x)
+
+
+# -- induced modules ---------------------------------------------------------
+def draw_induced(data, module):
+    m = module.spec.modulus
+    return tuple(tuple(data.draw(st.integers(0, m - 1)) for _ in range(module.base.rank)) for _ in range(module.size))
+
+
+@given(SPECS, LEVELS, st.integers(1, 2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lambda_act_matches_double_loop(pk, level, rank, data):
+    spec = RingSpec(*pk, 8)
+    M = induce(FiniteGaloisModule.trivial(spec, rank), level)
+    lam = draw_elem(data, spec, level)
+    a = draw_induced(data, M)
+    assert M.lambda_act(lam, a) == loop_lambda_act(M, lam, a)
+
+
+@given(SPECS, st.integers(1, 2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_induced_fold_and_spread_match_loops(pk, rank, data):
+    spec = RingSpec(*pk, 8)
+    lo, hi = draw_levels(data)
+    base = FiniteGaloisModule.trivial(spec, rank)
+    small, big = induce(base, lo), induce(base, hi)
+    a = draw_induced(data, big)
+    assert fold(big, a, small) == loop_fold(big, a, small)
+    b = draw_induced(data, small)
+    assert spread(small, b, big) == tuple(b[j % small.size] for j in range(big.size))
+
+
+@given(SPECS, LEVELS, st.integers(1, 2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_convolution_pair_matches_double_loop(pk, level, rank, data):
+    spec = RingSpec(*pk, 8)
+    m = spec.modulus
+    e_matrix = [[data.draw(st.integers(0, m - 1)) for _ in range(rank)] for _ in range(rank)]
+    assume(linalg.det_is_unit(e_matrix, spec.p))
+    base = FiniteGaloisModule.trivial(spec, rank)
+    e = convolution_pairing(e_matrix, base, base, level)
+    s, t = draw_induced(data, e.S), draw_induced(data, e.T)
+    assert e.pair(s, t) == loop_pair(e, s, t)
+
+
+# -- geometric sums ----------------------------------------------------------
+@given(SPECS, st.integers(1, 2), st.integers(1, 30))
+@settings(max_examples=120, deadline=None)
+def test_norm_element_matches_closed_form(pk, n, cap):
+    spec = RingSpec(*pk, cap)
+    same_outcome(lambda: norm_element(spec, n), lambda: closed_norm_element(spec, n))
+
+
+@given(SPECS, st.data(), st.integers(1, 30))
+@settings(max_examples=120, deadline=None)
+def test_cyclotomic_factor_matches_loop(pk, data, cap):
+    spec = RingSpec(*pk, cap)
+    lo, hi = draw_levels(data)
+    same_outcome(lambda: cyclotomic_factor(spec, hi, lo), lambda: loop_cyclotomic_factor(spec, hi, lo))
+
+
+@given(SPECS, LEVELS, st.integers(1, 8), st.integers(1, 60))
+@settings(max_examples=120, deadline=None)
+def test_generator_ratio_matches_loop(pk, n, u, cap):
+    spec = RingSpec(*pk, cap)
+    assume(spec.is_unit(u))
+    same_outcome(lambda: generator_ratio(spec, n, u), lambda: loop_generator_ratio(spec, n, u))
