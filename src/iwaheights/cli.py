@@ -32,6 +32,7 @@ from iwaheights.lambdamod import (
     ElementaryShape,
     FiniteLevelModule,
     infer_invariants,
+    log_p,
     shape_dims,
 )
 from iwaheights.lfun import build_synthetic, main_theorem_check, order_of_vanishing
@@ -85,16 +86,7 @@ def _build_pairing(inst: InstanceFile, max_size: int) -> BlockPairing:
 
 
 def _dims_from_module(M: FiniteLevelModule, r_max: int) -> list[int]:
-    p = M.spec.p
-    dims = []
-    for r in range(1, r_max + 1):
-        order = M.filtration_stage(r).order()
-        e = 0
-        while order > 1:
-            order //= p
-            e += 1
-        dims.append(e)
-    return dims
+    return [log_p(M.filtration_stage(r).order(), M.spec.p) for r in range(1, r_max + 1)]
 
 
 def cmd_invariants(args) -> Report:
@@ -164,7 +156,7 @@ def cmd_heights(args) -> Report:
         raise InstanceInvalidError(str(e)) from None
     h1 = HeightPairing(pairing, u=1)
     h2 = HeightPairing(pairing, u=2)
-    M = h1.module_left
+    M = h1.module
     rep = Report(
         "heights",
         meta={
@@ -192,25 +184,25 @@ def cmd_heights(args) -> Report:
         stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
         left = d.left_kernel_elements()
         right = d.right_kernel_elements()
-        gens = d.left_stage.gens()
-        matrix = [[d.value(x, y).coeff for y in d.right_stage.gens()] for x in gens]
+        gens = d.stage.gens()
+        matrix = [[d.value(x, y).coeff for y in gens] for x in gens]
         rep.add(
             f"kernel chain r={r}",
             ANCHOR_KERNEL,
             left == stage_next and right == stage_next,
             {
-                "stage_order": d.left_stage.order(),
+                "stage_order": d.stage.order(),
                 "kernel_order": len(left),
                 "height_matrix": matrix,
             },
         )
         if parity is not None:
-            ok = True
-            for x in d.left_stage.gens():
-                for y in d.right_stage.gens():
-                    lhs = d.value(x, y).coeff
-                    rhs = ((-1) ** (r + parity) * d.value(y, x).coeff) % M.spec.modulus
-                    ok = ok and lhs == rhs
+            sign = (-1) ** (r + parity)
+            ok = all(
+                v == sign * matrix[j][i] % M.spec.modulus
+                for i, row in enumerate(matrix)
+                for j, v in enumerate(row)
+            )
             rep.add(f"sign law r={r}", ANCHOR_SIGNS, ok, {"parity": parity})
 
     left_kernel = h1.left_kernel()
@@ -379,14 +371,14 @@ def cmd_oracle(args) -> Report:
 
     if inst.pairing is not None:
         pairing = _build_pairing(inst, args.max_size)
-        if pairing.module_left.size > args.max_size:
+        if pairing.module.size > args.max_size:
             raise EnumerationCapError(
-                f"pairing module has {pairing.module_left.size} elements, above --max-size"
+                f"pairing module has {pairing.module.size} elements, above --max-size"
             )
         ran_any = True
         pairing.validate()
         h = HeightPairing(pairing, u=1)
-        M = h.module_left
+        M = h.module
         for r in range(1, args.max_r + 1):
             d = derived_height(h, r)
             stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}

@@ -4,7 +4,7 @@ Input pairings are data (block rules or explicit tables), not derived from
 cochains; validation checks the axioms mechanically before anything
 theorem-shaped is computed.  The height pairing composes a pole-valued
 pairing with the evaluation functional phi and lands in J/J^2; the derived
-tower h^(r) lives on the filtration stages M^(r) x N^(r) with values in
+tower h^(r) pairs the filtration stage M^(r) with itself, with values in
 J^r/J^(r+1).
 
 Generator bookkeeping: with the generator gamma0^u the pre-height scales
@@ -135,9 +135,7 @@ class BlockPairing:
                 raise ValueError("block level must be >= 0")
         self.spec = spec
         self.blocks = tuple(blocks)
-        module = block_module(spec, blocks, enum_cap, level=level)
-        self.module_left = module
-        self.module_right = module
+        self.module = block_module(spec, blocks, enum_cap, level=level)
 
     def declared_symmetry(self) -> str:
         kinds = {b.swapped for b in self.blocks if not b.dead}
@@ -155,7 +153,7 @@ class BlockPairing:
         a cyclic product) and the blocks are summed into one pole by
         `pole_sum`."""
         m = self.spec.modulus
-        width = self.module_left.block
+        width = self.module.block
         parts = []
         idx = 0
         for b in self.blocks:
@@ -179,33 +177,29 @@ class BlockPairing:
     @functools.cached_property
     def table(self) -> list[list[PoleElem]]:
         """[e_a, e_b] for every pair of ambient basis vectors."""
-        right = _basis(self.module_right.dim)
-        return [[self.value(x, y) for y in right] for x in _basis(self.module_left.dim)]
+        basis = _basis(self.module.dim)
+        return [[self.value(x, y) for y in basis] for x in basis]
 
     def validate(self) -> None:
         validate_pole_pairing(self)
 
 
 class TablePairing:
-    """A pole-valued pairing given by its table on the ambient O-bases."""
+    """A pole-valued pairing given by its table on the ambient O-basis."""
 
     kind = "table"
 
     def __init__(
         self,
-        module_left: FiniteLevelModule,
-        module_right: FiniteLevelModule,
+        module: FiniteLevelModule,
         table: Sequence[Sequence[PoleElem]],
         symmetry: str = NO_SYMMETRY,
     ):
-        self.spec = module_left.spec
-        self.module_left = module_left
-        self.module_right = module_right
+        self.spec = module.spec
+        self.module = module
         self.table = [list(row) for row in table]
         self._symmetry = symmetry
-        if len(self.table) != module_left.dim or any(
-            len(r) != module_right.dim for r in self.table
-        ):
+        if len(self.table) != module.dim or any(len(r) != module.dim for r in self.table):
             raise ValueError("table has the wrong shape")
 
     def declared_symmetry(self) -> str:
@@ -228,16 +222,15 @@ class TablePairing:
 
     def validate(self) -> None:
         # the table must kill the relation span on both sides
-        M, N = self.module_left, self.module_right
+        M = self.module
+        basis = _basis(M.dim)
         for rel in M.rel_rows:
-            for b in range(N.dim):
-                v = self.value(rel, [int(c == b) for c in range(N.dim)])
-                if not v.is_zero():
+            for e in basis:
+                if not self.value(rel, e).is_zero():
                     raise IwaheightsError("pairing does not vanish on left relations")
-        for rel in N.rel_rows:
-            for a in range(M.dim):
-                v = self.value([int(c == a) for c in range(M.dim)], rel)
-                if not v.is_zero():
+        for rel in M.rel_rows:
+            for e in basis:
+                if not self.value(e, rel).is_zero():
                     raise IwaheightsError("pairing does not vanish on right relations")
         validate_pole_pairing(self)
 
@@ -250,26 +243,25 @@ def validate_pole_pairing(pairing) -> None:
     check does not assume the pairing expands bilinearly over the table.
     Each basis vector is shifted once, not once per pair.
     """
-    M = pairing.module_left
-    N = pairing.module_right
+    M = pairing.module
     table = pairing.table
-    tM = M.T_class()
-    tN_iota = N.T_class().involution()
-    basis_right = _basis(N.dim)
-    shifted_right = [N.act(tN_iota, y) for y in basis_right]
-    for a, x in enumerate(_basis(M.dim)):
-        tx = M.act(tM, x)
-        for b, y in enumerate(basis_right):
-            mid = table[a][b].act_group(tM)
+    t = M.T_class()
+    t_iota = t.involution()
+    basis = _basis(M.dim)
+    shifted = [M.act(t_iota, y) for y in basis]
+    for a, x in enumerate(basis):
+        tx = M.act(t, x)
+        for b, y in enumerate(basis):
+            mid = table[a][b].act_group(t)
             left = pairing.value(tx, y)
-            right = pairing.value(x, shifted_right[b])
+            right = pairing.value(x, shifted[b])
             if left != mid or right != mid:
                 raise IwaheightsError("pairing is not semilinear")
     sym = pairing.declared_symmetry()
     if sym in (IOTA_SYMMETRIC, IOTA_ANTISYMMETRIC, ZERO_PAIRING):
         sign = 1 if sym == IOTA_SYMMETRIC else -1
         for a in range(M.dim):
-            for b in range(N.dim):
+            for b in range(M.dim):
                 v = table[a][b]
                 w = pole_involution(table[b][a])
                 want = w if sign == 1 else -w
@@ -293,17 +285,10 @@ class HeightPairing:
         if not spec.is_unit(u):
             raise ValueError("generator exponent must be a unit")
         self.pairing = pairing
+        self.module = pairing.module
         self.spec = spec
         self.u = u
         self._u_inv = spec.unit_inverse(u % spec.modulus)
-
-    @property
-    def module_left(self) -> FiniteLevelModule:
-        return self.pairing.module_left
-
-    @property
-    def module_right(self) -> FiniteLevelModule:
-        return self.pairing.module_right
 
     @functools.cached_property
     def gram(self) -> Optional[list[list[int]]]:
@@ -341,41 +326,36 @@ class HeightPairing:
         return JGradedValue(self.spec, 1, self.coeff(x, y))
 
     def left_kernel(self) -> Submodule:
-        """{x : h(x, .) = 0}, by elimination against the right basis."""
-        M, N = self.module_left, self.module_right
-        rows = [
-            [self.coeff([int(c == a) for c in range(M.dim)], [int(c == b) for c in range(N.dim)]) for a in range(M.dim)]
-            for b in range(N.dim)
-        ]
-        gens = linalg.right_kernel(rows, M.dim, self.spec.p, self.spec.k)
-        return M.submodule(gens)
+        """{x : h(x, .) = 0}, by elimination against the basis."""
+        return self._kernel(zip(*self._basis_coeffs()))
 
     def right_kernel(self) -> Submodule:
-        M, N = self.module_left, self.module_right
-        rows = [
-            [self.coeff([int(c == a) for c in range(M.dim)], [int(c == b) for c in range(N.dim)]) for b in range(N.dim)]
-            for a in range(M.dim)
-        ]
-        gens = linalg.right_kernel(rows, N.dim, self.spec.p, self.spec.k)
-        return N.submodule(gens)
+        """{y : h(., y) = 0}."""
+        return self._kernel(self._basis_coeffs())
+
+    def _basis_coeffs(self) -> list[list[int]]:
+        basis = _basis(self.module.dim)
+        return [[self.coeff(x, y) for y in basis] for x in basis]
+
+    def _kernel(self, rows) -> Submodule:
+        M = self.module
+        return M.submodule(linalg.right_kernel([list(r) for r in rows], M.dim, self.spec.p, self.spec.k))
 
 
 class DerivedHeightPairing:
-    """h^(r) on the filtration stages, valued in J^r/J^(r+1).
+    """h^(r) on the filtration stage M^(r), valued in J^r/J^(r+1).
 
     h^(1) is the restriction of h to the J-torsion; for r > 1 the left
     argument is pulled back through (gamma^u - 1)^(r-1) inside M[J^r].
     The preimage problem is factored once, here: one batched
     `solve_combination` against the shifted torsion rows (each torsion
     generator times the shift, by `act`, plus the relation rows) gives a
-    torsion preimage w_i of every Howell row s_i of the left stage.  A
-    left argument x = sum q_i s_i (the quotients of its reduction against
-    the stage, `linalg.coordinates`) then has the preimage sum q_i w_i,
-    and h^(r)(x, y) is one evaluation of h.  That preimage may
-    differ from any other by an element of ker((gamma^u-1)^(r-1)) in
-    M[J^r], which h kills against the right stage (`check_well_defined`).
-    When the pairing has one module on both sides, the two stages are one
-    object.
+    torsion preimage w_i of every Howell row s_i of the stage.  A left
+    argument x = sum q_i s_i (the quotients of its reduction against the
+    stage, `linalg.coordinates`) then has the preimage sum q_i w_i, and
+    h^(r)(x, y) is one evaluation of h.  That preimage may differ from
+    any other by an element of ker((gamma^u-1)^(r-1)) in M[J^r], which h
+    kills against the stage (`check_well_defined`).
     """
 
     def __init__(self, h: HeightPairing, r: int):
@@ -384,52 +364,49 @@ class DerivedHeightPairing:
         self.h = h
         self.r = r
         self.spec = h.spec
-        M, N = h.module_left, h.module_right
-        self.left_stage = M.filtration_stage(r)
-        self.right_stage = self.left_stage if N is M else N.filtration_stage(r)
-        self.left_torsion = M.j_torsion(r)
+        M = h.module
+        self.stage = M.filtration_stage(r)
+        self.torsion = M.j_torsion(r)
         self._shift = M.T_class(h.u) ** (r - 1)
-        gens = self.left_torsion.hrows
+        gens = self.torsion.hrows
         shifted = [list(M.act(self._shift, g)) for g in gens] + [list(rel) for rel in M.rel_rows]
-        sols = linalg.solve_combination(shifted, self.left_stage.hrows, self.spec.p, self.spec.k)
+        sols = linalg.solve_combination(shifted, self.stage.hrows, self.spec.p, self.spec.k)
         if None in sols:
             raise IwaheightsError("no torsion preimage found (filtration data broken)")
         self._stage_preimages = [_combine(sol, gens, M.dim, self.spec.modulus) for sol in sols]
 
     def value(self, x: Vec, y: Vec) -> JGradedValue:
-        q = linalg.coordinates(x, self.left_stage.hrows, self.spec.p, self.spec.k)
+        q = linalg.coordinates(x, self.stage.hrows, self.spec.p, self.spec.k)
         if q is None:
             raise IwaheightsError(f"left argument is not in the stage-{self.r} filtration")
-        if not self.right_stage.contains(y):
+        if not self.stage.contains(y):
             raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
         m = self.spec.modulus
-        w = _combine(q, self._stage_preimages, self.h.module_left.dim, m)
+        w = _combine(q, self._stage_preimages, self.h.module.dim, m)
         coeff = pow(self.h.u, self.r - 1, m) * self.h.coeff(w, y)
         return JGradedValue(self.spec, self.r, coeff)
 
     def check_well_defined(self) -> bool:
         """Preimage independence: two torsion preimages of the same stage
         element differ by ker((gamma^u-1)^(r-1)) inside M[J^r], so it
-        suffices that h kills that kernel against the right stage."""
-        ambiguity = self.h.module_left.torsion(self._shift).intersect(self.left_torsion)
-        right_gens = self.right_stage.gens()
-        return all(
-            self.h.coeff(t, y) == 0 for t in ambiguity.gens() for y in right_gens
-        )
+        suffices that h kills that kernel against the stage."""
+        ambiguity = self.h.module.torsion(self._shift).intersect(self.torsion)
+        gens = self.stage.gens()
+        return all(self.h.coeff(t, y) == 0 for t in ambiguity.gens() for y in gens)
 
     def left_kernel_elements(self) -> set:
-        right_gens = self.right_stage.gens()
+        gens = self.stage.gens()
         out = set()
-        for x in self.left_stage.elements():
-            if all(self.value(x, y).is_zero() for y in right_gens):
+        for x in self.stage.elements():
+            if all(self.value(x, y).is_zero() for y in gens):
                 out.add(tuple(x))
         return out
 
     def right_kernel_elements(self) -> set:
-        left_gens = self.left_stage.gens()
+        gens = self.stage.gens()
         out = set()
-        for y in self.right_stage.elements():
-            if all(self.value(x, y).is_zero() for x in left_gens):
+        for y in self.stage.elements():
+            if all(self.value(x, y).is_zero() for x in gens):
                 out.add(tuple(y))
         return out
 
@@ -443,24 +420,22 @@ def restricted_kernel_check(
     lam0: Union[IwasawaPoly, GroupRingElem],
     lam1: Union[IwasawaPoly, GroupRingElem],
 ) -> dict:
-    """Brute-force kernels of h restricted to M[lam0] x N[lam1], compared
+    """Brute-force kernels of h restricted to M[lam0] x M[lam1], compared
     with the predicted images of multiplication by the twisted partners."""
-    M, N = h.module_left, h.module_right
+    M = h.module
 
-    def cls(lam, module):
+    def cls(lam):
         if isinstance(lam, IwasawaPoly):
-            return project_to_level(lam, module.level)
+            return project_to_level(lam, M.level)
         return lam
 
-    l0M = cls(lam0, M)
-    l1N = cls(lam1, N)
-    l0iota = l0M.involution()
-    l1iota = l1N.involution()
+    l0 = cls(lam0)
+    l1 = cls(lam1)
+    l0iota = l0.involution()
+    l1iota = l1.involution()
 
-    tor_left = M.torsion(l0M)
-    tor_right = N.torsion(l1N)
-    left_els = tor_left.elements()
-    right_els = tor_right.elements()
+    left_els = M.torsion(l0).elements()
+    right_els = M.torsion(l1).elements()
 
     brute_left = {
         tuple(x) for x in left_els if all(h.coeff(x, y) == 0 for y in right_els)
@@ -469,10 +444,10 @@ def restricted_kernel_check(
         tuple(y) for y in right_els if all(h.coeff(x, y) == 0 for x in left_els)
     }
 
-    tor_prod_left = M.torsion(l0M * l1iota)
+    tor_prod_left = M.torsion(l0 * l1iota)
     pred_left = M.submodule([M.act(l1iota, g) for g in tor_prod_left.gens()] or [M.zero()])
-    tor_prod_right = N.torsion(l0iota * l1N)
-    pred_right = N.submodule([N.act(l0iota, g) for g in tor_prod_right.gens()] or [N.zero()])
+    tor_prod_right = M.torsion(l0iota * l1)
+    pred_right = M.submodule([M.act(l0iota, g) for g in tor_prod_right.gens()] or [M.zero()])
 
     return {
         "left_kernel": sorted(brute_left),
@@ -495,29 +470,27 @@ def twist_equivariance_check(
     sigma must be a pair of module automorphisms conjugating the group
     action by gamma -> gamma^omega; both conditions are validated first.
     """
-    M, N = h.module_left, h.module_right
+    M = h.module
     spec = h.spec
     m = spec.modulus
-    for sigma, module in ((sigma_left, M), (sigma_right, N)):
+    if omega % m not in (1, m - 1):
+        raise IwaheightsError("only omega = +-1 twists are modelled")
+    gam = M.gamma_class()
+    gam_omega = gam.involution() if omega % m == m - 1 else gam
+    basis = [list(e) for e in _basis(M.dim)]
+    for sigma in (sigma_left, sigma_right):
         if not linalg.det_is_unit([list(r) for r in sigma], spec.p):
             raise IwaheightsError("sigma is not an automorphism")
-        for rel in module.rel_rows:
-            if any(module.canon(linalg.matvec(sigma, list(rel), m))):
+        for rel in M.rel_rows:
+            if any(M.canon(linalg.matvec(sigma, list(rel), m))):
                 raise IwaheightsError("sigma does not preserve the relations")
-        if omega % m not in (1, m - 1):
-            raise IwaheightsError("only omega = +-1 twists are modelled")
-        gam = module.gamma_class()
-        gam_omega = gam.involution() if omega % m == m - 1 else gam
-        for c in range(module.dim):
-            e = [int(i == c) for i in range(module.dim)]
-            lhs = module.canon(linalg.matvec(sigma, module.act(gam, e), m))
-            if lhs != module.act(gam_omega, linalg.matvec(sigma, e, m)):
+        for e in basis:
+            lhs = M.canon(linalg.matvec(sigma, M.act(gam, e), m))
+            if lhs != M.act(gam_omega, linalg.matvec(sigma, e, m)):
                 raise IwaheightsError("sigma does not conjugate gamma to gamma^omega")
-    for a in range(M.dim):
-        x = [int(c == a) for c in range(M.dim)]
+    for x in basis:
         sx = linalg.matvec(sigma_left, x, m)
-        for b in range(N.dim):
-            y = [int(c == b) for c in range(N.dim)]
+        for y in basis:
             sy = linalg.matvec(sigma_right, y, m)
             if h.coeff(sx, sy) != (omega * h.coeff(x, y)) % m:
                 return False

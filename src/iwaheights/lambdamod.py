@@ -13,9 +13,8 @@ norms, and the invariant bookkeeping for elementary module shapes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import EnumerationCapError, IwaheightsError
@@ -64,6 +63,15 @@ def check_rank(p: int, level: int, ngens: int) -> None:
         raise EnumerationCapError(
             f"module of O-rank {ngens}*{p}^{level}, above the cap {MAX_RANK}"
         )
+
+
+def log_p(n: int, p: int) -> Optional[int]:
+    """The exponent e with p^e = n, or None when n is not a power of p."""
+    e = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        e += 1
+    return e if n == 1 else None
 
 
 class FiniteLevelModule:
@@ -368,10 +376,8 @@ class FiltrationReport:
 
     def stage_quotient_log_order(self, r: int) -> int:
         """log_p of |M^(r) / M^(r+1)| (needs r < r_max)."""
-        p = self.module.spec.p
-        ratio = self.stage(r).order() // self.stage(r + 1).order()
-        e = round(math.log(ratio, p))
-        if p**e != ratio:
+        e = log_p(self.stage(r).order() // self.stage(r + 1).order(), self.module.spec.p)
+        if e is None:
             raise IwaheightsError("stage quotient is not a p-power")
         return e
 
@@ -445,12 +451,8 @@ def zp_rank_estimate(orders: Sequence[int], p: int) -> tuple[int, bool]:
     for a, b in zip(orders, orders[1:]):
         if b % a != 0:
             raise IwaheightsError(f"order ratio {b}/{a} is not integral")
-        q = b // a
-        r = 0
-        while q % p == 0:
-            q //= p
-            r += 1
-        if q != 1:
+        r = log_p(b // a, p)
+        if r is None:
             raise IwaheightsError(f"order ratio {b}/{a} is not a power of {p}")
         ratios.append(r)
     stabilized = len(ratios) >= 2 and ratios[-1] == ratios[-2]

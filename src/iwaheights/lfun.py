@@ -170,7 +170,7 @@ class LfunInstance:
 
     @property
     def global_module(self) -> FiniteLevelModule:
-        return self.height.module_left
+        return self.height.module
 
     def localize(self, c: Vec) -> tuple[int, ...]:
         return _include(self.D_loc, c)
@@ -323,8 +323,9 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
         }
     )
     M = inst.global_module
-    lam0 = lambda_special(inst, 0)
-    zero0 = lam0.is_identically_zero()
+    r_top = r_max if ordv is math.inf else min(int(ordv), r_max)
+    lams = [lambda_special(inst, r) for r in range(max(r_top, 0) + 1)]
+    zero0 = lams[0].is_identically_zero()
     member = inst.strict.contains(inst.z0)
     checks.append(
         {
@@ -334,10 +335,8 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
             "witness": {"lambda0_zero": zero0, "z0_strict": member},
         }
     )
-    r_top = r_max if ordv is math.inf else min(int(ordv), r_max)
     for r in range(0, r_top + 1):
-        lam = lambda_special(inst, r)
-        is_zero = lam.is_identically_zero()
+        is_zero = lams[r].is_identically_zero()
         expect_zero = r < ordv
         checks.append(
             {
@@ -361,10 +360,10 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
         if not member:
             continue
         d_r = derived_height(inst.height, r)
-        lam = lambda_special(inst, r)
+        lam = lams[r]
         all_ok = True
         witness = []
-        for c in d_r.right_stage.gens():
+        for c in d_r.stage.gens():
             lhs = d_r.value(inst.z0, c)
             rhs = lam(list(inst.localize(c)))
             same = lhs.coeff == rhs.coeff and lhs.degree == rhs.degree
@@ -451,7 +450,7 @@ def build_synthetic(
     spec = RingSpec(p, k, ring_cap(level))
     gblocks = [BlockSpec(n, unit=rng.choice([1, 2])) for n in global_levels]
     height, D, duality = _assemble(spec, level, gblocks, [n_loc], enum_cap)
-    M = height.module_left
+    M = height.module
     m = spec.modulus
 
     def lift(v: Vec) -> list[IwasawaPoly]:
@@ -480,7 +479,7 @@ def build_synthetic(
     vbar = [0] * D.dim
     if target_ord >= 1:
         d_r = derived_height(height, target_ord)
-        cgens = d_r.right_stage.gens()
+        cgens = d_r.stage.gens()
         if cgens:
             targets = [d_r.value(z0, c).coeff for c in cgens]
             locs = [_include(D, c) for c in cgens]
@@ -550,7 +549,7 @@ def instance_from_data(
     """
     level = max([level] + [b.level for b in global_blocks] + list(local_levels))
     height, D, duality = _assemble(spec, level, global_blocks, local_levels, enum_cap)
-    M = height.module_left
+    M = height.module
     if duality_table is not None:
         duality = TableDuality(duality_table, D)
     if len(l_z_coeffs) != D.ngens:

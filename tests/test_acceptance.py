@@ -160,7 +160,7 @@ def test_criterion_4_height_well_definedness():
         bp = BlockPairing(spec, blocks)
         h1 = HeightPairing(bp, u=1)
         h2 = HeightPairing(bp, u=2)
-        M = bp.module_left
+        M = bp.module
         for a in range(M.dim):
             x = [int(c == a) for c in range(M.dim)]
             for b in range(M.dim):
@@ -172,7 +172,7 @@ def test_criterion_4_height_well_definedness():
 def test_criterion_5_derived_tower():
     for name, spec, blocks in BLOCK_INSTANCES:
         h = HeightPairing(BlockPairing(spec, blocks))
-        M = h.module_left
+        M = h.module
         sym = h.pairing.declared_symmetry()
         parity = 1 if sym in ("iota_antisymmetric", "zero") else 0
         for r in range(1, 5):
@@ -180,8 +180,8 @@ def test_criterion_5_derived_tower():
             nxt = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
             assert d.left_kernel_elements() == nxt, (name, r)
             assert d.right_kernel_elements() == nxt, (name, r)
-            for x in d.left_stage.gens():
-                for y in d.right_stage.gens():
+            for x in d.stage.gens():
+                for y in d.stage.gens():
                     lhs = d.value(x, y).coeff
                     rhs = ((-1) ** (r + parity) * d.value(y, x).coeff) % spec.modulus
                     assert lhs == rhs, (name, r)
@@ -199,7 +199,7 @@ def test_criterion_5_derived_tower():
 
 def test_criterion_6_concrete_witness(spec31):
     h = HeightPairing(BlockPairing(spec31, [BlockSpec(1)]))
-    M = h.module_left
+    M = h.module
     t2 = M.from_components([GroupRingElem.from_poly_coeffs(spec31, 1, [0, 0, 1])])
     # enumeration oracle first: recompute h^(1) and h^(3) from raw pairings
     els = M.elements()

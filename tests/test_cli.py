@@ -381,6 +381,25 @@ class TestLevelLadder:
         params = payload["meta"]["params"]
         assert params["p"] == p and params["global_levels"] == [level]
 
+    def test_mixed_level3_checks_a_nonzero_height(self):
+        # on a level-n block h^(r) vanishes for r < p^n; the level-0 block
+        # carries a nonzero h^(1), so (c) compares a nonzero height
+        code, out, err = run_cli(
+            "lfun-check", "--input", "instances/lfun_level3_mixed_ord1.json", "--format", "json"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["all_ok"]
+        assert payload["meta"]["params"]["global_levels"] == [0, 3]
+        witnesses = [
+            w
+            for check in payload["checks"]
+            if check["name"].startswith("(c) identity")
+            for w in check["witness"]
+        ]
+        assert any(w["height"] != 0 for w in witnesses)
+        assert all(w["height"] == w["special_value"] for w in witnesses)
+
 
 class TestOracle:
     def test_zero_mismatches_on_corpus(self):

@@ -52,19 +52,19 @@ def iota_matrix(M, sign=1):
 class TestBlockPairing:
     def test_unit_numerator_nonzero(self, spec31):
         bp = single_block(spec31)
-        one = elem_from_poly(bp.module_left, [1])
+        one = elem_from_poly(bp.module, [1])
         assert not bp.value(one, one).is_zero()
 
     def test_omega_divisible_product_is_zero(self, spec31):
         bp = single_block(spec31)
-        M = bp.module_left
+        M = bp.module
         # x = T^2, y = T^2: x * iota(y) has T-valuation >= 4 > 3
         t2 = elem_from_poly(M, [0, 0, 1])
         assert bp.value(t2, t2).is_zero()
 
     def test_semilinearity_random(self, spec31):
         bp = single_block(spec31)
-        M = bp.module_left
+        M = bp.module
         rng = random.Random(3)
         tcl = M.T_class()
         for _ in range(40):
@@ -86,12 +86,12 @@ class TestBlockPairing:
     def test_non_semilinear_table_rejected(self, spec31):
         # a single pole value on (e_0, e_0): [T e_0, e_0] = -[e_0, e_0]
         # differs from T * [e_0, e_0]
-        M = single_block(spec31).module_left
+        M = single_block(spec31).module
         zero = PoleElem.zero(spec31)
         table = [[zero] * M.dim for _ in range(M.dim)]
         table[0][0] = PoleElem(spec31, 1, GroupRingElem.one(spec31, 1))
         with pytest.raises(IwaheightsError, match="not semilinear"):
-            TablePairing(M, M, table).validate()
+            TablePairing(M, table).validate()
 
     def test_declared_symmetry(self, spec31):
         assert single_block(spec31).declared_symmetry() == "iota_antisymmetric"
@@ -106,7 +106,7 @@ class TestBlockPairing:
 
     def test_dead_block_contributes_nothing(self, spec31):
         bp = BlockPairing(spec31, [BlockSpec(1, dead=True)])
-        M = bp.module_left
+        M = bp.module
         for x in M.elements():
             for y in (M.gen(0),):
                 assert bp.value(x, y).is_zero()
@@ -123,7 +123,7 @@ class TestHeightPairing:
                 bp = BlockPairing(spec, blocks)
                 h1 = HeightPairing(bp, u=1)
                 h2 = HeightPairing(bp, u=2)
-                M = bp.module_left
+                M = bp.module
                 rng = random.Random(5)
                 for _ in range(30):
                     x = M.canon([rng.randrange(spec.modulus) for _ in range(M.dim)])
@@ -132,21 +132,21 @@ class TestHeightPairing:
 
     def test_linearity_left_zero(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         assert h.coeff(M.zero(), M.gen(0)) == 0
 
     def test_symmetry_conversion(self, spec31):
         # iota-antisymmetric input gives a symmetric height,
         # iota-symmetric input gives an alternating height
         anti = HeightPairing(single_block(spec31))
-        M = anti.module_left
+        M = anti.module
         rng = random.Random(7)
         for _ in range(30):
             x = M.canon([rng.randrange(3) for _ in range(M.dim)])
             y = M.canon([rng.randrange(3) for _ in range(M.dim)])
             assert anti.coeff(x, y) == anti.coeff(y, x)
         sym = HeightPairing(BlockPairing(spec31, [BlockSpec(1, 1, swapped=True)]))
-        N = sym.module_left
+        N = sym.module
         for _ in range(30):
             x = N.canon([rng.randrange(3) for _ in range(N.dim)])
             y = N.canon([rng.randrange(3) for _ in range(N.dim)])
@@ -161,14 +161,14 @@ class TestHeightPairing:
                 [BlockSpec(1, 2, swapped=True)],
             ):
                 h = HeightPairing(BlockPairing(spec, blocks))
-                M = h.module_left
+                M = h.module
                 assert h.left_kernel().order() == M.universal_norms().order() == 1
                 assert h.right_kernel().order() == 1
 
     def test_level_zero_block_pairs_honestly(self, spec31):
         # Lambda_0 = O with h(x, y) = x*y*(gamma-1): nondegenerate
         h = HeightPairing(BlockPairing(spec31, [BlockSpec(0)]))
-        M = h.module_left
+        M = h.module
         one = M.gen(0)
         assert h.coeff(one, one) == 1
         assert h.left_kernel().order() == 1
@@ -177,11 +177,11 @@ class TestHeightPairing:
 class TestDerivedTower:
     def test_concrete_witness_block_f3(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
         # h^(1) vanishes identically on span{T^2} x span{T^2}
         d1 = derived_height(h, 1)
-        assert d1.left_stage.order() == 3 and d1.left_stage.contains(t2)
+        assert d1.stage.order() == 3 and d1.stage.contains(t2)
         assert d1.value(t2, t2).is_zero()
         # h^(3)(T^2, T^2) = 1 * (gamma-1)^3, a unit multiple
         d3 = derived_height(h, 3)
@@ -196,16 +196,16 @@ class TestDerivedTower:
     def test_r1_is_restriction(self, spec31, spec32):
         for spec in (spec31, spec32):
             h = HeightPairing(single_block(spec))
-            M = h.module_left
+            M = h.module
             d1 = derived_height(h, 1)
-            for x in d1.left_stage.elements():
-                for y in d1.right_stage.elements():
+            for x in d1.stage.elements():
+                for y in d1.stage.elements():
                     assert d1.value(x, y).coeff == h.coeff(x, y)
 
     def test_well_defined_across_preimages(self, spec31):
         # every preimage w with T^2 w = x gives the same h^(3) value
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
         d3 = derived_height(h, 3)
         target = d3.value(t2, t2).coeff
@@ -222,7 +222,7 @@ class TestDerivedTower:
     def test_kernel_chain_single_block(self, spec31):
         # frozen: stages span{T^2}, span{T^2}, span{T^2}, 0 and kernels match
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         expected_orders = {1: 3, 2: 3, 3: 3, 4: 1}
         for r in (1, 2, 3, 4):
             assert M.filtration_stage(r).order() == expected_orders[r]
@@ -242,7 +242,7 @@ class TestDerivedTower:
         ]
         for spec, blocks in cases:
             h = HeightPairing(BlockPairing(spec, blocks))
-            M = h.module_left
+            M = h.module
             for r in range(1, 5):
                 d = derived_height(h, r)
                 assert d.check_well_defined()
@@ -262,8 +262,8 @@ class TestDerivedTower:
                 for r in range(1, 5):
                     d = derived_height(h, r)
                     sign = (-1) ** (r + parity)
-                    for x in d.left_stage.elements():
-                        for y in d.right_stage.elements():
+                    for x in d.stage.elements():
+                        for y in d.stage.elements():
                             lhs = d.value(x, y).coeff
                             rhs = (sign * d.value(y, x).coeff) % spec.modulus
                             assert lhs == rhs
@@ -271,7 +271,7 @@ class TestDerivedTower:
     def test_intersection_of_stages_is_norms_cap_torsion(self, spec31, spec32):
         for spec in (spec31, spec32):
             for blocks in ([BlockSpec(1)], [BlockSpec(0), BlockSpec(1)]):
-                M = BlockPairing(spec, blocks).module_left
+                M = BlockPairing(spec, blocks).module
                 inter = M.filtration_stage(1)
                 r = 2
                 while True:
@@ -289,13 +289,13 @@ class TestDerivedTower:
         h2 = HeightPairing(bp, u=2)
         for r in (1, 2, 3):
             d1, d2 = derived_height(h1, r), derived_height(h2, r)
-            for x in d1.left_stage.elements():
-                for y in d1.right_stage.elements():
+            for x in d1.stage.elements():
+                for y in d1.stage.elements():
                     assert d1.value(x, y).coeff == d2.value(x, y).coeff
 
     def test_stage_membership_enforced(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         one = elem_from_poly(M, [1])
         d2 = derived_height(h, 2)
         with pytest.raises(IwaheightsError):
@@ -305,7 +305,7 @@ class TestDerivedTower:
         # on iota-antisymmetric instances with M = N and k = 1, the
         # nondegenerate quotient in even degree is even dimensional
         for blocks in ([BlockSpec(1)], [BlockSpec(0), BlockSpec(1)], [BlockSpec(2)]):
-            M = BlockPairing(spec31, blocks).module_left
+            M = BlockPairing(spec31, blocks).module
             rep = M.j_filtration(6, check_generator_independence=False)
             for r in (2, 4):
                 assert rep.stage_quotient_log_order(r) % 2 == 0
@@ -316,7 +316,7 @@ def uncached_derived_value(d, x, y):
     torsion, the shifted rows and the solve are all rebuilt from M, and h
     is evaluated as phi_u of the pole value, without the Gram matrix."""
     h, r = d.h, d.r
-    M = h.module_left
+    M = h.module
     spec = h.spec
     m = spec.modulus
     t = M.T_class()
@@ -368,7 +368,7 @@ def raise_and_add(a, b):
 def blockwise_value(bp, x, y):
     """[x, y] as a sum of one normalised PoleElem per block, built from
     GroupRingElem folds, involutions and products."""
-    spec, M = bp.spec, bp.module_left
+    spec, M = bp.spec, bp.module
     total = PoleElem.zero(spec)
     idx = 0
     for b in bp.blocks:
@@ -409,7 +409,7 @@ class TestPoleValuesInCoefficientSpace:
     @given(block_pairings(dead=st.booleans()), st.data())
     @settings(max_examples=120, deadline=None)
     def test_block_value_matches_blockwise_sum(self, pairing, data):
-        M = pairing.module_left
+        M = pairing.module
         vecs = raw_vectors(M.dim, pairing.spec.modulus)
         for _ in range(4):
             x = data.draw(vecs, label="x")
@@ -433,7 +433,7 @@ class TestPoleValuesInCoefficientSpace:
             return PoleElem(spec, n, GroupRingElem(spec, n, cs))
 
         table = [[pole() for _ in range(M.dim)] for _ in range(M.dim)]
-        tp = TablePairing(M, M, table)
+        tp = TablePairing(M, table)
         for _ in range(3):
             x = data.draw(raw_vectors(M.dim, m), label="x")
             y = data.draw(raw_vectors(M.dim, m), label="y")
@@ -449,8 +449,8 @@ class TestMemoisedDerivedValue:
     def test_matches_uncached_solve_in_any_order(self, pairing, r, u, data):
         h = HeightPairing(pairing, u=u)
         d = derived_height(h, r)
-        assume(d.left_stage.order() <= 81)
-        pairs = [(x, y) for x in d.left_stage.elements() for y in d.right_stage.gens()]
+        assume(d.stage.order() <= 81)
+        pairs = [(x, y) for x in d.stage.elements() for y in d.stage.gens()]
         for x, y in data.draw(st.permutations(pairs), label="call order"):
             v = d.value(x, y)
             assert v.degree == r
@@ -458,7 +458,7 @@ class TestMemoisedDerivedValue:
 
     def test_membership_checked_after_memoisation(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
         one = elem_from_poly(M, [1])
         d2 = derived_height(h, 2)
@@ -478,7 +478,7 @@ class TestGramMatrix:
     @settings(max_examples=80, deadline=None)
     def test_coeff_is_phi_of_value(self, pairing, u, data):
         h = HeightPairing(pairing, u=u)
-        M = h.module_left
+        M = h.module
         m = h.spec.modulus
         draw_vec = st.lists(st.integers(0, m - 1), min_size=M.dim, max_size=M.dim)
         for _ in range(3):
@@ -504,8 +504,8 @@ class TestGramMatrix:
         h = HeightPairing(pairing, u=2)
         assert h.gram is None
         d = derived_height(h, 1)
-        for x in d.left_stage.elements():
-            for y in d.right_stage.gens():
+        for x in d.stage.elements():
+            for y in d.stage.gens():
                 assert d.value(x, y).coeff == uncached_derived_value(d, x, y)
 
 
@@ -520,7 +520,7 @@ class TestRestrictedKernels:
     def test_unit_torsion_trivial(self, spec31):
         h = HeightPairing(single_block(spec31))
         rep = restricted_kernel_check(h, IwasawaPoly.one(spec31), IwasawaPoly.T(spec31))
-        assert rep["left_kernel"] == [tuple(h.module_left.zero())]
+        assert rep["left_kernel"] == [tuple(h.module.zero())]
         assert rep["left_match"] and rep["right_match"]
 
     def test_omega_torsion_full(self, spec31):
@@ -538,14 +538,14 @@ class TestRestrictedKernels:
 class TestTwistEquivariance:
     def test_identity_trivial(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         ident = [[int(i == j) for j in range(M.dim)] for i in range(M.dim)]
         assert twist_equivariance_check(h, ident, ident, 1) is True
 
     def test_anticyclotomic_toy_single_block(self, spec31):
         # sigma pair (iota, -iota) realises the omega = -1 twist
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         assert (
             twist_equivariance_check(h, iota_matrix(M, 1), iota_matrix(M, -1), -1)
             is True
@@ -561,7 +561,7 @@ class TestTwistEquivariance:
     def test_plain_iota_pair_fails_minus_one(self, spec31):
         # (iota, iota) conjugates correctly but has the wrong sign
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         assert (
             twist_equivariance_check(h, iota_matrix(M, 1), iota_matrix(M, 1), -1)
             is False
@@ -569,14 +569,14 @@ class TestTwistEquivariance:
 
     def test_non_automorphism_rejected(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         bad = [[0] * M.dim for _ in range(M.dim)]
         with pytest.raises(IwaheightsError):
             twist_equivariance_check(h, bad, bad, 1)
 
     def test_non_conjugating_rejected(self, spec31):
         h = HeightPairing(single_block(spec31))
-        M = h.module_left
+        M = h.module
         ident = [[int(i == j) for j in range(M.dim)] for i in range(M.dim)]
         with pytest.raises(IwaheightsError):
             twist_equivariance_check(h, ident, ident, -1)
@@ -585,7 +585,7 @@ class TestTwistEquivariance:
 class TestTablePairing:
     def test_table_reproduces_block(self, spec31):
         bp = single_block(spec31)
-        M = bp.module_left
+        M = bp.module
         table = [
             [
                 bp.value(
@@ -596,7 +596,7 @@ class TestTablePairing:
             ]
             for a in range(M.dim)
         ]
-        tp = TablePairing(M, M, table, symmetry="iota_antisymmetric")
+        tp = TablePairing(M, table, symmetry="iota_antisymmetric")
         tp.validate()
         rng = random.Random(11)
         for _ in range(20):
@@ -606,7 +606,7 @@ class TestTablePairing:
 
     def test_tampered_table_fails_validation(self, spec31):
         bp = single_block(spec31)
-        M = bp.module_left
+        M = bp.module
         table = [
             [
                 bp.value(
@@ -620,6 +620,16 @@ class TestTablePairing:
         table[0][0] = table[0][0] + PoleElem(
             spec31, 1, GroupRingElem.one(spec31, 1)
         )
-        tp = TablePairing(M, M, table, symmetry="iota_antisymmetric")
+        tp = TablePairing(M, table, symmetry="iota_antisymmetric")
         with pytest.raises(IwaheightsError):
             tp.validate()
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda t: [row[:-1] for row in t], lambda t: t[:-1]],
+        ids=["short-rows", "missing-row"],
+    )
+    def test_wrong_shape_rejected(self, spec31, cut):
+        bp = single_block(spec31)
+        with pytest.raises(ValueError, match="wrong shape"):
+            TablePairing(bp.module, cut(bp.table))

@@ -18,6 +18,7 @@ from iwaheights.lambdamod import (
     ElementaryShape,
     FiniteLevelModule,
     infer_invariants,
+    log_p,
     module_from_shape,
     shape_dims,
     zp_rank_estimate,
@@ -301,6 +302,19 @@ class TestZpRankEstimate:
     def test_too_few(self):
         with pytest.raises(ValueError):
             zp_rank_estimate([9], 3)
+
+    def test_zero_order_rejected(self):
+        # a zero ratio is not a power of p; the division loop must stop
+        with pytest.raises(IwaheightsError, match="not a power of 3"):
+            zp_rank_estimate([9, 0], 3)
+
+
+@pytest.mark.parametrize(
+    "n, p, e",
+    [(1, 3, 0), (3, 3, 1), (3**7, 3, 7), (5**4, 5, 4), (18, 3, None), (2, 3, None), (0, 3, None)],
+)
+def test_log_p_is_exact(n, p, e):
+    assert log_p(n, p) == e
 
 
 @st.composite

@@ -69,8 +69,8 @@ def builder_params(name):
     return doc["ring"]["p"], doc["ring"]["k"], tuple(lf["global_levels"]), lf["target_ord"], lf["seed"]
 
 
-# (p, k, global levels, order, seed), including the level-3 and p = 5
-# level-2 instance files
+# (p, k, global levels, order, seed), including the level-3, mixed
+# level-0/level-3 and p = 5 level-2 instance files
 DUALITY_CASES = [
     (3, 1, (0, 1), 1, 0),
     (3, 1, (1,), 2, 1),
@@ -78,6 +78,7 @@ DUALITY_CASES = [
     (5, 1, (1,), 1, 3),
     builder_params("lfun_level3_ord1.json"),
     builder_params("lfun_p5_level2.json"),
+    builder_params("lfun_level3_mixed_ord1.json"),
 ]
 
 
@@ -444,6 +445,7 @@ LFUN_FILES = [
     "lfun_seed0_ord2.json",
     "lfun_level3_ord1.json",
     "lfun_p5_level2.json",
+    "lfun_level3_mixed_ord1.json",
 ]
 
 

@@ -100,7 +100,7 @@ class TestDegeneracyFloor:
             ]
             bp = BlockPairing(spec31, blocks)
             h = HeightPairing(bp)
-            M = h.module_left
+            M = h.module
             dim = M.dim
             # tau: swap the paired blocks; eigenvalue +1 on the first dp
             # dead blocks and -1 on the remaining dm
