@@ -3,7 +3,8 @@
 Versioned, human-writable, diffable.  All integers are base-10 JSON
 numbers; coefficient sequences are little-endian in the T-degree.  Unknown
 fields are rejected by name, so a typo cannot silently change a run.
-A `ring.cap` above `lambdamod.MAX_CAP` is refused as a resource cap.
+A `ring.cap` above `lambdamod.MAX_CAP`, or a modulus p^k above
+`lambdamod.MAX_MODULUS_BITS` bits, is refused as a resource cap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 from iwaheights.errors import EnumerationCapError, SchemaError
 from iwaheights.heights import BlockSpec
 from iwaheights.iwalg import RingSpec
-from iwaheights.lambdamod import MAX_CAP
+from iwaheights.lambdamod import MAX_CAP, check_modulus
 
 CURRENT_VERSION = 1
 
@@ -81,11 +82,16 @@ def parse_instance(text: str) -> InstanceFile:
     )
     if _int(data["version"], "$.version") != CURRENT_VERSION:
         raise SchemaError(f"unsupported version {data['version']}")
+    for key, record in data.items():
+        if key != "version" and not isinstance(record, dict):
+            raise SchemaError(f"$.{key}: expected an object")
 
     ring = data["ring"]
     _require_keys(ring, {"p": True, "k": True, "cap": True, "level": True}, "$.ring")
+    p, k = _int(ring["p"], "$.ring.p"), _int(ring["k"], "$.ring.k")
+    check_modulus(p, k)
     try:
-        spec = RingSpec(_int(ring["p"], "$.ring.p"), _int(ring["k"], "$.ring.k"), _int(ring["cap"], "$.ring.cap"))
+        spec = RingSpec(p, k, _int(ring["cap"], "$.ring.cap"))
     except ValueError as e:
         raise SchemaError(f"$.ring: {e}") from None
     if spec.cap > MAX_CAP:
@@ -222,9 +228,17 @@ def parse_instance(text: str) -> InstanceFile:
             pair = _int_list(pair, f"$.shape.j_blocks[{i}]")
             if len(pair) != 2:
                 raise SchemaError(f"$.shape.j_blocks[{i}]: expected [size, mult]")
+            if pair[0] > MAX_CAP:
+                # the invariants report walks one degree per block size
+                raise EnumerationCapError(
+                    f"$.shape.j_blocks[{i}]: block size {pair[0]} is above the cap {MAX_CAP}"
+                )
             blocks.append((pair[0], pair[1]))
+        cp = sh.get("coprime", [])
+        if not isinstance(cp, list):
+            raise SchemaError("$.shape.coprime: expected a list of coefficient sequences")
         coprime = []
-        for i, f in enumerate(sh.get("coprime", [])):
+        for i, f in enumerate(cp):
             coprime.append(tuple(_int_list(f, f"$.shape.coprime[{i}]")))
         out.shape = {
             "e_infinity": _int(sh["e_infinity"], "$.shape.e_infinity"),

@@ -43,7 +43,32 @@ MAX_RANK = 256
 # search builds anything (--k 12 --ord 323 would need 1384).
 MAX_CAP = 1024
 
+# Largest bit length of the coefficient modulus p^k.  Every coefficient is
+# a residue mod p^k, so each product costs more as p^k grows: heights on
+# two_block_mixed_f3.json with k = 10^6 (p^k of 1.6 million bits) ran past
+# 10 s.  The bound also keeps p below 2^32 at level 0, where MAX_RANK does
+# not bound it and RingSpec's trial-division primality test costs sqrt(p).
+# The shipped files use p^k <= 9 and the builder's rungs p^k <= 27.
+MAX_MODULUS_BITS = 32
+
 Vec = tuple[int, ...]
+
+
+def check_modulus(p: int, k: int) -> None:
+    """Raise EnumerationCapError when p^k has more than MAX_MODULUS_BITS bits.
+
+    Like `check_rank`, p^k is multiplied out one factor at a time and the
+    loop stops at the first product above the bound, so a huge k or p is
+    refused at once, before any ring is built.  A p or k that RingSpec
+    rejects (p < 3, k < 1) passes here and is refused there.
+    """
+    modulus = 1
+    for _ in range(k):
+        modulus *= abs(p)
+        if modulus.bit_length() > MAX_MODULUS_BITS:
+            raise EnumerationCapError(
+                f"coefficient modulus {p}^{k} has more than {MAX_MODULUS_BITS} bits"
+            )
 
 
 def check_rank(p: int, level: int, ngens: int) -> None:
@@ -77,10 +102,13 @@ def log_p(n: int, p: int) -> Optional[int]:
 class FiniteLevelModule:
     """Lambda_N^g / (relation rows), as an explicit O-module quotient.
 
-    The module is immutable once built and caches `j_torsion(r)` per r and
-    `filtration_stage(r, u)` per (r, u).  Cached submodules are shared
-    between callers and must not be mutated.  A rank above `MAX_RANK` is
-    refused by `check_rank` before any relation row is built.
+    `rel_gens` keeps the presentation's relation rows, one flat row per
+    relation; `rel_rows` is the Howell basis of the span of all their
+    gamma-shifts.  The module is immutable once built and caches
+    `j_torsion(r)` per r and `filtration_stage(r, u)` per (r, u).  Cached
+    submodules are shared between callers and must not be mutated.  A rank
+    above `MAX_RANK` is refused by `check_rank` before any relation row is
+    built.
     """
 
     def __init__(
@@ -99,10 +127,12 @@ class FiniteLevelModule:
         self.dim = ngens * self.block
         self.enum_cap = enum_cap
         rows = []
+        self.rel_gens = []
         for rel in relations:
             if len(rel) != ngens:
                 raise ValueError("relation row must have one entry per generator")
             comps = [self._coerce(entry).coeffs for entry in rel]
+            self.rel_gens.append([c for cs in comps for c in cs])
             for shift in range(self.block):
                 # gamma^shift * comp is comp rotated by shift places
                 row = []
@@ -112,6 +142,8 @@ class FiniteLevelModule:
         self.rel_rows = linalg.howell(rows, spec.p, spec.k) if rows else []
         self._rel_span = linalg.span_size(self.rel_rows, spec.p, spec.k)
         self.size = spec.modulus**self.dim // self._rel_span
+        self._summands = self._split()
+        self._summand_modules: dict[tuple[int, ...], FiniteLevelModule] = {}
         self._j_torsion: dict[int, Submodule] = {}
         self._stages: dict[tuple[int, int], Submodule] = {}
 
@@ -213,12 +245,58 @@ class FiniteLevelModule:
         return self.submodule([[int(c == i) for c in range(self.dim)] for i in range(self.dim)])
 
     def torsion(self, f: Union[IwasawaPoly, GroupRingElem]) -> "Submodule":
-        """Kernel of multiplication by f: the f-torsion submodule."""
+        """Kernel of multiplication by f: the f-torsion submodule.
+
+        A direct sum of summands Lambda_N/(f_i) (`_summands`) is solved once
+        per distinct summand, as a one-generator module of width p^N; the
+        rows are placed at each generator's offset and brought to one
+        Howell form.  Mixed relations take `_preimage_torsion`.
+        """
         if isinstance(f, IwasawaPoly):
             f = project_to_level(f, self.level)
+        if self._summands is None:
+            return self._preimage_torsion(f)
+        n = self.block
+        solved: dict[tuple[int, ...], list[list[int]]] = {}
+        rows = []
+        for i, rel in enumerate(self._summands):
+            part = solved.get(rel)
+            if part is None:
+                part = solved[rel] = self._summand(rel)._preimage_torsion(f).hrows
+            rows.extend([0] * (i * n) + r + [0] * (self.dim - (i + 1) * n) for r in part)
+        return Submodule(self, linalg.howell(rows, self.spec.p, self.spec.k))
+
+    def _preimage_torsion(self, f: GroupRingElem) -> "Submodule":
+        """The f-torsion of the whole module: the preimage of the relation
+        span under the action matrix of f."""
         A = self.action_matrix(f)
         gens = linalg.preimage_span(A, self.rel_rows or [[0] * self.dim], self.dim, self.spec.p, self.spec.k)
         return self.submodule(gens)
+
+    def _split(self) -> Optional[list[tuple[int, ...]]]:
+        """Per generator, the coefficients of its one relation (() when it
+        has none), when every relation row is supported on one generator
+        and no generator has two; None otherwise, and for one generator."""
+        if self.ngens < 2:
+            return None
+        n = self.block
+        out: list[tuple[int, ...]] = [()] * self.ngens
+        for rel in self.rel_gens:
+            support = [i for i in range(self.ngens) if any(rel[i * n : (i + 1) * n])]
+            if len(support) > 1 or (support and out[support[0]]):
+                return None
+            if support:
+                i = support[0]
+                out[i] = tuple(rel[i * n : (i + 1) * n])
+        return out
+
+    def _summand(self, rel: tuple[int, ...]) -> "FiniteLevelModule":
+        """Lambda_N/(rel) (Lambda_N for ()), built once per module."""
+        mod = self._summand_modules.get(rel)
+        if mod is None:
+            relations = [[GroupRingElem(self.spec, self.level, rel)]] if rel else []
+            mod = self._summand_modules[rel] = FiniteLevelModule(self.spec, self.level, 1, relations, self.enum_cap)
+        return mod
 
     def image_of_action(self, x: Union[IwasawaPoly, GroupRingElem]) -> "Submodule":
         if isinstance(x, IwasawaPoly):

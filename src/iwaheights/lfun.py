@@ -54,7 +54,15 @@ from iwaheights.iwalg import (
     transfer_coeffs,
     weierstrass_divide,
 )
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_CAP, MAX_RANK, FiniteLevelModule, Submodule
+from iwaheights.lambdamod import (
+    DEFAULT_ENUM_CAP,
+    MAX_CAP,
+    MAX_RANK,
+    FiniteLevelModule,
+    Submodule,
+    check_modulus,
+    check_rank,
+)
 from iwaheights.poles import JGradedValue
 
 Vec = Sequence[int]
@@ -413,10 +421,15 @@ def build_synthetic(
     """
     if target_ord < 0:
         raise ValueError("target order must be nonnegative")
-    # reject a bad p or k up front, with the reason, before the level search
+    # reject a bad or oversized p or k up front, with the reason, before the
+    # level search
+    check_modulus(p, k)
     RingSpec(p, k, 1)
     if global_levels is None:
         global_levels = {0: (1,), 1: (0, 1), 2: (1,), 3: (1,)}.get(target_ord, (1,))
+    # a global block above the rank cap is refused before p^level is
+    # multiplied out below
+    check_rank(p, max(global_levels, default=0), 1)
     rng = random.Random(repr((seed, p, k, tuple(global_levels), target_ord)))
 
     def ring_cap(n: int) -> int:

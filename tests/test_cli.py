@@ -290,6 +290,65 @@ class TestBadFileInputs:
         assert code == 2, out
         assert f"blocks[0].{key}: expected true or false" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["oracle", "heights", "invariants", "lfun-check"])
+    @pytest.mark.parametrize("record", ["lfun", "ring"])
+    @pytest.mark.parametrize("value", [-1, [], "x"], ids=["int", "list", "string"])
+    def test_non_object_record_is_two(self, tmp_path, capsys, cmd, record, value):
+        # every top-level record is checked to be an object before use
+        # ("lfun": -1 raised a TypeError on `"l_z" in lf`)
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", lambda doc: doc.update({record: value}))
+        assert main([cmd, "--input", str(path)]) == 2
+        assert f"$.{record}: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "coprime, reason",
+        [(-1, "$.shape.coprime: expected a list"), ([-1], "$.shape.coprime[0]: expected a list")],
+        ids=["number", "number-entry"],
+    )
+    @pytest.mark.parametrize("cmd", ["invariants", "oracle"])
+    def test_non_list_coprime_is_two(self, tmp_path, capsys, cmd, coprime, reason):
+        path = edited_instance(tmp_path, "shape_demo.json", set_field("shape", "coprime", coprime))
+        assert main([cmd, "--input", str(path)]) == 2
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, edit",
+        [
+            (["heights", "--input"], set_field("ring", "k", 10**6)),
+            (["oracle", "--input"], set_field("ring", "k", 10**6)),
+            # a 61-bit prime at level 0, where the rank cap does not bound p
+            (["heights", "--input"], lambda doc: doc["ring"].update(p=2**61 - 1, level=0)),
+            (["lfun-check", "--k", "1000000"], None),
+            (["lfun-check", "--p", str(2**61 - 1)], None),
+        ],
+        ids=["heights-k1e6", "oracle-k1e6", "heights-p61bits", "builder-k1e6", "builder-p61bits"],
+    )
+    def test_oversized_modulus_is_three(self, tmp_path, argv, edit):
+        # p^k is bounded before any ring is built: k = 10^6 ran past 10 s
+        if edit is not None:
+            argv = argv + [str(edited_instance(tmp_path, "two_block_mixed_f3.json", edit))]
+        t0 = time.perf_counter()
+        code, _, err = run_cli(*argv, timeout=60)
+        assert code == 3, err
+        assert "more than 32 bits" in err and "Traceback" not in err
+        assert time.perf_counter() - t0 < 10
+
+    @pytest.mark.parametrize(
+        "name, edit, cmd",
+        [
+            ("lfun_level3_ord1.json", set_field("lfun", "global_levels", [2**70]), "lfun-check"),
+            ("shape_demo.json", set_field("shape", "j_blocks", [[2**70, 1]]), "invariants"),
+        ],
+        ids=["builder-global-level", "shape-block-size"],
+    )
+    def test_huge_level_or_block_size_is_three(self, tmp_path, name, edit, cmd):
+        # p^level and the degrees of a J-block are bounded before they are
+        # multiplied out or walked
+        path = edited_instance(tmp_path, name, edit)
+        code, _, err = run_cli(cmd, "--input", str(path), timeout=60)
+        assert code == 3, err
+        assert "above the cap" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "cmd, name, edit",
         [

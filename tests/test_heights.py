@@ -19,13 +19,15 @@ from iwaheights.heights import (
     BlockSpec,
     HeightPairing,
     TablePairing,
+    block_module,
     derived_height,
     restricted_kernel_check,
     twist_equivariance_check,
+    validate_pole_pairing,
 )
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import FiniteLevelModule
-from iwaheights.poles import PoleElem, phi
+from iwaheights.poles import PoleElem, phi, pole_involution
 
 
 def single_block(spec, level=1, unit=1):
@@ -92,6 +94,13 @@ class TestBlockPairing:
         table[0][0] = PoleElem(spec31, 1, GroupRingElem.one(spec31, 1))
         with pytest.raises(IwaheightsError, match="not semilinear"):
             TablePairing(M, table).validate()
+
+    def test_table_not_killing_a_relation_rejected(self, spec31):
+        # the level-1 block's table is gamma-equivariant, but on the module
+        # of a level-0 block at level 1 it does not kill (gamma - 1) e_0
+        M = block_module(spec31, [BlockSpec(0)], level=1)
+        with pytest.raises(IwaheightsError, match="does not vanish on relation 0"):
+            TablePairing(M, single_block(spec31).table).validate()
 
     def test_declared_symmetry(self, spec31):
         assert single_block(spec31).declared_symmetry() == "iota_antisymmetric"
@@ -633,3 +642,105 @@ class TestTablePairing:
         bp = single_block(spec31)
         with pytest.raises(ValueError, match="wrong shape"):
             TablePairing(bp.module, cut(bp.table))
+
+
+def shift_validate(pairing) -> None:
+    """The value-based check that `validate_pole_pairing` replaced: the
+    pairing kills every Howell relation row on both sides, [T e_a, e_b] =
+    T [e_a, e_b] = [e_a, iota(T) e_b] with `value` on the shifted vectors
+    (`act` reduces them against the relations), and the declared symmetry
+    holds on every pair."""
+    M = pairing.module
+    table = pairing.table
+    basis = [tuple(int(c == a) for c in range(M.dim)) for a in range(M.dim)]
+    for rel in M.rel_rows:
+        for e in basis:
+            if not (pairing.value(rel, e).is_zero() and pairing.value(e, rel).is_zero()):
+                raise IwaheightsError("pairing does not vanish on relations")
+    t = M.T_class()
+    shifted = [M.act(t.involution(), y) for y in basis]
+    for a, x in enumerate(basis):
+        tx = M.act(t, x)
+        for b, y in enumerate(basis):
+            mid = table[a][b].act_group(t)
+            if pairing.value(tx, y) != mid or pairing.value(x, shifted[b]) != mid:
+                raise IwaheightsError("pairing is not semilinear")
+    sym = pairing.declared_symmetry()
+    if sym in ("iota_symmetric", "iota_antisymmetric", "zero"):
+        for a in range(M.dim):
+            for b in range(M.dim):
+                w = pole_involution(table[b][a])
+                want = PoleElem.zero(M.spec) if sym == "zero" else w if sym == "iota_symmetric" else -w
+                if table[a][b] != want:
+                    raise IwaheightsError(f"declared symmetry {sym} fails")
+
+
+def verdict(check, pairing):
+    """None when the check accepts the pairing, else its error message."""
+    try:
+        check(pairing)
+    except IwaheightsError as e:
+        return str(e)
+    return None
+
+
+class TestEquivarianceValidation:
+    """`validate_pole_pairing` reads semilinearity off the table as
+    gamma-equivariance and checks the presentation rows of the relations;
+    it must accept and reject exactly what `shift_validate` does."""
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_one_sided_equivariance_rejected(self, spec31, side):
+        # gamma times row 0 keeps [e_a, gamma^(-1) e_b] = gamma [e_a, e_b]
+        # and breaks [gamma e_a, e_b] = gamma [e_a, e_b]; gamma times
+        # column 0 does the converse.  No symmetry is declared, so only
+        # the semilinearity check can reject.
+        bp = single_block(spec31)
+        g = bp.module.gamma_class()
+        table = [list(row) for row in bp.table]
+        if side == "row":
+            table[0] = [v.act_group(g) for v in table[0]]
+        else:
+            for row in table:
+                row[0] = row[0].act_group(g)
+        tp = TablePairing(bp.module, table)
+        assert verdict(validate_pole_pairing, tp) == "pairing is not semilinear"
+        assert verdict(shift_validate, tp) == "pairing is not semilinear"
+
+    @given(block_pairings(dead=st.booleans()), st.sampled_from(["none", "entry", "column", "relation"]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_same_verdict_as_shift_check(self, pairing, mutation, data):
+        spec, M = pairing.spec, pairing.module
+        if mutation == "none":
+            assert verdict(validate_pole_pairing, pairing) is None
+            assert verdict(shift_validate, pairing) is None
+            return
+        table = [list(row) for row in pairing.table]
+        symmetry = pairing.declared_symmetry()
+        if mutation == "entry":
+            # add a nonzero pole at a level up to the ambient one
+            a = data.draw(st.integers(0, M.dim - 1), label="a")
+            b = data.draw(st.integers(0, M.dim - 1), label="b")
+            n = data.draw(st.integers(0, M.level), label="level")
+            cs = data.draw(raw_vectors(spec.p**n, spec.modulus).filter(any), label="numerator")
+            table[a][b] = table[a][b] + PoleElem(spec, n, GroupRingElem(spec, n, cs))
+        elif mutation == "column":
+            # gamma times one column keeps [gamma e_a, e_b] = gamma [e_a, e_b]
+            # and breaks the right-hand identity where gamma moves an entry
+            b = data.draw(st.integers(0, M.dim - 1), label="b")
+            for row in table:
+                row[b] = row[b].act_group(M.gamma_class())
+        else:
+            # the table of the same blocks, all raised to the ambient level
+            # and live: gamma-equivariant, but nonzero on every relation
+            assume(M.rel_gens)
+            free = BlockPairing(spec, [BlockSpec(M.level, b.unit, b.swapped) for b in pairing.blocks])
+            table = free.table
+            symmetry = free.declared_symmetry()
+        tp = TablePairing(M, table, symmetry=symmetry)
+        got = verdict(validate_pole_pairing, tp)
+        assert (got is None) == (verdict(shift_validate, tp) is None)
+        if mutation == "entry" and M.level > 0:
+            assert got == "pairing is not semilinear"
+        if mutation == "relation":
+            assert got is not None and got.startswith("pairing does not vanish on relation")

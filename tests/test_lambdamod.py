@@ -7,11 +7,12 @@ fast paths are Howell-based.  Both are compared on every desk-scale case.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwaheights import linalg
 from iwaheights.errors import EnumerationCapError, IwaheightsError
+from iwaheights.heights import BlockSpec, block_module
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import (
     MAX_RANK,
@@ -412,3 +413,88 @@ class TestFastPathsAgainstOracles:
         assert x**0 == GroupRingElem.one(x.spec, x.level)
         with pytest.raises(ValueError):
             x ** -1
+
+
+@st.composite
+def direct_sums(draw):
+    """A direct sum of two to four summands Lambda_N/(f_i): a block module
+    (f_i = omega_(n_i), two per swapped block, none at the ambient level)
+    or a shape module (T^i blocks, free blocks, one coprime block), at
+    (p,k) in {(3,1),(3,2),(5,1)}, level 0-2 and ambient O-rank <= 36."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    spec = RingSpec(p, k, 16)
+    level = draw(st.integers(0, 2 if p == 3 else 1))
+    if draw(st.booleans(), label="block module"):
+        block = st.builds(BlockSpec, level=st.integers(0, level), swapped=st.booleans())
+        blocks = draw(st.lists(block, min_size=1, max_size=3))
+        M = block_module(spec, blocks, level=level)
+    else:
+        j_blocks = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2)), max_size=2))
+        unit = st.integers(1, spec.modulus - 1).filter(lambda c: c % p)
+        tail = st.lists(st.integers(0, spec.modulus - 1), max_size=min(1, level))
+        coprime = draw(st.lists(st.builds(lambda c, t: (c, *t), unit, tail), max_size=1))
+        e_inf = draw(st.integers(0, 2))
+        M = module_from_shape(spec, level, ElementaryShape(e_inf, tuple(j_blocks), tuple(coprime)))
+    assume(2 <= M.ngens and M.dim <= 36)
+    return M
+
+
+class TestTorsionPerSummand:
+    """torsion(f) on a direct sum solves each distinct summand once; the
+    oracle is the preimage_span path on the whole module, which mixed
+    relations keep."""
+
+    @given(direct_sums(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_split_torsion_matches_preimage_path(self, M, data):
+        assert M._summands is not None
+        spec, level = M.spec, M.level
+        kind = data.draw(st.sampled_from(["J^r", "omega_n", "coprime"]), label="f")
+        if kind == "J^r":
+            f = M.T_class() ** data.draw(st.integers(1, 5), label="r")
+        elif kind == "omega_n":
+            f = M.gamma_class(spec.p ** data.draw(st.integers(0, level), label="n")) - GroupRingElem.one(spec, level)
+        else:
+            # gamma + 1 has augmentation 2, a unit: it is prime to J
+            f = M.gamma_class() + GroupRingElem.one(spec, level)
+        assert M.torsion(f).hrows == M._preimage_torsion(f).hrows
+
+    @pytest.mark.parametrize(
+        "relations",
+        [
+            # the mixed-f3-level2 shape: [T^a, c T^b], [0, T^d]
+            [[[0, 1], [0, 0, 2]], [[0], [0, 0, 0, 0, 1]]],
+            # two relations on one generator
+            [[[0, 0, 1], [0]], [[1, 1], [0]]],
+        ],
+        ids=["mixed", "two-on-one"],
+    )
+    def test_other_relations_take_the_preimage_path(self, spec31, relations, monkeypatch):
+        M = FiniteLevelModule(spec31, 2, 2, relations)
+        assert M._summands is None
+        seen = []
+        general = FiniteLevelModule._preimage_torsion
+
+        def spy(self, f):
+            seen.append(self)
+            return general(self, f)
+
+        monkeypatch.setattr(FiniteLevelModule, "_preimage_torsion", spy)
+        M.torsion(M.T_class() ** 2)
+        assert seen == [M]
+
+    def test_direct_sum_solves_each_distinct_summand_once(self, spec31, monkeypatch):
+        # blocks at levels 0, 1, 1, 2 at level 2: summands omega_0, omega_1
+        # and the free one
+        M = block_module(spec31, [BlockSpec(0), BlockSpec(1), BlockSpec(1), BlockSpec(2)])
+        seen = []
+        general = FiniteLevelModule._preimage_torsion
+
+        def spy(self, f):
+            seen.append(self)
+            return general(self, f)
+
+        monkeypatch.setattr(FiniteLevelModule, "_preimage_torsion", spy)
+        M.torsion(M.T_class() ** 3)
+        assert len(seen) == 3 and M not in seen
+        assert all(s.ngens == 1 and s.level == 2 for s in seen)
