@@ -406,6 +406,18 @@ def cmd_oracle(args) -> Report:
     return rep
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of --max-size and --max-r: an int of at least 1,
+    so a cap or degree below 1 exits 2 before any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="instance file (strict JSON)")
@@ -414,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="deterministic seed")
     common.add_argument(
-        "--max-size", type=int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"
+        "--max-size", type=positive_int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"
     )
     common.add_argument(
-        "--max-r", type=int, default=4, help="largest derived degree to check"
+        "--max-r", type=positive_int, default=4, help="largest derived degree to check"
     )
 
     parser = argparse.ArgumentParser(

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.iwalg import (
     GroupRingElem,
-    IwasawaPoly,
     RingSpec,
     fold_coeffs,
     iota_coeffs,
-    project_to_level,
 )
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank
 from iwaheights.poles import JGradedValue, PoleElem, phi, pole_involution, pole_sum
@@ -408,85 +406,3 @@ class DerivedHeightPairing:
 
 def derived_height(h: HeightPairing, r: int) -> DerivedHeightPairing:
     return DerivedHeightPairing(h, r)
-
-
-def restricted_kernel_check(
-    h: HeightPairing,
-    lam0: Union[IwasawaPoly, GroupRingElem],
-    lam1: Union[IwasawaPoly, GroupRingElem],
-) -> dict:
-    """Brute-force kernels of h restricted to M[lam0] x M[lam1], compared
-    with the predicted images of multiplication by the twisted partners."""
-    M = h.module
-
-    def cls(lam):
-        if isinstance(lam, IwasawaPoly):
-            return project_to_level(lam, M.level)
-        return lam
-
-    l0 = cls(lam0)
-    l1 = cls(lam1)
-    l0iota = l0.involution()
-    l1iota = l1.involution()
-
-    left_els = M.torsion(l0).elements()
-    right_els = M.torsion(l1).elements()
-
-    brute_left = {
-        tuple(x) for x in left_els if all(h.coeff(x, y) == 0 for y in right_els)
-    }
-    brute_right = {
-        tuple(y) for y in right_els if all(h.coeff(x, y) == 0 for x in left_els)
-    }
-
-    tor_prod_left = M.torsion(l0 * l1iota)
-    pred_left = M.submodule([M.act(l1iota, g) for g in tor_prod_left.gens()] or [M.zero()])
-    tor_prod_right = M.torsion(l0iota * l1)
-    pred_right = M.submodule([M.act(l0iota, g) for g in tor_prod_right.gens()] or [M.zero()])
-
-    return {
-        "left_kernel": sorted(brute_left),
-        "right_kernel": sorted(brute_right),
-        "predicted_left": sorted(tuple(v) for v in pred_left.elements()),
-        "predicted_right": sorted(tuple(v) for v in pred_right.elements()),
-        "left_match": brute_left == {tuple(v) for v in pred_left.elements()},
-        "right_match": brute_right == {tuple(v) for v in pred_right.elements()},
-    }
-
-
-def twist_equivariance_check(
-    h: HeightPairing,
-    sigma_left: Sequence[Sequence[int]],
-    sigma_right: Sequence[Sequence[int]],
-    omega: int,
-) -> bool:
-    """Check h(sigma x, sigma y) = omega * h(x, y) on full spanning sets.
-
-    sigma must be a pair of module automorphisms conjugating the group
-    action by gamma -> gamma^omega; both conditions are validated first.
-    """
-    M = h.module
-    spec = h.spec
-    m = spec.modulus
-    if omega % m not in (1, m - 1):
-        raise IwaheightsError("only omega = +-1 twists are modelled")
-    gam = M.gamma_class()
-    gam_omega = gam.involution() if omega % m == m - 1 else gam
-    basis = [list(e) for e in _basis(M.dim)]
-    for sigma in (sigma_left, sigma_right):
-        if not linalg.det_is_unit([list(r) for r in sigma], spec.p):
-            raise IwaheightsError("sigma is not an automorphism")
-        for rel in M.rel_rows:
-            if any(M.canon(linalg.matvec(sigma, list(rel), m))):
-                raise IwaheightsError("sigma does not preserve the relations")
-        for e in basis:
-            lhs = M.canon(linalg.matvec(sigma, M.act(gam, e), m))
-            if lhs != M.act(gam_omega, linalg.matvec(sigma, e, m)):
-                raise IwaheightsError("sigma does not conjugate gamma to gamma^omega")
-    for x in basis:
-        sx = linalg.matvec(sigma_left, x, m)
-        for y in basis:
-            sy = linalg.matvec(sigma_right, y, m)
-            if h.coeff(sx, sy) != (omega * h.coeff(x, y)) % m:
-                return False
-    return True

@@ -165,17 +165,19 @@ class IwasawaPoly:
         return IwasawaPoly(self.spec, (0,) * j + self.coeffs, min(self.precision + j, self.spec.cap))
 
     def __eq__(self, other: object) -> bool:
-        """Precision-aware equality: compare the shared prefix."""
+        """Strict equality: the same ring, precision and coefficients.  Two
+        series known to different precisions are never equal; compare them
+        after `truncate` to the smaller one."""
         if not isinstance(other, IwasawaPoly):
             return NotImplemented
-        self._check(other)
-        n = min(self.precision, other.precision) + 1
-        return self.coeffs[:n] == other.coeffs[:n]
+        return (
+            self.spec == other.spec
+            and self.precision == other.precision
+            and self.coeffs == other.coeffs
+        )
 
     def __hash__(self):
-        # __eq__ compares only the shared prefix, so equal elements share
-        # just the ring and the constant term
-        return hash((self.spec, self.coeffs[0]))
+        return hash((self.spec, self.precision, self.coeffs))
 
     def __repr__(self) -> str:
         terms = [f"{c}*T^{i}" for i, c in enumerate(self.coeffs) if c]

@@ -6,9 +6,9 @@ O^(g*p^N) represented by a Howell basis, so membership, kernels, images,
 intersections, and orders are all exact.  Enumeration-backed operations
 (the oracles of record) refuse to run above a configurable element cap.
 
-The J-adic machinery lives here: J-power torsion M[J^r], the graded pieces
-delta_r, the filtration stages M^(r) = (gamma-1)^(r-1) M[J^r], universal
-norms, and the invariant bookkeeping for elementary module shapes.
+The J-adic machinery lives here: J-power torsion M[J^r], the filtration
+stages M^(r) = (gamma-1)^(r-1) M[J^r], universal norms, and the invariant
+bookkeeping for elementary module shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
-from iwaheights.errors import EnumerationCapError, IwaheightsError
+from iwaheights.errors import EnumerationCapError
 from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
@@ -323,36 +323,6 @@ class FiniteLevelModule:
             stage = self._stages[r, u] = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
         return stage
 
-    def j_filtration(self, r_max: int, check_generator_independence: bool = True) -> "FiltrationReport":
-        torsions = []
-        stages = []
-        delta_orders = []
-        prev_order = 1
-        for r in range(1, r_max + 1):
-            tor = self.j_torsion(r)
-            torsions.append(tor)
-            delta_orders.append(tor.order() // prev_order)
-            prev_order = tor.order()
-            stage = self.filtration_stage(r)
-            if check_generator_independence:
-                alt = self.filtration_stage(r, u=2)
-                if stage != alt:
-                    raise IwaheightsError(
-                        f"filtration stage {r} depends on the chosen generator"
-                    )
-            stages.append(stage)
-        for r in range(1, r_max):
-            if not stages[r].is_contained_in(stages[r - 1]):
-                raise IwaheightsError("filtration stages fail to decrease")
-        return FiltrationReport(
-            module=self,
-            r_max=r_max,
-            torsions=torsions,
-            stages=stages,
-            delta_orders=delta_orders,
-            universal=self.universal_norms(),
-        )
-
     def universal_norms(self) -> "Submodule":
         """Intersection of the images of all norm elements, run to stability."""
         current = self.full_submodule()
@@ -422,9 +392,6 @@ class Submodule:
         rows = linalg.span_intersection(self.hrows, other.hrows, self.module.spec.p, self.module.spec.k)
         return self.module.submodule(rows)
 
-    def is_contained_in(self, other: "Submodule") -> bool:
-        return all(other.contains(r) for r in self.hrows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):
             return NotImplemented
@@ -432,32 +399,6 @@ class Submodule:
 
     def __repr__(self):
         return f"<submodule of order {self.order()}>"
-
-
-@dataclass
-class FiltrationReport:
-    """Torsion, graded orders, and filtration stages through degree r_max."""
-
-    module: FiniteLevelModule
-    r_max: int
-    torsions: list[Submodule]
-    stages: list[Submodule]
-    delta_orders: list[int]
-    universal: Submodule
-
-    def stage(self, r: int) -> Submodule:
-        """M^(r) for 1 <= r <= r_max (stages above r_max are not computed)."""
-        return self.stages[r - 1]
-
-    def torsion(self, r: int) -> Submodule:
-        return self.torsions[r - 1]
-
-    def stage_quotient_log_order(self, r: int) -> int:
-        """log_p of |M^(r) / M^(r+1)| (needs r < r_max)."""
-        e = log_p(self.stage(r).order() // self.stage(r + 1).order(), self.module.spec.p)
-        if e is None:
-            raise IwaheightsError("stage quotient is not a p-power")
-        return e
 
 
 # -- elementary shapes and invariant extraction --------------------------
@@ -514,51 +455,3 @@ def infer_invariants(dims: Sequence[int]) -> InvariantProfile:
         raise ValueError("dimension sequence has not stabilised")
     e = tuple(a - b for a, b in zip(dims, dims[1:]))
     return InvariantProfile(e, dims[-1])
-
-
-def zp_rank_estimate(orders: Sequence[int], p: int) -> tuple[int, bool]:
-    """Rank from module orders at consecutive coefficient precisions.
-
-    The rank is log_p of the last order ratio; `stabilized` records that the
-    ratio matched the previous one (so at least three orders are needed for
-    a positive stabilisation verdict).
-    """
-    if len(orders) < 2:
-        raise ValueError("need orders at two consecutive precisions at least")
-    ratios = []
-    for a, b in zip(orders, orders[1:]):
-        if b % a != 0:
-            raise IwaheightsError(f"order ratio {b}/{a} is not integral")
-        r = log_p(b // a, p)
-        if r is None:
-            raise IwaheightsError(f"order ratio {b}/{a} is not a power of {p}")
-        ratios.append(r)
-    stabilized = len(ratios) >= 2 and ratios[-1] == ratios[-2]
-    return ratios[-1], stabilized
-
-
-def module_from_shape(
-    spec: RingSpec, level: int, shape: ElementaryShape, enum_cap: int = DEFAULT_ENUM_CAP
-) -> FiniteLevelModule:
-    """Present a shape at a finite level: one generator per block, with the
-    relation T^i on a Lambda/J^i block and f on a coprime block.  Free
-    blocks and blocks with i >= p^level degenerate identically at this
-    level."""
-    ngens = shape.e_infinity + sum(e for _, e in shape.j_blocks) + len(shape.coprime_part)
-    check_rank(spec.p, level, ngens)
-    relations = []
-    idx = shape.e_infinity
-    zero = GroupRingElem.zero(spec, level)
-    for i, e in shape.j_blocks:
-        for _ in range(e):
-            if i < spec.p**level:
-                row = [zero] * ngens
-                row[idx] = GroupRingElem.from_poly_coeffs(spec, level, [0] * i + [1])
-                relations.append(row)
-            idx += 1
-    for f in shape.coprime_part:
-        row = [zero] * ngens
-        row[idx] = GroupRingElem.from_poly_coeffs(spec, level, list(f))
-        relations.append(row)
-        idx += 1
-    return FiniteLevelModule(spec, level, ngens, relations, enum_cap)

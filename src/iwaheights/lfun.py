@@ -332,7 +332,7 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
     )
     M = inst.global_module
     r_top = r_max if ordv is math.inf else min(int(ordv), r_max)
-    lams = [lambda_special(inst, r) for r in range(max(r_top, 0) + 1)]
+    lams = [lambda_special(inst, r) for r in range(r_top + 1)]
     zero0 = lams[0].is_identically_zero()
     member = inst.strict.contains(inst.z0)
     checks.append(

@@ -223,39 +223,3 @@ def preimage_span(
     stacked = [list(mat[i]) + [(-span_rows[j][i]) % m for j in range(rs)] for i in range(nout)]
     gens = [u[:ncols] for u in right_kernel(stacked, ncols + rs, p, k)]
     return howell([g for g in gens if any(g)], p, k)
-
-
-def matvec(mat: Sequence[Sequence[int]], v: Sequence[int], m: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) % m for row in mat]
-
-
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], m: int) -> list[list[int]]:
-    nb = len(b[0])
-    return [[sum(row[t] * b[t][j] for t in range(len(b))) % m for j in range(nb)] for row in a]
-
-
-def det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    M = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        piv = next((r for r in range(i, n) if M[r][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            M[i], M[piv] = M[piv], M[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
-            M[r][i] = 0
-        prev = M[i][i]
-    return sign * M[n - 1][n - 1]
-
-
-def det_is_unit(mat: Sequence[Sequence[int]], p: int) -> bool:
-    return det_int(mat) % p != 0

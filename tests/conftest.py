@@ -5,9 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from typing import Sequence, Union
+
 import pytest
 
-from iwaheights.iwalg import IwasawaPoly, RingSpec
+from iwaheights.errors import IwaheightsError
+from iwaheights.heights import HeightPairing, _basis
+from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, check_rank
 
 
 @pytest.fixture
@@ -68,3 +73,144 @@ def run_cli(*argv, timeout=None, max_memory=None):
         preexec_fn=limit if max_memory is not None else None,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# -- exact matrix helpers, shape modules and brute-force pairing checks -----
+def matvec(mat: Sequence[Sequence[int]], v: Sequence[int], m: int) -> list[int]:
+    return [sum(a * b for a, b in zip(row, v)) % m for row in mat]
+
+
+def det_int(mat: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant (fraction-free Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    M = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        piv = next((r for r in range(i, n) if M[r][i] != 0), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            M[i], M[piv] = M[piv], M[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) // prev
+            M[r][i] = 0
+        prev = M[i][i]
+    return sign * M[n - 1][n - 1]
+
+
+def det_is_unit(mat: Sequence[Sequence[int]], p: int) -> bool:
+    return det_int(mat) % p != 0
+
+
+def module_from_shape(
+    spec: RingSpec, level: int, shape: ElementaryShape, enum_cap: int = DEFAULT_ENUM_CAP
+) -> FiniteLevelModule:
+    """Present a shape at a finite level: one generator per block, with the
+    relation T^i on a Lambda/J^i block and f on a coprime block.  Free
+    blocks and blocks with i >= p^level degenerate identically at this
+    level."""
+    ngens = shape.e_infinity + sum(e for _, e in shape.j_blocks) + len(shape.coprime_part)
+    check_rank(spec.p, level, ngens)
+    relations = []
+    idx = shape.e_infinity
+    zero = GroupRingElem.zero(spec, level)
+    for i, e in shape.j_blocks:
+        for _ in range(e):
+            if i < spec.p**level:
+                row = [zero] * ngens
+                row[idx] = GroupRingElem.from_poly_coeffs(spec, level, [0] * i + [1])
+                relations.append(row)
+            idx += 1
+    for f in shape.coprime_part:
+        row = [zero] * ngens
+        row[idx] = GroupRingElem.from_poly_coeffs(spec, level, list(f))
+        relations.append(row)
+        idx += 1
+    return FiniteLevelModule(spec, level, ngens, relations, enum_cap)
+
+
+def restricted_kernel_check(
+    h: HeightPairing,
+    lam0: Union[IwasawaPoly, GroupRingElem],
+    lam1: Union[IwasawaPoly, GroupRingElem],
+) -> dict:
+    """Brute-force kernels of h restricted to M[lam0] x M[lam1], compared
+    with the predicted images of multiplication by the twisted partners."""
+    M = h.module
+
+    def cls(lam):
+        if isinstance(lam, IwasawaPoly):
+            return project_to_level(lam, M.level)
+        return lam
+
+    l0 = cls(lam0)
+    l1 = cls(lam1)
+    l0iota = l0.involution()
+    l1iota = l1.involution()
+
+    left_els = M.torsion(l0).elements()
+    right_els = M.torsion(l1).elements()
+
+    brute_left = {
+        tuple(x) for x in left_els if all(h.coeff(x, y) == 0 for y in right_els)
+    }
+    brute_right = {
+        tuple(y) for y in right_els if all(h.coeff(x, y) == 0 for x in left_els)
+    }
+
+    tor_prod_left = M.torsion(l0 * l1iota)
+    pred_left = M.submodule([M.act(l1iota, g) for g in tor_prod_left.gens()] or [M.zero()])
+    tor_prod_right = M.torsion(l0iota * l1)
+    pred_right = M.submodule([M.act(l0iota, g) for g in tor_prod_right.gens()] or [M.zero()])
+
+    return {
+        "left_kernel": sorted(brute_left),
+        "right_kernel": sorted(brute_right),
+        "predicted_left": sorted(tuple(v) for v in pred_left.elements()),
+        "predicted_right": sorted(tuple(v) for v in pred_right.elements()),
+        "left_match": brute_left == {tuple(v) for v in pred_left.elements()},
+        "right_match": brute_right == {tuple(v) for v in pred_right.elements()},
+    }
+
+
+def twist_equivariance_check(
+    h: HeightPairing,
+    sigma_left: Sequence[Sequence[int]],
+    sigma_right: Sequence[Sequence[int]],
+    omega: int,
+) -> bool:
+    """Check h(sigma x, sigma y) = omega * h(x, y) on full spanning sets.
+
+    sigma must be a pair of module automorphisms conjugating the group
+    action by gamma -> gamma^omega; both conditions are validated first.
+    """
+    M = h.module
+    spec = h.spec
+    m = spec.modulus
+    if omega % m not in (1, m - 1):
+        raise IwaheightsError("only omega = +-1 twists are modelled")
+    gam = M.gamma_class()
+    gam_omega = gam.involution() if omega % m == m - 1 else gam
+    basis = [list(e) for e in _basis(M.dim)]
+    for sigma in (sigma_left, sigma_right):
+        if not det_is_unit([list(r) for r in sigma], spec.p):
+            raise IwaheightsError("sigma is not an automorphism")
+        for rel in M.rel_rows:
+            if any(M.canon(matvec(sigma, list(rel), m))):
+                raise IwaheightsError("sigma does not preserve the relations")
+        for e in basis:
+            lhs = M.canon(matvec(sigma, M.act(gam, e), m))
+            if lhs != M.act(gam_omega, matvec(sigma, e, m)):
+                raise IwaheightsError("sigma does not conjugate gamma to gamma^omega")
+    for x in basis:
+        sx = matvec(sigma_left, x, m)
+        for y in basis:
+            sy = matvec(sigma_right, y, m)
+            if h.coeff(sx, sy) != (omega * h.coeff(x, y)) % m:
+                return False
+    return True

@@ -20,7 +20,6 @@ from iwaheights.heights import (
     HeightPairing,
     derived_height,
 )
-from iwaheights.induction import FiniteGaloisModule, convolution_pairing
 from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
@@ -34,7 +33,7 @@ from iwaheights.lambdamod import ElementaryShape, infer_invariants, shape_dims
 from iwaheights.lfun import build_synthetic, main_theorem_check
 from iwaheights.poles import PoleElem, eta, phi
 from iwaheights.scenarios import POLARIZED, ScenarioInput, anticyclotomic_prediction, parity_check
-from tests.conftest import random_poly, run_cli
+from tests.conftest import matvec, random_poly, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
@@ -109,52 +108,6 @@ def test_criterion_2_polar_scaling():
     report("2 polar scaling", True, f"{checked} scaling identities, exhaustive level 1")
 
 
-def test_criterion_3_convolution():
-    rng = random.Random(103)
-    cases = 0
-    for k in (1, 2):
-        spec = RingSpec(3, k, 30)
-        m = spec.modulus
-        triv1 = FiniteGaloisModule.trivial(spec, 1)
-        triv2 = FiniteGaloisModule.trivial(spec, 2)
-        sym = [[1, 1], [1, 2]]
-        alt = [[0, 1], [m - 1, 0]]
-        for n in (1, 2):
-            for S, e_mat, kind in (
-                (triv1, [[1]], "sym"),
-                (triv2, sym, "sym"),
-                (triv2, alt, "alt"),
-            ):
-                e = convolution_pairing(e_mat, S, S, n)
-                assert e.is_perfect()
-                # semilinearity over a spanning set of the group ring plus
-                # one random element
-                lams = [GroupRingElem.gamma(spec, n, j) for j in range(3**n)]
-                lams.append(
-                    GroupRingElem(spec, n, [rng.randrange(m) for _ in range(3**n)])
-                )
-                for _ in range(4):
-                    s = tuple(
-                        tuple(rng.randrange(m) for _ in range(S.rank))
-                        for _ in range(3**n)
-                    )
-                    t = tuple(
-                        tuple(rng.randrange(m) for _ in range(S.rank))
-                        for _ in range(3**n)
-                    )
-                    for lam in lams:
-                        assert e.pair(e.S.lambda_act(lam, s), t) == lam * e.pair(s, t)
-                        assert e.pair(
-                            s, e.T.lambda_act(lam.involution(), t)
-                        ) == lam * e.pair(s, t)
-                    if kind == "sym":
-                        assert e.pair(s, t) == e.pair(t, s).involution()
-                    else:
-                        assert e.pair(s, t) == -(e.pair(t, s).involution())
-                cases += 1
-    report("3 convolution pairing", True, f"{cases} (rank, level, kind) cases")
-
-
 def test_criterion_4_height_well_definedness():
     for name, spec, blocks in BLOCK_INSTANCES:
         bp = BlockPairing(spec, blocks)
@@ -213,9 +166,7 @@ def test_criterion_6_concrete_witness(spec31):
     )
     # oracle for h^(3): T^2 * w = T^2 has w = 1 + (T-span) as solutions
     shift = M.action_matrix(tcl * tcl)
-    import iwaheights.linalg as linalg
-
-    preimages = [w for w in els if tuple(linalg.matvec(shift, list(w), 3)) == t2]
+    preimages = [w for w in els if tuple(matvec(shift, list(w), 3)) == t2]
     oracle_vals = {h.coeff(w, t2) for w in preimages}
     assert oracle_vals == {1}
     d3 = derived_height(h, 3)

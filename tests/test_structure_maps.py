@@ -1,9 +1,9 @@
 """The group-ring structure maps on coefficient lists, against the loops
 they replaced.
 
-`fold_coeffs`, `transfer_coeffs` and `iota_coeffs` (and `at_level`, the
-induced-module action and convolution pairing, and the geometric sums
-behind `norm_element`, `cyclotomic_factor` and `generator_ratio`) each
+`fold_coeffs`, `transfer_coeffs` and `iota_coeffs` (and `at_level` and
+the geometric sums behind `norm_element`, `cyclotomic_factor` and
+`generator_ratio`) each
 have one implementation in the package.  Each test here keeps the
 hand-written version that one of them replaced as its oracle and compares
 the two over (p, k) in {(3,1), (3,2), (5,1)} and levels 0-2.
@@ -15,16 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iwaheights import linalg
 from iwaheights.errors import PrecisionError
-from iwaheights.induction import (
-    FiniteGaloisModule,
-    convolution_pairing,
-    fold,
-    group_ring_transfer,
-    induce,
-    spread,
-)
 from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
@@ -85,7 +76,7 @@ def modular_iota(x):
 
 
 def loop_transfer(x, to_level):
-    """The former `induction.group_ring_transfer`."""
+    """The former group-ring transfer of the induced-module code."""
     size_to = x.spec.p**to_level
     size_fr = x.spec.p**x.level
     return GroupRingElem(x.spec, to_level, [x.coeffs[j % size_fr] for j in range(size_to)])
@@ -98,50 +89,6 @@ def module_at_level(level, x):
     if x.level > level:
         return loop_fold_to_level(x, level)
     return GroupRingElem(x.spec, level, x.coeffs)
-
-
-def loop_lambda_act(module, lam, a):
-    """The former `InducedModule.lambda_act`."""
-    m = module.spec.modulus
-    out = []
-    for t in range(module.size):
-        acc = [0] * module.base.rank
-        for b, cb in enumerate(lam.coeffs):
-            if cb:
-                v = a[(t - b) % module.size]
-                for i in range(module.base.rank):
-                    acc[i] = (acc[i] + cb * v[i]) % m
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def loop_fold(module_from, a, module_to):
-    """The former `induction.fold`."""
-    m = module_from.spec.modulus
-    rank = module_from.base.rank
-    out = [[0] * rank for _ in range(module_to.size)]
-    for j, v in enumerate(a):
-        t = j % module_to.size
-        for i in range(rank):
-            out[t][i] = (out[t][i] + v[i]) % m
-    return tuple(tuple(v) for v in out)
-
-
-def loop_pair(e, s, t):
-    """The former `ConvolutionPairing.pair`, with its `base_pair`."""
-    size = e.spec.p**e.level
-    m = e.spec.modulus
-
-    def base_pair(sv, tv):
-        return sum(sv[i] * e.e_matrix[i][j] * tv[j] for i in range(len(sv)) for j in range(len(tv))) % m
-
-    cs = [0] * size
-    for a in range(size):
-        acc = 0
-        for x in range(size):
-            acc += base_pair(s[x], t[(x - a) % size])
-        cs[a] = acc % m
-    return GroupRingElem(e.spec, e.level, cs)
 
 
 def closed_norm_element(spec, n):
@@ -215,7 +162,6 @@ def test_transfer_matches_replaced_transfers(pk, data):
     spec = RingSpec(*pk, 8)
     lo, hi = draw_levels(data)
     x = draw_elem(data, spec, lo)
-    assert group_ring_transfer(x, hi) == loop_transfer(x, hi)
     assert PoleElem(spec, lo, x, _normalise=False).raise_level(hi) == (hi, loop_transfer(x, hi))
     # tuples stay tuples (`PoleElem.raise_level`, `spread`), lists stay lists
     assert transfer_coeffs(x.coeffs, spec.p**hi) == loop_transfer(x, hi).coeffs
@@ -228,7 +174,8 @@ def test_fold_of_transfer_is_multiplication_by_index(pk, data):
     spec = RingSpec(*pk, 8)
     lo, hi = draw_levels(data)
     x = draw_elem(data, spec, lo)
-    assert group_ring_transfer(x, hi).fold_to_level(lo) == x.scale(spec.p ** (hi - lo))
+    up = GroupRingElem(spec, hi, transfer_coeffs(x.coeffs, spec.p**hi))
+    assert up.fold_to_level(lo) == x.scale(spec.p ** (hi - lo))
 
 
 # -- involution --------------------------------------------------------------
@@ -250,48 +197,6 @@ def test_at_level_matches_module_coercion(pk, level, n, data):
     spec = RingSpec(*pk, 8)
     x = draw_elem(data, spec, level)
     assert x.at_level(n) == module_at_level(n, x)
-
-
-# -- induced modules ---------------------------------------------------------
-def draw_induced(data, module):
-    m = module.spec.modulus
-    return tuple(tuple(data.draw(st.integers(0, m - 1)) for _ in range(module.base.rank)) for _ in range(module.size))
-
-
-@given(SPECS, LEVELS, st.integers(1, 2), st.data())
-@settings(max_examples=80, deadline=None)
-def test_lambda_act_matches_double_loop(pk, level, rank, data):
-    spec = RingSpec(*pk, 8)
-    M = induce(FiniteGaloisModule.trivial(spec, rank), level)
-    lam = draw_elem(data, spec, level)
-    a = draw_induced(data, M)
-    assert M.lambda_act(lam, a) == loop_lambda_act(M, lam, a)
-
-
-@given(SPECS, st.integers(1, 2), st.data())
-@settings(max_examples=80, deadline=None)
-def test_induced_fold_and_spread_match_loops(pk, rank, data):
-    spec = RingSpec(*pk, 8)
-    lo, hi = draw_levels(data)
-    base = FiniteGaloisModule.trivial(spec, rank)
-    small, big = induce(base, lo), induce(base, hi)
-    a = draw_induced(data, big)
-    assert fold(big, a, small) == loop_fold(big, a, small)
-    b = draw_induced(data, small)
-    assert spread(small, b, big) == tuple(b[j % small.size] for j in range(big.size))
-
-
-@given(SPECS, LEVELS, st.integers(1, 2), st.data())
-@settings(max_examples=80, deadline=None)
-def test_convolution_pair_matches_double_loop(pk, level, rank, data):
-    spec = RingSpec(*pk, 8)
-    m = spec.modulus
-    e_matrix = [[data.draw(st.integers(0, m - 1)) for _ in range(rank)] for _ in range(rank)]
-    assume(linalg.det_is_unit(e_matrix, spec.p))
-    base = FiniteGaloisModule.trivial(spec, rank)
-    e = convolution_pairing(e_matrix, base, base, level)
-    s, t = draw_induced(data, e.S), draw_induced(data, e.T)
-    assert e.pair(s, t) == loop_pair(e, s, t)
 
 
 # -- geometric sums ----------------------------------------------------------
