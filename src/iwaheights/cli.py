@@ -29,6 +29,7 @@ from iwaheights.heights import (
 from iwaheights.instancefile import InstanceFile, parse_instance, render_generated
 from iwaheights.lambdamod import (
     DEFAULT_ENUM_CAP,
+    MAX_R,
     ElementaryShape,
     FiniteLevelModule,
     infer_invariants,
@@ -408,7 +409,8 @@ def cmd_oracle(args) -> Report:
 
 def positive_int(text: str) -> int:
     """The argparse type of --max-size and --max-r: an int of at least 1,
-    so a cap or degree below 1 exits 2 before any work."""
+    so a cap or degree below 1 exits 2 before any work (a --max-r above
+    lambdamod.MAX_R exits 3 in `main`, like the other resource caps)."""
     try:
         value = int(text)
     except ValueError:
@@ -473,6 +475,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_r > MAX_R:
+            raise EnumerationCapError(f"--max-r {args.max_r} is above the cap {MAX_R}")
         out = args.func(args)
     except (EnumerationCapError, PrecisionError) as e:
         sys.stderr.write(f"resource cap: {e}\n")

@@ -14,6 +14,7 @@ bookkeeping for elementary module shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
@@ -22,6 +23,7 @@ from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
     RingSpec,
+    _T_to_gamma_matrix,
     project_to_level,
 )
 from iwaheights.poles import norm_class
@@ -50,6 +52,13 @@ MAX_CAP = 1024
 # not bound it and RingSpec's trial-division primality test costs sqrt(p).
 # The shipped files use p^k <= 9 and the builder's rungs p^k <= 27.
 MAX_MODULUS_BITS = 32
+
+# Largest derived degree (--max-r) any command checks.  Applying
+# (gamma - 1)^r costs r group-ring products, so a run grows with the square
+# of --max-r: heights and oracle on two_block_mixed_f3.json, and invariants
+# on an F_3 level-2 module, took 4-5 s each at --max-r 1000, ran past 20 s
+# at 100000, and finish in under 1 s at 256.
+MAX_R = 256
 
 Vec = tuple[int, ...]
 
@@ -99,6 +108,12 @@ def log_p(n: int, p: int) -> Optional[int]:
     return e if n == 1 else None
 
 
+def t_valuation(x: GroupRingElem) -> int:
+    """The T-adic valuation of x: the index of its first nonzero T-basis
+    coefficient, or p^level for x = 0.  At k = 1 x is T^w times a unit."""
+    return next((j for j, c in enumerate(x.to_poly_coeffs()) if c), len(x.coeffs))
+
+
 class FiniteLevelModule:
     """Lambda_N^g / (relation rows), as an explicit O-module quotient.
 
@@ -144,6 +159,7 @@ class FiniteLevelModule:
         self.size = spec.modulus**self.dim // self._rel_span
         self._summands = self._split()
         self._summand_modules: dict[tuple[int, ...], FiniteLevelModule] = {}
+        self._ideals: dict[int, list[list[int]]] = {}
         self._j_torsion: dict[int, Submodule] = {}
         self._stages: dict[tuple[int, int], Submodule] = {}
 
@@ -247,24 +263,30 @@ class FiniteLevelModule:
     def torsion(self, f: Union[IwasawaPoly, GroupRingElem]) -> "Submodule":
         """Kernel of multiplication by f: the f-torsion submodule.
 
-        A direct sum of summands Lambda_N/(f_i) (`_summands`) is solved once
-        per distinct summand, as a one-generator module of width p^N; the
-        rows are placed at each generator's offset and brought to one
-        Howell form.  Mixed relations take `_preimage_torsion`.
+        On a direct sum of summands Lambda_N/(f_i) (`_summands`) it is the
+        direct sum of the summands' kernels, each found once per distinct
+        summand at width p^N and placed at its generator's offset.  Rows of
+        different generators share no column, so the placed Howell rows are
+        already the Howell form of the sum.
+        - k = 1: Lambda_N = F_p[T]/(T^(p^N)), so f is T^w times a unit and
+          the summand is Lambda_N/(T^(v_i)); its kernel is the ideal
+          T^(max(v_i - w, 0)) Lambda_N (`_ideal_rows`), with no solve.
+        - k > 1: the summand is solved as a one-generator module.
+        Mixed relations, and one generator at k > 1, take
+        `_preimage_torsion` on the whole module.
         """
         if isinstance(f, IwasawaPoly):
             f = project_to_level(f, self.level)
-        if self._summands is None:
+        if self._summands is None or (self.spec.k > 1 and self.ngens < 2):
             return self._preimage_torsion(f)
+        if self.spec.k == 1:
+            w = t_valuation(f)
+            parts = [self._ideal_rows(max(v - w, 0)) for v in self._summand_valuations]
+        else:
+            solved = {rel: self._summand(rel)._preimage_torsion(f).hrows for rel in dict.fromkeys(self._summands)}
+            parts = [solved[rel] for rel in self._summands]
         n = self.block
-        solved: dict[tuple[int, ...], list[list[int]]] = {}
-        rows = []
-        for i, rel in enumerate(self._summands):
-            part = solved.get(rel)
-            if part is None:
-                part = solved[rel] = self._summand(rel)._preimage_torsion(f).hrows
-            rows.extend([0] * (i * n) + r + [0] * (self.dim - (i + 1) * n) for r in part)
-        return Submodule(self, linalg.howell(rows, self.spec.p, self.spec.k))
+        return Submodule(self, [[0] * (i * n) + r + [0] * (self.dim - (i + 1) * n) for i, part in enumerate(parts) for r in part])
 
     def _preimage_torsion(self, f: GroupRingElem) -> "Submodule":
         """The f-torsion of the whole module: the preimage of the relation
@@ -273,12 +295,28 @@ class FiniteLevelModule:
         gens = linalg.preimage_span(A, self.rel_rows or [[0] * self.dim], self.dim, self.spec.p, self.spec.k)
         return self.submodule(gens)
 
+    def _ideal_rows(self, a: int) -> list[list[int]]:
+        """Howell basis, at k = 1 and width n = p^N, of the ideal T^a Lambda_N;
+        built once per a.  Its generators gamma^j T^a, j < n - a, are T^a
+        shifted j places without wrapping, so they come already in echelon
+        form, with pivot (-1)^a in column j."""
+        rows = self._ideals.get(a)
+        if rows is None:
+            n = self.block
+            t_a = list(_T_to_gamma_matrix(n, self.spec.modulus)[a]) if a < n else []
+            rows = self._ideals[a] = linalg.howell([[0] * j + t_a[: n - j] for j in range(n - a)], self.spec.p, 1)
+        return rows
+
+    @cached_property
+    def _summand_valuations(self) -> list[int]:
+        """Per generator of a split module, the T-valuation of its relation
+        (p^N for a free summand)."""
+        return [t_valuation(GroupRingElem(self.spec, self.level, rel)) for rel in self._summands]
+
     def _split(self) -> Optional[list[tuple[int, ...]]]:
         """Per generator, the coefficients of its one relation (() when it
         has none), when every relation row is supported on one generator
-        and no generator has two; None otherwise, and for one generator."""
-        if self.ngens < 2:
-            return None
+        and no generator has two; None otherwise."""
         n = self.block
         out: list[tuple[int, ...]] = [()] * self.ngens
         for rel in self.rel_gens:

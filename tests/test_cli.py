@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, strict schema, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from iwaheights.cli import _instance_from_file, main
 from iwaheights.instancefile import parse_instance
 from iwaheights.errors import SchemaError
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_R
 from tests.conftest import monomial_table, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,6 +157,27 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "--max-r: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["heights", "oracle", "invariants"])
+    def test_max_r_above_cap_is_three(self, cmd, tmp_path):
+        # (gamma - 1)^r costs r products per degree: uncapped, each of these
+        # ran past 20 s at --max-r 100000
+        path = "instances/two_block_mixed_f3.json"
+        if cmd == "invariants":
+            # an F_3 level-2 module with one relation per generator
+            rels = [[[0, 1], [0], [0]], [[0], [0, 0, 0, 0, 0, 1], [0]], [[0], [0], [1, 0]]]
+            record = {"version": 1, "ring": {"p": 3, "k": 1, "cap": 30, "level": 2}, "module": {"generators": 3, "relations": rels}}
+            path = tmp_path / "shape.json"
+            path.write_text(json.dumps(record))
+        code, out, err = run_cli(cmd, "--input", str(path), "--max-r", "100000", timeout=10)
+        assert code == 3 and out == ""
+        assert f"--max-r 100000 is above the cap {MAX_R}" in err
+
+    @pytest.mark.parametrize("argv", [["lfun-check", "--ord", "1"], ["scenario", "--s-plus", "1", "--s-minus", "0"]])
+    def test_max_r_cap_holds_for_every_command(self, argv, capsys):
+        assert main(argv + ["--max-r", str(MAX_R + 1)]) == 3
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--max-r", str(MAX_R), "--format", "json"]) == 0
 
     @pytest.mark.parametrize("cmd", ["oracle", "heights"])
     def test_max_size_below_one_is_two(self, cmd, capsys):
@@ -473,6 +495,23 @@ class TestLevelLadder:
         ]
         assert any(w["height"] != 0 for w in witnesses)
         assert all(w["height"] == w["special_value"] for w in witnesses)
+
+
+    # sha256 of the stdout of `lfun-check ... --format json` on the two
+    # level-4 builder rungs (dual modules of O-rank 162 and 250), recorded
+    # with the general kernel solver before J-power torsion at k = 1 had a
+    # closed form
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--ord", "30"], "26386ee83d71403996a78d6cac3dae3a6fbfbc137ba73bbeeee3ed93ba9efc2f"),
+            (["--p", "5", "--ord", "30"], "8767bb78f470092963e2a8e3e225ccc333f44c6d3b7c4fdeefcd3ca41ed921b9"),
+        ],
+        ids=["p3-ord30", "p5-ord30"],
+    )
+    def test_level4_rung_reports_are_pinned(self, argv, digest, capsys):
+        assert main(["lfun-check", *argv, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestOracle:

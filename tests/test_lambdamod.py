@@ -4,7 +4,9 @@ The enumeration oracle is exhaustive iteration over module elements; the
 fast paths are Howell-based.  Both are compared on every desk-scale case.
 """
 
+import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from iwaheights.errors import EnumerationCapError
 from iwaheights.heights import BlockSpec, block_module
+from iwaheights.instancefile import parse_instance
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import (
     MAX_RANK,
@@ -20,8 +23,10 @@ from iwaheights.lambdamod import (
     infer_invariants,
     log_p,
     shape_dims,
+    t_valuation,
 )
 from tests.conftest import matvec, module_from_shape
+from tests.test_perfbench_reports import load_workloads
 
 
 def lambda_block(spec, level, nblocks=1, enum_cap=3**10):
@@ -472,10 +477,10 @@ class TestTorsionPerSummand:
         M.torsion(M.T_class() ** 2)
         assert seen == [M]
 
-    def test_direct_sum_solves_each_distinct_summand_once(self, spec31, monkeypatch):
-        # blocks at levels 0, 1, 1, 2 at level 2: summands omega_0, omega_1
-        # and the free one
-        M = block_module(spec31, [BlockSpec(0), BlockSpec(1), BlockSpec(1), BlockSpec(2)])
+    def test_direct_sum_solves_each_distinct_summand_once(self, spec32, monkeypatch):
+        # blocks at levels 0, 1, 1, 2 at level 2 over Z/9 (k = 1 takes the
+        # closed form): summands omega_0, omega_1 and the free one
+        M = block_module(spec32, [BlockSpec(0), BlockSpec(1), BlockSpec(1), BlockSpec(2)])
         seen = []
         general = FiniteLevelModule._preimage_torsion
 
@@ -487,3 +492,102 @@ class TestTorsionPerSummand:
         M.torsion(M.T_class() ** 3)
         assert len(seen) == 3 and M not in seen
         assert all(s.ngens == 1 and s.level == 2 for s in seen)
+
+
+@st.composite
+def split_k1_modules(draw):
+    """A k = 1 module with at most one relation per generator, each
+    supported on its own generator: p in {3, 5, 7}, level 0-2, one to
+    three generators (ambient O-rank <= 50), each relation omega_n
+    (n <= level, and omega_level is 0), a random element, or none."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    spec = RingSpec(p, 1, 16)
+    level = draw(st.integers(0, 2))
+    n = p**level
+    ngens = draw(st.integers(1, max(1, min(3, 50 // n))))
+    zero = GroupRingElem.zero(spec, level)
+    relations = []
+    for i in range(ngens):
+        kind = draw(st.sampled_from(["omega_n", "random", "none"]), label="relation")
+        if kind == "none":
+            continue
+        if kind == "omega_n":
+            rel = GroupRingElem.gamma(spec, level, p ** draw(st.integers(0, level))) - GroupRingElem.one(spec, level)
+        else:
+            rel = GroupRingElem(spec, level, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        relations.append([rel if j == i else zero for j in range(ngens)])
+    return FiniteLevelModule(spec, level, ngens, relations)
+
+
+def k1_elements(M):
+    """Elements f of the module's group ring: T^r (r = 0 is the unit 1),
+    omega_n, random elements, 0, and units (augmentation prime to p)."""
+    spec, level = M.spec, M.level
+    n = spec.p**level
+    coeffs = st.lists(st.integers(0, spec.p - 1), min_size=n, max_size=n)
+    one = GroupRingElem.one(spec, level)
+    return st.one_of(
+        st.integers(0, n + 1).map(lambda r: M.T_class() ** r),
+        st.integers(0, level).map(lambda e: M.gamma_class(spec.p**e) - one),
+        coeffs.map(lambda cs: GroupRingElem(spec, level, cs)),
+        st.just(GroupRingElem.zero(spec, level)),
+        coeffs.map(lambda cs: GroupRingElem(spec, level, cs)).filter(lambda x: x.augmentation() % spec.p),
+    )
+
+
+def spy_preimage_torsion(monkeypatch):
+    """The modules `_preimage_torsion` is called on, in call order."""
+    seen = []
+    general = FiniteLevelModule._preimage_torsion
+
+    def spy(self, f):
+        seen.append(self)
+        return general(self, f)
+
+    monkeypatch.setattr(FiniteLevelModule, "_preimage_torsion", spy)
+    return seen
+
+
+class TestTorsionClosedFormK1:
+    """At k = 1 Lambda_N = F_p[T]/(T^(p^N)), so torsion(f) on a split module
+    is read off the T-valuations of f and of each relation, with no action
+    matrix and no kernel solve; the oracle is `_preimage_torsion` on the
+    whole module.  k > 1 and mixed relations keep the solver."""
+
+    @given(split_k1_modules(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_preimage_path(self, M, data):
+        assert M._summands is not None
+        f = data.draw(k1_elements(M), label="f")
+        with mock.patch.object(FiniteLevelModule, "action_matrix", side_effect=AssertionError("solver used")):
+            fast = M.torsion(f)
+        assert fast.hrows == M._preimage_torsion(f).hrows
+        assert M._summand_modules == {}
+
+    @pytest.mark.parametrize("name", ["shape-f3-level2", "shape-z9-level1", "mixed-f3-level2", "mixed-f5-level1"])
+    def test_benchmark_modules_take_their_path(self, name, monkeypatch):
+        templates = load_workloads(monkeypatch).ORACLE_TEMPLATES
+        for i in range(8):
+            inst = parse_instance(json.dumps(templates[name](i)))
+            M = FiniteLevelModule(inst.ring, inst.level, inst.module["generators"], inst.module["relations"])
+            seen = spy_preimage_torsion(monkeypatch)
+            M.torsion(M.T_class() ** 2)
+            if name.startswith("mixed-"):
+                assert seen == [M]
+            elif inst.ring.k == 1:
+                assert seen == []
+            else:
+                assert seen and all(s.ngens == 1 for s in seen) and M not in seen
+
+    def test_one_generator_at_k2_takes_the_solver(self, spec32, monkeypatch):
+        one = GroupRingElem.one(spec32, 1)
+        M = FiniteLevelModule(spec32, 1, 1, [[GroupRingElem.gamma(spec32, 1) - one]])
+        assert M._summands is not None
+        seen = spy_preimage_torsion(monkeypatch)
+        M.torsion(M.T_class())
+        assert seen == [M]
+
+    def test_t_valuation(self, spec31):
+        T = GroupRingElem.gamma(spec31, 2) - GroupRingElem.one(spec31, 2)
+        assert [t_valuation(T**r) for r in range(11)] == list(range(9)) + [9, 9]
+        assert t_valuation(GroupRingElem.gamma(spec31, 2, 3) - GroupRingElem.one(spec31, 2)) == 3
