@@ -496,7 +496,6 @@ class TestLevelLadder:
         assert any(w["height"] != 0 for w in witnesses)
         assert all(w["height"] == w["special_value"] for w in witnesses)
 
-
     # sha256 of the stdout of `lfun-check ... --format json` on the two
     # level-4 builder rungs (dual modules of O-rank 162 and 250), recorded
     # with the general kernel solver before J-power torsion at k = 1 had a

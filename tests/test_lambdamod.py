@@ -434,9 +434,9 @@ def direct_sums(draw):
 
 
 class TestTorsionPerSummand:
-    """torsion(f) on a direct sum solves each distinct summand once; the
-    oracle is the preimage_span path on the whole module, which mixed
-    relations keep."""
+    """torsion(f) on a direct sum solves each distinct summand once at
+    k > 1 and takes the closed form at k = 1; the oracle is the
+    preimage_span path on the whole module, which mixed relations keep."""
 
     @given(direct_sums(), st.data())
     @settings(max_examples=120, deadline=None)
