@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import IwaheightsError, PrecisionError
@@ -113,8 +113,9 @@ class BlockPairing:
     x2*iota(y1)), which is iota-symmetric; plain blocks are
     iota-antisymmetric.  Dead blocks contribute zero.
 
-    `table` holds the values on the ambient basis pairs, computed once on
-    first use; like `TablePairing.table` it determines the pairing.
+    `table` holds the values on the ambient basis pairs, built once on
+    first use in closed form; like `TablePairing.table` it determines the
+    pairing.
     """
 
     kind = "block"
@@ -174,12 +175,45 @@ class BlockPairing:
 
     @functools.cached_property
     def table(self) -> list[list[PoleElem]]:
-        """[e_a, e_b] for every pair of ambient basis vectors."""
-        basis = _basis(self.module.dim)
-        return [[self.value(x, y) for y in basis] for x in basis]
+        """[e_a, e_b] for every pair of ambient basis vectors, in closed form.
+
+        Position i of a generator's block is gamma^i times the generator,
+        so for positions i and j in a live block of level n, [e_a, e_b] =
+        c * gamma^((i - j) mod p^n) / (gamma^(p^n) - 1), where c is the
+        unit, or +-unit across the two components of a swapped block;
+        every other entry is zero.  The p^n poles of each block and sign
+        are built once and shared between the entries.
+        """
+        width = self.module.block
+        zero = PoleElem.zero(self.spec)
+        table = [[zero] * self.module.dim for _ in range(self.module.dim)]
+        idx = 0
+        for b in self.blocks:
+            if not b.dead:
+                s = self.spec.p**b.level
+                if b.swapped:
+                    pairs = [
+                        (idx, idx + 1, _monomial_poles(self.spec, b.level, b.unit)),
+                        (idx + 1, idx, _monomial_poles(self.spec, b.level, -b.unit)),
+                    ]
+                else:
+                    pairs = [(idx, idx, _monomial_poles(self.spec, b.level, b.unit))]
+                for g, g2, poles in pairs:
+                    for i in range(width):
+                        row = table[g * width + i]
+                        for j in range(width):
+                            row[g2 * width + j] = poles[(i - j) % s]
+            idx += b.ncomponents
+        return table
 
     def validate(self) -> None:
         validate_pole_pairing(self)
+
+
+def _monomial_poles(spec: RingSpec, level: int, c: int) -> list[PoleElem]:
+    """c * gamma^d / (gamma^(p^level) - 1) for d = 0, ..., p^level - 1."""
+    s = spec.p**level
+    return [pole_sum(spec, [(level, [c * (t == d) for t in range(s)])]) for d in range(s)]
 
 
 class TablePairing:
@@ -320,13 +354,18 @@ class HeightPairing:
 
     def left_kernel(self) -> Submodule:
         """{x : h(x, .) = 0}, by elimination against the basis."""
-        return self._kernel(zip(*self._basis_coeffs()))
+        return self._kernel(zip(*self.basis_matrix()))
 
     def right_kernel(self) -> Submodule:
         """{y : h(., y) = 0}."""
-        return self._kernel(self._basis_coeffs())
+        return self._kernel(self.basis_matrix())
 
-    def _basis_coeffs(self) -> list[list[int]]:
+    def basis_matrix(self) -> list[list[int]]:
+        """h on the ambient basis pairs: `gram` when it exists, otherwise
+        `coeff` pair by pair (which raises phi_u's `PrecisionError`).  The
+        Gram matrix is shared, so callers must not mutate the result."""
+        if self.gram is not None:
+            return self.gram
         basis = _basis(self.module.dim)
         return [[self.coeff(x, y) for y in basis] for x in basis]
 
@@ -369,15 +408,52 @@ class DerivedHeightPairing:
         self._stage_preimages = [_combine(sol, gens, M.dim, self.spec.modulus) for sol in sols]
 
     def value(self, x: Vec, y: Vec) -> JGradedValue:
+        (row,) = self.matrix([x], [y])
+        return JGradedValue(self.spec, self.r, row[0])
+
+    def matrix(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> Iterator[list[int]]:
+        """The coefficients of h^(r)(x, y), one row per x in xs, yielded as
+        they are computed (nothing runs before the first row is asked for).
+
+        Each argument is checked for membership in the stage once and each
+        left preimage is solved once.  With a Gram matrix G the row of x is
+        w^T G y over ys, and G is contracted on the shorter side: with each
+        preimage w (w^T G) when xs is no longer than ys, otherwise with
+        each y (G y), and then the left preimages are solved row by row.
+        Without one, h is evaluated pair by pair (`HeightPairing.coeff`).
+        """
+        h = self.h
+        G = h.gram
+        m = self.spec.modulus
+        scale = pow(h.u, self.r - 1, m)
+        if len(xs) <= len(ys):
+            ws = [self._preimage(x) for x in xs]
+            self._check_right(ys)
+            if G is not None:
+                ws = [_vec_times_matrix(w, G) for w in ws]
+        else:
+            self._check_right(ys)
+            ws = map(self._preimage, xs)
+            if G is not None:
+                # each y becomes G y, so a row is the preimage dotted with it
+                ys = [[sum(g * b for g, b in zip(row, y)) for row in G] for y in ys]
+        for w in ws:
+            if G is None:
+                yield [scale * h.coeff(w, y) % m for y in ys]
+            else:
+                yield [scale * sum(a * b for a, b in zip(w, y)) % m for y in ys]
+
+    def _preimage(self, x: Vec) -> list[int]:
+        """A torsion preimage of x: sum q_i w_i over the stage's Howell rows."""
         q = linalg.coordinates(x, self.stage.hrows, self.spec.p, self.spec.k)
         if q is None:
             raise IwaheightsError(f"left argument is not in the stage-{self.r} filtration")
-        if not self.stage.contains(y):
-            raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
-        m = self.spec.modulus
-        w = _combine(q, self._stage_preimages, self.h.module.dim, m)
-        coeff = pow(self.h.u, self.r - 1, m) * self.h.coeff(w, y)
-        return JGradedValue(self.spec, self.r, coeff)
+        return _combine(q, self._stage_preimages, self.h.module.dim, self.spec.modulus)
+
+    def _check_right(self, ys: Sequence[Vec]) -> None:
+        for y in ys:
+            if not self.stage.contains(y):
+                raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
 
     def check_well_defined(self) -> bool:
         """Preimage independence: two torsion preimages of the same stage
@@ -387,21 +463,33 @@ class DerivedHeightPairing:
         gens = self.stage.gens()
         return all(self.h.coeff(t, y) == 0 for t in ambiguity.gens() for y in gens)
 
+    @functools.cached_property
+    def _stage_elements(self) -> list[Vec]:
+        """The stage's elements, enumerated once for both kernels."""
+        return self.stage.elements()
+
     def left_kernel_elements(self) -> set:
-        gens = self.stage.gens()
-        out = set()
-        for x in self.stage.elements():
-            if all(self.value(x, y).is_zero() for y in gens):
-                out.add(tuple(x))
-        return out
+        """{x in the stage : h^(r)(x, g) = 0 for every stage generator g}."""
+        els = self._stage_elements
+        rows = self.matrix(els, self.stage.gens())
+        return {x for x, row in zip(els, rows) if not any(row)}
 
     def right_kernel_elements(self) -> set:
-        gens = self.stage.gens()
-        out = set()
-        for y in self.stage.elements():
-            if all(self.value(x, y).is_zero() for x in gens):
-                out.add(tuple(y))
-        return out
+        """{y in the stage : h^(r)(g, y) = 0 for every stage generator g}."""
+        els = self._stage_elements
+        hit = [False] * len(els)
+        for row in self.matrix(self.stage.gens(), els):
+            hit = [a or b != 0 for a, b in zip(hit, row)]
+        return {y for y, nonzero in zip(els, hit) if not nonzero}
+
+
+def _vec_times_matrix(w: Vec, G: Sequence[Vec]) -> list[int]:
+    """w^T G for a square matrix G, unreduced."""
+    out = [0] * len(G)
+    for a, row in zip(w, G):
+        if a:
+            out = [o + a * g for o, g in zip(out, row)]
+    return out
 
 
 def derived_height(h: HeightPairing, r: int) -> DerivedHeightPairing:

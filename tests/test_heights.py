@@ -26,7 +26,13 @@ from iwaheights.heights import (
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import FiniteLevelModule, log_p
 from iwaheights.poles import PoleElem, phi, pole_involution
-from tests.conftest import matvec, restricted_kernel_check, twist_equivariance_check
+from tests.conftest import (
+    matvec,
+    per_pair_left_kernel,
+    per_pair_right_kernel,
+    restricted_kernel_check,
+    twist_equivariance_check,
+)
 
 
 def single_block(spec, level=1, unit=1):
@@ -347,15 +353,15 @@ def uncached_derived_value(d, x, y):
 @st.composite
 def block_pairings(draw, dead=st.just(False)):
     """Block pairings with one or two blocks: (p,k) in {(3,1),(3,2),(5,1)},
-    ambient level 0-2, ambient dimension at most 27; `dead` draws each
-    block's dead flag."""
+    ambient level 0-2, ambient dimension at most 27, each block constant
+    any unit of Z/p^k; `dead` draws each block's dead flag."""
     p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
     spec = RingSpec(p, k, 16)
     level = draw(st.integers(0, 2))
     block = st.builds(
         BlockSpec,
         level=st.integers(0, level),
-        unit=st.sampled_from([1, 2]),
+        unit=st.sampled_from([c for c in range(1, p**k) if c % p]),
         swapped=st.booleans(),
         dead=dead,
     )
@@ -446,9 +452,49 @@ class TestPoleValuesInCoefficientSpace:
             assert tp.value(x, y) == entrywise_value(tp, x, y)
 
 
+def basis_vectors(M):
+    return [tuple(int(c == a) for c in range(M.dim)) for a in range(M.dim)]
+
+
+def assert_closed_form_table(pairing):
+    basis = basis_vectors(pairing.module)
+    table = pairing.table
+    assert table == [[pairing.value(x, y) for y in basis] for x in basis]
+    for row, x in zip(table, basis):
+        for v, y in zip(row, basis):
+            assert v == blockwise_value(pairing, x, y)
+
+
+class TestClosedFormTable:
+    """BlockPairing.table is built from c * gamma^((i-j) mod p^n) / omega_n
+    on each live block; it must equal `value` and the blockwise sum on
+    every basis pair."""
+
+    @given(block_pairings(dead=st.booleans()))
+    @settings(max_examples=120, deadline=None)
+    def test_table_is_value_on_basis_pairs(self, pairing):
+        assert_closed_form_table(pairing)
+
+    @pytest.mark.parametrize(
+        "pk, blocks",
+        [
+            # ambient level 2 above every block level, swapped blocks
+            ((3, 1), [BlockSpec(1, 2, swapped=True), BlockSpec(0, 1)]),
+            ((3, 2), [BlockSpec(1, 7, swapped=True), BlockSpec(1, 5, dead=True)]),
+            ((5, 1), [BlockSpec(0, 3, swapped=True)]),
+            ((3, 2), [BlockSpec(0, 4), BlockSpec(1, 8, swapped=True)]),
+        ],
+    )
+    def test_level_above_every_block(self, pk, blocks):
+        p, k = pk
+        level = 1 if p == 5 else 2
+        assert_closed_form_table(BlockPairing(RingSpec(p, k, 16), blocks, level=level))
+
+
 class TestMemoisedDerivedValue:
-    """DerivedHeightPairing.value keeps one torsion preimage per left
-    argument; it must agree with a fresh solve whatever the call order."""
+    """DerivedHeightPairing keeps one torsion preimage per Howell row of
+    the stage; `value` must agree with a fresh solve whatever the call
+    order."""
 
     @given(block_pairings(), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -505,14 +551,75 @@ class TestGramMatrix:
     )
     def test_precision_boundary_falls_back(self, blocks):
         # at u = 2 the level-2 basis values need more than cap 16, so
-        # there is no Gram matrix; every stage value must still come out
+        # there is no Gram matrix; every stage value must still come out,
+        # pair by pair and from `matrix` with either side the longer
         pairing = BlockPairing(RingSpec(3, 2, 16), blocks, level=2)
         h = HeightPairing(pairing, u=2)
         assert h.gram is None
         d = derived_height(h, 1)
-        for x in d.stage.elements():
-            for y in d.stage.gens():
-                assert d.value(x, y).coeff == uncached_derived_value(d, x, y)
+        els, gens = d.stage.elements(), d.stage.gens()
+        assert len(gens) < len(els)
+        want = [[uncached_derived_value(d, x, y) for y in gens] for x in els]
+        assert [[d.value(x, y).coeff for y in gens] for x in els] == want
+        assert list(d.matrix(els, gens)) == want
+        assert list(d.matrix(gens, els)) == [[uncached_derived_value(d, x, y) for y in els] for x in gens]
+
+
+class TestDerivedMatrix:
+    """DerivedHeightPairing.matrix contracts the Gram matrix on the shorter
+    side; each entry must be the per-pair value (without a Gram matrix:
+    `TestGramMatrix.test_precision_boundary_falls_back`), and both kernel
+    enumerations (one `matrix` call each) must match the per-pair loops."""
+
+    @given(block_pairings(), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_entries_match_uncached_solve(self, pairing, r, u, data):
+        d = derived_height(HeightPairing(pairing, u=u), r)
+        els = d.stage.elements()
+        assume(len(els) <= 243)
+        short = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=2), label="short")
+        long = data.draw(
+            st.lists(st.sampled_from(els), min_size=len(short) + 1, max_size=len(short) + 2),
+            label="long",
+        )
+        for xs, ys in ((short, long), (long, short)):
+            rows = list(d.matrix(xs, ys))
+            assert rows == [[uncached_derived_value(d, x, y) for y in ys] for x in xs]
+
+    def test_membership_errors_match_value(self, spec31):
+        h = HeightPairing(single_block(spec31))
+        M = h.module
+        t2 = elem_from_poly(M, [0, 0, 1])
+        one = elem_from_poly(M, [1])
+        d2 = derived_height(h, 2)
+        # both contraction sides: xs no longer than ys, and xs longer
+        for xs, ys in (([one], [t2, t2]), ([t2, one], [t2])):
+            with pytest.raises(IwaheightsError, match="left argument is not in the stage-2"):
+                list(d2.matrix(xs, ys))
+        for xs, ys in (([t2], [t2, one]), ([t2, t2], [one])):
+            with pytest.raises(IwaheightsError, match="right argument is not in the stage-2"):
+                list(d2.matrix(xs, ys))
+
+    @given(block_pairings(dead=st.booleans()), st.integers(1, 3), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_match_per_pair_loops(self, pairing, r, u):
+        d = derived_height(HeightPairing(pairing, u=u), r)
+        assume(d.stage.order() <= 243)
+        try:
+            left, right = per_pair_left_kernel(d), per_pair_right_kernel(d)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                d.left_kernel_elements()
+            return
+        assert d.left_kernel_elements() == left
+        assert d.right_kernel_elements() == right
+
+    def test_stage_without_generators(self, spec31):
+        # the kernel chain of one level-1 block ends at stage 4
+        d = derived_height(HeightPairing(single_block(spec31)), 5)
+        assert d.stage.gens() == []
+        els = {tuple(v) for v in d.stage.elements()}
+        assert d.right_kernel_elements() == els == d.left_kernel_elements()
 
 
 class TestRestrictedKernels:
