@@ -37,6 +37,7 @@ from iwaheights.lambdamod import (
     shape_dims,
 )
 from iwaheights.lfun import build_synthetic, main_theorem_check, order_of_vanishing
+from iwaheights.poles import norm_class
 from iwaheights.reports import Report
 from iwaheights.scenarios import (
     POLARIZED,
@@ -349,10 +350,10 @@ def cmd_oracle(args) -> Report:
 
         norms_fast = {tuple(v) for v in M.universal_norms().elements()}
         inter = set(map(tuple, els))
-        from iwaheights.poles import norm_class
-
+        # the images only shrink and all contain 0, so stop at {0}
+        zero = {M.zero()}
         n = 1
-        while n <= M.level + M.spec.k + 2:
+        while n <= M.level + M.spec.k + 2 and inter != zero:
             nu = norm_class(M.spec, n, M.level)
             img = {tuple(M.act(nu, v)) for v in els}
             inter &= img

@@ -7,8 +7,9 @@ intersections, and orders are all exact.  Enumeration-backed operations
 (the oracles of record) refuse to run above a configurable element cap.
 
 The J-adic machinery lives here: J-power torsion M[J^r], the filtration
-stages M^(r) = (gamma-1)^(r-1) M[J^r], universal norms, and the invariant
-bookkeeping for elementary module shapes.
+stages M^(r) = (gamma-1)^(r-1) M[J^r], the universal norms (always {0} at
+a finite level, see `FiniteLevelModule.universal_norms`), and the
+invariant bookkeeping for elementary module shapes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from iwaheights.iwalg import (
     _T_to_gamma_matrix,
     project_to_level,
 )
-from iwaheights.poles import norm_class
 
 DEFAULT_ENUM_CAP = 3**10
 
@@ -336,13 +336,6 @@ class FiniteLevelModule:
             mod = self._summand_modules[rel] = FiniteLevelModule(self.spec, self.level, 1, relations, self.enum_cap)
         return mod
 
-    def image_of_action(self, x: Union[IwasawaPoly, GroupRingElem]) -> "Submodule":
-        if isinstance(x, IwasawaPoly):
-            x = project_to_level(x, self.level)
-        A = self.action_matrix(x)
-        cols = [[A[r][c] for r in range(self.dim)] for c in range(self.dim)]
-        return self.submodule(cols)
-
     # -- the J-adic machinery ---------------------------------------------
     def j_torsion(self, r: int) -> "Submodule":
         """M[J^r], the (gamma - 1)^r-torsion; computed once per r and shared."""
@@ -362,18 +355,12 @@ class FiniteLevelModule:
         return stage
 
     def universal_norms(self) -> "Submodule":
-        """Intersection of the images of all norm elements, run to stability."""
-        current = self.full_submodule()
-        n = 1
-        stable_needed = self.level + self.spec.k + 2
-        while n <= stable_needed:
-            img = self.image_of_action(norm_class(self.spec, n, self.level))
-            nxt = current.intersect(img)
-            if nxt == current and n > self.level:
-                return current
-            current = nxt
-            n += 1
-        return current
+        """The intersection of the images nu_n M over all n, which is {0}.
+
+        nu_n divides nu_(n+1), so the images shrink as n grows.  For n > N
+        (N = self.level) nu_n = p^(n-N) nu_N, so once n >= N + k the image
+        is p^k nu_N M = 0."""
+        return self.zero_submodule()
 
 
 @dataclass

@@ -12,7 +12,8 @@ import pytest
 from iwaheights.errors import IwaheightsError
 from iwaheights.heights import HeightPairing, _basis
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, check_rank
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, Submodule, check_rank
+from iwaheights.poles import norm_class
 
 
 @pytest.fixture
@@ -132,6 +133,24 @@ def module_from_shape(
         relations.append(row)
         idx += 1
     return FiniteLevelModule(spec, level, ngens, relations, enum_cap)
+
+
+def norm_image_intersection(M: FiniteLevelModule) -> Submodule:
+    """The intersection of the images nu_n M for n = 1, 2, ..., each image
+    spanned by the columns of the action matrix of nu_n, run until it is
+    stable past the module's level or n passes level + k + 2: the oracle
+    of `FiniteLevelModule.universal_norms`."""
+    current = M.full_submodule()
+    n = 1
+    while n <= M.level + M.spec.k + 2:
+        A = M.action_matrix(norm_class(M.spec, n, M.level))
+        img = M.submodule([[A[r][c] for r in range(M.dim)] for c in range(M.dim)])
+        nxt = current.intersect(img)
+        if nxt == current and n > M.level:
+            return current
+        current = nxt
+        n += 1
+    return current
 
 
 def per_pair_left_kernel(d) -> set:

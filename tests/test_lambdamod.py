@@ -25,7 +25,7 @@ from iwaheights.lambdamod import (
     shape_dims,
     t_valuation,
 )
-from tests.conftest import matvec, module_from_shape
+from tests.conftest import matvec, module_from_shape, norm_image_intersection
 from tests.test_perfbench_reports import load_workloads
 
 
@@ -180,6 +180,27 @@ class TestJFiltration:
         assert prod == M.j_torsion(6).order()
 
 
+@st.composite
+def norm_modules(draw):
+    """A module at p in {3, 5}, k in {1, 2, 3}, level 0-2 and one or two
+    generators (ambient O-rank at most 50, under MAX_RANK), with split
+    relations (at most one per generator, supported on it) or mixed ones
+    (up to two random rows over all generators)."""
+    p = draw(st.sampled_from([3, 5]))
+    spec = RingSpec(p, draw(st.integers(1, 3)), 12)
+    level = draw(st.integers(0, 2))
+    ngens = draw(st.integers(1, 2))
+    n = p**level
+    elem = st.lists(st.integers(0, spec.modulus - 1), min_size=n, max_size=n)
+    zero = [0] * n
+    if draw(st.booleans(), label="split"):
+        rels = [draw(st.one_of(st.none(), elem), label=f"relation {i}") for i in range(ngens)]
+        relations = [[r if j == i else zero for j in range(ngens)] for i, r in enumerate(rels) if r is not None]
+    else:
+        relations = draw(st.lists(st.lists(elem, min_size=ngens, max_size=ngens), max_size=2))
+    return FiniteLevelModule(spec, level, ngens, relations)
+
+
 class TestUniversalNorms:
     def test_level1_block_is_zero(self, spec31):
         M = lambda_block(spec31, 1)
@@ -211,10 +232,15 @@ class TestUniversalNorms:
         assert fast == inter
 
     def test_k2_iterates_past_level(self, spec32):
-        # Lambda/J over Z/9: g_1 M = 3M, g_2 M = 0; the intersection must
-        # keep iterating past n = 1 to reach 0
+        # Lambda/J over Z/9: g_1 M = 3M, g_2 M = 0; the oracle's
+        # intersection must keep iterating past n = 1 to reach 0
         M = FiniteLevelModule(spec32, 1, 1, [[[0, 1]]])
-        assert M.universal_norms().order() == 1
+        assert norm_image_intersection(M).order() == 1
+
+    @given(norm_modules())
+    @settings(max_examples=120, deadline=None)
+    def test_closed_form_matches_norm_images(self, M):
+        assert norm_image_intersection(M) == M.universal_norms() == M.zero_submodule()
 
 
 def _reduce_poly_mod_omega(cs):
