@@ -321,7 +321,7 @@ class HeightPairing:
     def gram(self) -> Optional[list[list[int]]]:
         """G[a][b] = u^(-1) * phi_u([e_a, e_b]) mod p^k on the ambient bases,
         from `pairing.table`; None when phi_u raises `PrecisionError` on a
-        table entry.
+        table entry (the error is kept for `basis_matrix`).
 
         phi_u is O-linear, so the Gram matrix determines h.  For u != 1 a
         level-n basis value can need more precision than the ring cap
@@ -331,7 +331,8 @@ class HeightPairing:
         """
         try:
             values = [[phi(self.u, v) for v in row] for row in self.pairing.table]
-        except PrecisionError:
+        except PrecisionError as e:
+            self._gram_error = e
             return None
         m = self.spec.modulus
         return [[self._u_inv * c % m for c in row] for row in values]
@@ -361,13 +362,12 @@ class HeightPairing:
         return self._kernel(self.basis_matrix())
 
     def basis_matrix(self) -> list[list[int]]:
-        """h on the ambient basis pairs: `gram` when it exists, otherwise
-        `coeff` pair by pair (which raises phi_u's `PrecisionError`).  The
-        Gram matrix is shared, so callers must not mutate the result."""
-        if self.gram is not None:
-            return self.gram
-        basis = _basis(self.module.dim)
-        return [[self.coeff(x, y) for y in basis] for x in basis]
+        """h on the ambient basis pairs, which is `gram`; without it, the
+        `PrecisionError` phi_u raised on a basis pair.  The Gram matrix is
+        shared, so callers must not mutate the result."""
+        if self.gram is None:
+            raise self._gram_error
+        return self.gram
 
     def _kernel(self, rows) -> Submodule:
         M = self.module

@@ -1,10 +1,19 @@
 """Strict JSON instance files.
 
 Versioned, human-writable, diffable.  All integers are base-10 JSON
-numbers; coefficient sequences are little-endian in the T-degree.  Unknown
-fields are rejected by name, so a typo cannot silently change a run.
-A `ring.cap` above `lambdamod.MAX_CAP`, or a modulus p^k above
-`lambdamod.MAX_MODULUS_BITS` bits, is refused as a resource cap.
+numbers; coefficient sequences are little-endian in the T-degree.
+
+`parse_instance` first walks the whole document against `SCHEMA`, before
+it builds anything.  Every value must be an object, a list, an integer,
+JSON true/false or one of the allowed strings, as the schema says;
+unknown fields are rejected by name and missing ones are named, so a typo
+cannot silently change a run.  Any mismatch is a `SchemaError` (exit 2).
+Only the cross-field checks run after the walk: the ring, relation rows
+of the generator count, a nonempty block list, `rank == len(l_z)`,
+nonnegative levels and `[size, mult]` J-blocks.  A `ring.cap` or J-block
+size above `lambdamod.MAX_CAP`, or a modulus p^k above
+`lambdamod.MAX_MODULUS_BITS` bits, is refused as a resource cap (exit 3);
+since the walk runs first, a document that also has a type error exits 2.
 """
 
 from __future__ import annotations
@@ -20,34 +29,61 @@ from iwaheights.lambdamod import MAX_CAP, check_modulus
 
 CURRENT_VERSION = 1
 
+# A schema is `int`, `bool` (JSON true/false only), a tuple of the allowed
+# strings, `[item]` (a list of items), a dict of fields (a trailing "?"
+# marks an optional one), or a function that picks the schema from the
+# value.
+SEQ = [int]  # a coefficient sequence
+LFUN_EXPLICIT = {  # the class data itself
+    "rank": int, "l_z": [SEQ], "local_levels": [int], "z0": SEQ, "strict": ("all", "zero"),
+    "duality": lambda v: [[SEQ]] if isinstance(v, list) else ("canonical",),
+}
+LFUN_BUILDER = {"seed": int, "target_ord": int, "global_levels?": [int]}  # generation parameters
+SCHEMA = {
+    "version": int,
+    "ring": {"p": int, "k": int, "cap": int, "level": int},
+    "module?": {"generators": int, "relations": [[SEQ]]},
+    "pairing?": {
+        "kind": ("block",),
+        "blocks": [{"level": int, "unit?": int, "swapped?": bool, "dead?": bool}],
+    },
+    "lfun?": lambda v: LFUN_EXPLICIT if isinstance(v, dict) and "l_z" in v else LFUN_BUILDER,
+    "shape?": {"e_infinity": int, "j_blocks": [[int]], "coprime?": [SEQ]},
+    "scenario?": {"s_plus": int, "s_minus": int, "e_infinity_expected?": int},
+}
 
-def _require_keys(obj: dict, allowed: dict, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"unknown field '{path}.{key}'")
-    for key, required in allowed.items():
-        if required and key not in obj:
-            raise SchemaError(f"missing field '{path}.{key}'")
 
-
-def _int(obj, path) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        raise SchemaError(f"{path}: expected an integer")
-    return obj
-
-
-def _bool(obj, path) -> bool:
-    if not isinstance(obj, bool):
-        raise SchemaError(f"{path}: expected true or false")
-    return obj
-
-
-def _int_list(obj, path) -> list[int]:
-    if not isinstance(obj, list):
-        raise SchemaError(f"{path}: expected a list of integers")
-    return [_int(x, f"{path}[{i}]") for i, x in enumerate(obj)]
+def _walk(value, schema, path: str) -> None:
+    """Raise a `SchemaError` at the first part of `value` that `schema`
+    does not admit.  The recursion follows the schema, so it is never
+    deeper than the schema, however deep the document nests."""
+    if schema is int or schema is bool:
+        if type(value) is not schema:
+            kind = "an integer" if schema is int else "true or false"
+            raise SchemaError(f"{path}: expected {kind}")
+    elif isinstance(schema, tuple):
+        if value not in schema:
+            raise SchemaError(f"{path}: expected {' or '.join(map(repr, schema))}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: expected a list")
+        for i, item in enumerate(value):
+            _walk(item, schema[0], f"{path}[{i}]")
+    elif isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{path}: expected an object")
+        names = {key.rstrip("?") for key in schema}
+        for key in value:
+            if key not in names:
+                raise SchemaError(f"unknown field '{path}.{key}'")
+        for key, sub in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                _walk(value[name], sub, f"{path}.{name}")
+            elif name == key:
+                raise SchemaError(f"missing field '{path}.{name}'")
+    else:
+        _walk(value, schema(value), path)
 
 
 @dataclass
@@ -65,167 +101,53 @@ class InstanceFile:
 def parse_instance(text: str) -> InstanceFile:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # RecursionError: nesting deeper than the decoder's stack
         raise SchemaError(f"not valid JSON: {e}") from None
-    _require_keys(
-        data,
-        {
-            "version": True,
-            "ring": True,
-            "module": False,
-            "pairing": False,
-            "lfun": False,
-            "shape": False,
-            "scenario": False,
-        },
-        "$",
-    )
-    if _int(data["version"], "$.version") != CURRENT_VERSION:
+    _walk(data, SCHEMA, "$")
+    if data["version"] != CURRENT_VERSION:
         raise SchemaError(f"unsupported version {data['version']}")
-    for key, record in data.items():
-        if key != "version" and not isinstance(record, dict):
-            raise SchemaError(f"$.{key}: expected an object")
 
     ring = data["ring"]
-    _require_keys(ring, {"p": True, "k": True, "cap": True, "level": True}, "$.ring")
-    p, k = _int(ring["p"], "$.ring.p"), _int(ring["k"], "$.ring.k")
-    check_modulus(p, k)
+    check_modulus(ring["p"], ring["k"])
     try:
-        spec = RingSpec(p, k, _int(ring["cap"], "$.ring.cap"))
+        spec = RingSpec(ring["p"], ring["k"], ring["cap"])
     except ValueError as e:
         raise SchemaError(f"$.ring: {e}") from None
     if spec.cap > MAX_CAP:
         raise EnumerationCapError(f"$.ring.cap: {spec.cap} is above the cap {MAX_CAP}")
-    level = _int(ring["level"], "$.ring.level")
-    if level < 0:
+    if ring["level"] < 0:
         raise SchemaError("$.ring.level: must be >= 0")
-
-    out = InstanceFile(version=CURRENT_VERSION, ring=spec, level=level)
+    out = InstanceFile(version=CURRENT_VERSION, ring=spec, level=ring["level"])
 
     if "module" in data:
-        mod = data["module"]
-        _require_keys(mod, {"generators": True, "relations": True}, "$.module")
-        g = _int(mod["generators"], "$.module.generators")
+        g = data["module"]["generators"]
         if g < 1:
             raise SchemaError("$.module.generators: must be >= 1")
-        rels = mod["relations"]
-        if not isinstance(rels, list):
-            raise SchemaError("$.module.relations: expected a list")
-        parsed_rels = []
-        for i, row in enumerate(rels):
-            if not isinstance(row, list) or len(row) != g:
-                raise SchemaError(
-                    f"$.module.relations[{i}]: expected {g} coefficient sequences"
-                )
-            parsed_rels.append(
-                [_int_list(c, f"$.module.relations[{i}][{j}]") for j, c in enumerate(row)]
-            )
-        out.module = {"generators": g, "relations": parsed_rels}
+        for i, row in enumerate(data["module"]["relations"]):
+            if len(row) != g:
+                raise SchemaError(f"$.module.relations[{i}]: expected {g} coefficient sequences")
+        out.module = data["module"]
 
     if "pairing" in data:
-        pr = data["pairing"]
-        _require_keys(pr, {"kind": True, "blocks": False}, "$.pairing")
-        if pr["kind"] != "block":
-            raise SchemaError("$.pairing.kind: only 'block' pairings are file-backed")
-        blocks = pr.get("blocks")
-        if not isinstance(blocks, list) or not blocks:
+        blocks = data["pairing"]["blocks"]
+        if not blocks:
             raise SchemaError("$.pairing.blocks: expected a nonempty list")
-        parsed = []
-        for i, b in enumerate(blocks):
-            _require_keys(
-                b,
-                {"level": True, "unit": False, "swapped": False, "dead": False},
-                f"$.pairing.blocks[{i}]",
-            )
-            parsed.append(
-                BlockSpec(
-                    level=_int(b["level"], f"$.pairing.blocks[{i}].level"),
-                    unit=_int(b.get("unit", 1), f"$.pairing.blocks[{i}].unit"),
-                    swapped=_bool(b.get("swapped", False), f"$.pairing.blocks[{i}].swapped"),
-                    dead=_bool(b.get("dead", False), f"$.pairing.blocks[{i}].dead"),
-                )
-            )
-        out.pairing = {"kind": "block", "blocks": parsed}
+        out.pairing = {"kind": "block", "blocks": [BlockSpec(**b) for b in blocks]}
 
     if "lfun" in data:
         lf = data["lfun"]
         if "l_z" in lf:
-            # explicit form: the class data itself
-            _require_keys(
-                lf,
-                {
-                    "rank": True,
-                    "l_z": True,
-                    "duality": True,
-                    "local_levels": True,
-                    "z0": True,
-                    "strict": True,
-                },
-                "$.lfun",
-            )
-            rank = _int(lf["rank"], "$.lfun.rank")
-            lz = lf["l_z"]
-            if not isinstance(lz, list) or len(lz) != rank:
-                raise SchemaError(f"$.lfun.l_z: expected {rank} coefficient sequences")
-            lz = [_int_list(c, f"$.lfun.l_z[{i}]") for i, c in enumerate(lz)]
-            duality = lf["duality"]
-            if duality != "canonical":
-                if not isinstance(duality, list):
-                    raise SchemaError(
-                        "$.lfun.duality: expected 'canonical' or a table"
-                    )
-                duality = [
-                    [
-                        _int_list(row, f"$.lfun.duality[{i}][{j}]")
-                        for j, row in enumerate(coord)
-                    ]
-                    for i, coord in enumerate(duality)
-                ]
-            strict = lf["strict"]
-            if strict not in ("all", "zero"):
-                raise SchemaError("$.lfun.strict: expected 'all' or 'zero'")
-            local_levels = _int_list(lf["local_levels"], "$.lfun.local_levels")
-            for i, n in enumerate(local_levels):
+            if len(lf["l_z"]) != lf["rank"]:
+                raise SchemaError(f"$.lfun.l_z: expected {lf['rank']} coefficient sequences")
+            for i, n in enumerate(lf["local_levels"]):
                 if n < 0:
                     raise SchemaError(f"$.lfun.local_levels[{i}]: must be >= 0")
-            out.lfun = {
-                "form": "explicit",
-                "rank": rank,
-                "l_z": lz,
-                "duality": duality,
-                "local_levels": local_levels,
-                "z0": _int_list(lf["z0"], "$.lfun.z0"),
-                "strict": strict,
-            }
-        else:
-            # builder form: deterministic generation parameters
-            _require_keys(
-                lf,
-                {"seed": True, "target_ord": True, "global_levels": False},
-                "$.lfun",
-            )
-            rec = {
-                "form": "builder",
-                "seed": _int(lf["seed"], "$.lfun.seed"),
-                "target_ord": _int(lf["target_ord"], "$.lfun.target_ord"),
-            }
-            if "global_levels" in lf:
-                rec["global_levels"] = _int_list(
-                    lf["global_levels"], "$.lfun.global_levels"
-                )
-            out.lfun = rec
+        out.lfun = {"form": "explicit" if "l_z" in lf else "builder", **lf}
 
     if "shape" in data:
         sh = data["shape"]
-        _require_keys(
-            sh, {"e_infinity": True, "j_blocks": True, "coprime": False}, "$.shape"
-        )
-        jb = sh["j_blocks"]
-        if not isinstance(jb, list):
-            raise SchemaError("$.shape.j_blocks: expected a list of [size, mult] pairs")
-        blocks = []
-        for i, pair in enumerate(jb):
-            pair = _int_list(pair, f"$.shape.j_blocks[{i}]")
+        for i, pair in enumerate(sh["j_blocks"]):
             if len(pair) != 2:
                 raise SchemaError(f"$.shape.j_blocks[{i}]: expected [size, mult]")
             if pair[0] > MAX_CAP:
@@ -233,33 +155,19 @@ def parse_instance(text: str) -> InstanceFile:
                 raise EnumerationCapError(
                     f"$.shape.j_blocks[{i}]: block size {pair[0]} is above the cap {MAX_CAP}"
                 )
-            blocks.append((pair[0], pair[1]))
-        cp = sh.get("coprime", [])
-        if not isinstance(cp, list):
-            raise SchemaError("$.shape.coprime: expected a list of coefficient sequences")
-        coprime = []
-        for i, f in enumerate(cp):
-            coprime.append(tuple(_int_list(f, f"$.shape.coprime[{i}]")))
         out.shape = {
-            "e_infinity": _int(sh["e_infinity"], "$.shape.e_infinity"),
-            "j_blocks": tuple(blocks),
-            "coprime": tuple(coprime),
+            "e_infinity": sh["e_infinity"],
+            "j_blocks": tuple(map(tuple, sh["j_blocks"])),
+            "coprime": tuple(map(tuple, sh.get("coprime", []))),
         }
 
     if "scenario" in data:
         sc = data["scenario"]
-        _require_keys(
-            sc,
-            {"s_plus": True, "s_minus": True, "e_infinity_expected": False},
-            "$.scenario",
-        )
-        out.scenario = {
-            "s_plus": _int(sc["s_plus"], "$.scenario.s_plus"),
-            "s_minus": _int(sc["s_minus"], "$.scenario.s_minus"),
-            "e_infinity_expected": _int(
-                sc.get("e_infinity_expected", 1), "$.scenario.e_infinity_expected"
-            ),
-        }
+        if sc.get("e_infinity_expected", 1) != 1:
+            raise SchemaError(
+                "$.scenario.e_infinity_expected: the anticyclotomic prediction fixes e_inf = 1"
+            )
+        out.scenario = {"s_plus": sc["s_plus"], "s_minus": sc["s_minus"]}
 
     return out
 

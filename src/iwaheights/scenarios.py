@@ -20,10 +20,9 @@ POLARIZED = "polarized"
 class ScenarioInput:
     s_plus: int
     s_minus: int
-    e_infinity_expected: int = 1
 
     def __post_init__(self):
-        if self.s_plus < 0 or self.s_minus < 0 or self.e_infinity_expected < 0:
+        if self.s_plus < 0 or self.s_minus < 0:
             raise ValueError("eigencomponent dimensions must be nonnegative")
 
 

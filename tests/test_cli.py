@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 
 from iwaheights.cli import _instance_from_file, main
 from iwaheights.instancefile import parse_instance
-from iwaheights.errors import SchemaError
+from iwaheights.errors import EnumerationCapError, SchemaError
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_R
 from tests.conftest import monomial_table, run_cli
 
@@ -62,66 +63,75 @@ class TestSchema:
         for path in CORPUS:
             parse_instance(path.read_text())
 
-    def test_fuzzed_documents_fail_cleanly(self):
-        # random structural mutations must either parse or raise the
-        # schema error; nothing else may escape
-        import random
 
-        rng = random.Random(99)
-        docs = [json.loads(p.read_text()) for p in CORPUS]
-
-        def mutate(node, depth=0):
-            if isinstance(node, dict):
-                node = {k: mutate(v, depth + 1) for k, v in node.items()}
-                roll = rng.random()
-                if roll < 0.25:
-                    node["zz_" + str(rng.randrange(10))] = rng.randrange(5)
-                elif roll < 0.4 and node:
-                    node.pop(rng.choice(sorted(node)))
-                return node
-            if isinstance(node, list):
-                return [mutate(v, depth + 1) for v in node]
-            if isinstance(node, int) and rng.random() < 0.2:
-                return rng.choice([-1, 0, "x", None, node + 1])
-            return node
-
-        for _ in range(300):
-            doc = mutate(json.loads(json.dumps(rng.choice(docs))))
-            try:
-                parse_instance(json.dumps(doc))
-            except SchemaError:
-                pass
+# every single-point edit of a shipped file: each of these values at every
+# JSON path, and each key dropped or one unknown key added in every object
+MUTANTS = [None, True, "x", -1, 0, 10**6, [], {}, 1.5, [1], [[1]]]
+RECORD_COMMANDS = {
+    "module": ("invariants", "oracle"),
+    "pairing": ("heights",),
+    "lfun": ("lfun-check",),
+    "shape": ("invariants",),
+    "scenario": ("scenario",),
+}
 
 
-class TestCommandFuzz:
-    def test_commands_never_crash_on_mutations(self, tmp_path, capsys):
-        # in-process: every run on a mutated file returns a contract exit
-        # code; exceptions other than the handled families are bugs
-        import random
+def single_edits(node):
+    yield from MUTANTS
+    if isinstance(node, dict):
+        for key in node:
+            yield {k: v for k, v in node.items() if k != key}
+            for sub in single_edits(node[key]):
+                yield {**node, key: sub}
+        yield {**node, "zz_unknown": 0}
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            for sub in single_edits(item):
+                yield node[:i] + [sub] + node[i + 1 :]
 
-        rng = random.Random(7)
-        docs = [json.loads(p.read_text()) for p in CORPUS]
 
-        def mutate(node):
-            if isinstance(node, dict):
-                node = {k: mutate(v) for k, v in node.items()}
-                if rng.random() < 0.2:
-                    node["zz"] = rng.randrange(4)
-                return node
-            if isinstance(node, list):
-                return [mutate(v) for v in node]
-            if isinstance(node, int) and rng.random() < 0.15:
-                return rng.choice([-1, 0, 1, node + 1, "x"])
-            return node
+class CallTimeout(Exception):
+    """Raised by the sweep's alarm; not an OSError (TimeoutError is one),
+    which `cli._load` would turn into exit 2."""
 
-        for i in range(60):
-            doc = mutate(json.loads(json.dumps(rng.choice(docs))))
-            path = tmp_path / f"fuzz{i}.json"
-            path.write_text(json.dumps(doc))
-            for cmd in ("invariants", "heights", "scenario", "oracle", "lfun-check"):
-                code = main([cmd, "--input", str(path), "--max-size", "2000"])
-                assert code in (0, 1, 2, 3), (cmd, doc)
-        capsys.readouterr()
+
+def _raise_timeout(signum, frame):
+    raise CallTimeout
+
+
+class TestMutationSweep:
+    def test_every_edit_parses_or_exits_cleanly(self, tmp_path, capsys):
+        # in-process, so the sweep stays fast; each call is bounded by an
+        # alarm, and an exit code outside the contract, an escaped
+        # exception or a hang is a failure
+        runs = []
+        for path in CORPUS:
+            for doc in single_edits(json.loads(path.read_text())):
+                text = json.dumps(doc)
+                try:
+                    inst = parse_instance(text)
+                except (SchemaError, EnumerationCapError):
+                    continue
+                cmds = {c for rec, cs in RECORD_COMMANDS.items() if getattr(inst, rec) is not None for c in cs}
+                runs.append((text, sorted(cmds)))
+        assert len(runs) > 500
+        target = tmp_path / "edit.json"
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        try:
+            for text, cmds in runs:
+                target.write_text(text)
+                for cmd in cmds:
+                    signal.alarm(10)
+                    try:
+                        code = main([cmd, "--input", str(target), "--max-size", "2000"])
+                    except Exception as e:
+                        pytest.fail(f"{cmd} raised {e!r} on {text}")
+                    finally:
+                        signal.alarm(0)
+                    assert code in (0, 1, 2, 3), (cmd, text)
+                capsys.readouterr()
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestExitCodes:
@@ -259,6 +269,19 @@ class TestExitCodes:
         assert code == 0, err
         assert json.loads(out)["all_ok"]
 
+    def test_pairing_without_gram_matrix_is_three(self, tmp_path, capsys):
+        # at u = 2 the level-2 basis values need more than cap 16, so the
+        # generator-independence line has no Gram matrix to compare
+        path = tmp_path / "level2.json"
+        path.write_text(
+            '{"version": 1, "ring": {"p": 3, "k": 2, "cap": 16, "level": 2},'
+            ' "pairing": {"kind": "block", "blocks": [{"level": 2}]}}'
+        )
+        assert main(["heights", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource cap: cap 16 too small to re-express at generator exponent 2\n"
+
     def test_non_unit_block_constant_is_two(self, tmp_path):
         bad = tmp_path / "nonunit.json"
         bad.write_text(
@@ -354,6 +377,30 @@ class TestBadFileInputs:
         path = edited_instance(tmp_path, "lfun_seed0_ord1.json", lambda doc: doc.update({record: value}))
         assert main([cmd, "--input", str(path)]) == 2
         assert f"$.{record}: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["lfun-check", "oracle", "heights", "invariants"])
+    def test_duality_coordinate_not_a_list_is_two(self, tmp_path, capsys, cmd):
+        # a coordinate that is an int raised a TypeError on every subcommand
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_table([1]))
+        assert main([cmd, "--input", str(path)]) == 2
+        assert "$.lfun.duality[0]: expected a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["heights", "oracle", "invariants"])
+    def test_deeply_nested_file_is_two(self, tmp_path, capsys, cmd):
+        # the JSON decoder's RecursionError escaped as a traceback (exit 1)
+        path = tmp_path / "deep.json"
+        text = (ROOT / "instances" / "single_block_f3.json").read_text()
+        path.write_text(text.replace('"relations": []', '"relations": ' + "[" * 100_000 + "]" * 100_000))
+        assert main([cmd, "--input", str(path)]) == 2
+        assert "invalid input: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, 5])
+    def test_scenario_e_infinity_other_than_one_is_two(self, tmp_path, capsys, value):
+        # the prediction fixes e_inf = 1; another value was parsed and ignored
+        path = edited_instance(tmp_path, "scenario_demo.json", set_field("scenario", "e_infinity_expected", value))
+        assert main(["scenario", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "$.scenario.e_infinity_expected" in captured.err
 
     @pytest.mark.parametrize(
         "coprime, reason",
