@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, strict schema, exit codes, determinism."""
 
+import functools
 import hashlib
 import json
 import os
@@ -30,38 +31,6 @@ def test_cli_import_reaches_every_module():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
     assert sorted(set(want) - set(out.split())) == []
-
-
-class TestSchema:
-    def test_unknown_field_named(self):
-        with pytest.raises(SchemaError, match="bogus"):
-            parse_instance(
-                '{"version": 1, "ring": {"p": 3, "k": 1, "cap": 9, "level": 1}, "bogus": 1}'
-            )
-
-    def test_nested_unknown_field(self):
-        with pytest.raises(SchemaError, match=r"ring\.x"):
-            parse_instance(
-                '{"version": 1, "ring": {"p": 3, "k": 1, "cap": 9, "level": 1, "x": 0}}'
-            )
-
-    def test_bad_version(self):
-        with pytest.raises(SchemaError, match="version"):
-            parse_instance('{"version": 2, "ring": {"p": 3, "k": 1, "cap": 9, "level": 1}}')
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(SchemaError):
-            parse_instance(
-                '{"version": 1, "ring": {"p": "3", "k": 1, "cap": 9, "level": 1}}'
-            )
-
-    def test_invalid_ring(self):
-        with pytest.raises(SchemaError):
-            parse_instance('{"version": 1, "ring": {"p": 4, "k": 1, "cap": 9, "level": 1}}')
-
-    def test_valid_corpus_parses(self):
-        for path in CORPUS:
-            parse_instance(path.read_text())
 
 
 # every single-point edit of a shipped file: each of these values at every
@@ -99,26 +68,70 @@ def _raise_timeout(signum, frame):
     raise CallTimeout
 
 
-class TestMutationSweep:
-    def test_every_edit_parses_or_exits_cleanly(self, tmp_path, capsys):
+@functools.cache
+def parseable_edits():
+    """Every single edit of a shipped file that parses, as its JSON text and
+    the subcommands its records feed. Any exception from `parse_instance`
+    other than the schema and cap errors escapes."""
+    runs = []
+    for path in CORPUS:
+        for doc in single_edits(json.loads(path.read_text())):
+            text = json.dumps(doc)
+            try:
+                inst = parse_instance(text)
+            except (SchemaError, EnumerationCapError):
+                continue
+            cmds = {c for rec, cs in RECORD_COMMANDS.items() if getattr(inst, rec) is not None for c in cs}
+            runs.append((text, tuple(sorted(cmds))))
+    return tuple(runs)
+
+
+class TestSchema:
+    def test_unknown_field_named(self):
+        with pytest.raises(SchemaError, match="bogus"):
+            parse_instance(
+                '{"version": 1, "ring": {"p": 3, "k": 1, "cap": 9, "level": 1}, "bogus": 1}'
+            )
+
+    def test_nested_unknown_field(self):
+        with pytest.raises(SchemaError, match=r"ring\.x"):
+            parse_instance(
+                '{"version": 1, "ring": {"p": 3, "k": 1, "cap": 9, "level": 1, "x": 0}}'
+            )
+
+    def test_bad_version(self):
+        with pytest.raises(SchemaError, match="version"):
+            parse_instance('{"version": 2, "ring": {"p": 3, "k": 1, "cap": 9, "level": 1}}')
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(SchemaError):
+            parse_instance(
+                '{"version": 1, "ring": {"p": "3", "k": 1, "cap": 9, "level": 1}}'
+            )
+
+    def test_invalid_ring(self):
+        with pytest.raises(SchemaError):
+            parse_instance('{"version": 1, "ring": {"p": 4, "k": 1, "cap": 9, "level": 1}}')
+
+    def test_valid_corpus_parses(self):
+        for path in CORPUS:
+            parse_instance(path.read_text())
+
+    def test_fuzzed_documents_fail_cleanly(self):
+        # every single edit of a shipped file parses or raises the schema or
+        # cap error; nothing else may escape
+        assert len(parseable_edits()) > 500
+
+
+class TestCommandFuzz:
+    def test_commands_never_crash_on_mutations(self, tmp_path, capsys):
         # in-process, so the sweep stays fast; each call is bounded by an
         # alarm, and an exit code outside the contract, an escaped
         # exception or a hang is a failure
-        runs = []
-        for path in CORPUS:
-            for doc in single_edits(json.loads(path.read_text())):
-                text = json.dumps(doc)
-                try:
-                    inst = parse_instance(text)
-                except (SchemaError, EnumerationCapError):
-                    continue
-                cmds = {c for rec, cs in RECORD_COMMANDS.items() if getattr(inst, rec) is not None for c in cs}
-                runs.append((text, sorted(cmds)))
-        assert len(runs) > 500
         target = tmp_path / "edit.json"
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         try:
-            for text, cmds in runs:
+            for text, cmds in parseable_edits():
                 target.write_text(text)
                 for cmd in cmds:
                     signal.alarm(10)
