@@ -321,7 +321,7 @@ class HeightPairing:
     def gram(self) -> Optional[list[list[int]]]:
         """G[a][b] = u^(-1) * phi_u([e_a, e_b]) mod p^k on the ambient bases,
         from `pairing.table`; None when phi_u raises `PrecisionError` on a
-        table entry (the error is kept for `basis_matrix`).
+        table entry.
 
         phi_u is O-linear, so the Gram matrix determines h.  For u != 1 a
         level-n basis value can need more precision than the ring cap
@@ -331,8 +331,7 @@ class HeightPairing:
         """
         try:
             values = [[phi(self.u, v) for v in row] for row in self.pairing.table]
-        except PrecisionError as e:
-            self._gram_error = e
+        except PrecisionError:
             return None
         m = self.spec.modulus
         return [[self._u_inv * c % m for c in row] for row in values]
@@ -363,10 +362,12 @@ class HeightPairing:
 
     def basis_matrix(self) -> list[list[int]]:
         """h on the ambient basis pairs, which is `gram`; without it, the
-        `PrecisionError` phi_u raised on a basis pair.  The Gram matrix is
+        `PrecisionError` phi_u raises on a basis pair.  The Gram matrix is
         shared, so callers must not mutate the result."""
         if self.gram is None:
-            raise self._gram_error
+            for row in self.pairing.table:
+                for v in row:
+                    phi(self.u, v)
         return self.gram
 
     def _kernel(self, rows) -> Submodule:

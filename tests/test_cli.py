@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -34,19 +35,23 @@ def test_cli_import_reaches_every_module():
 
 
 # every single-point edit of a shipped file: each of these values at every
-# JSON path, and each key dropped or one unknown key added in every object
+# JSON path (and 1 and n + 1 in place of an integer n), and each key dropped
+# or one unknown key added in every object
 MUTANTS = [None, True, "x", -1, 0, 10**6, [], {}, 1.5, [1], [[1]]]
-RECORD_COMMANDS = {
-    "module": ("invariants", "oracle"),
-    "pairing": ("heights",),
-    "lfun": ("lfun-check",),
-    "shape": ("invariants",),
+# the records each subcommand reads besides the ring and level
+COMMAND_RECORDS = {
+    "invariants": ("module", "shape"),
+    "heights": ("pairing",),
+    "lfun-check": ("lfun", "pairing"),
+    "oracle": ("module", "pairing", "lfun"),
     "scenario": ("scenario",),
 }
 
 
 def single_edits(node):
     yield from MUTANTS
+    if isinstance(node, int):
+        yield from (1, node + 1)
     if isinstance(node, dict):
         for key in node:
             yield {k: v for k, v in node.items() if k != key}
@@ -57,6 +62,24 @@ def single_edits(node):
         for i, item in enumerate(node):
             for sub in single_edits(item):
                 yield node[:i] + [sub] + node[i + 1 :]
+
+
+def multi_edit(rng, node):
+    """Several random edits at once: unknown keys added and keys dropped
+    together with integers changed, some to valid values."""
+    if isinstance(node, dict):
+        node = {k: multi_edit(rng, v) for k, v in node.items()}
+        roll = rng.random()
+        if roll < 0.25:
+            node["zz_" + str(rng.randrange(10))] = rng.randrange(5)
+        elif roll < 0.4 and node:
+            node.pop(rng.choice(sorted(node)))
+        return node
+    if isinstance(node, list):
+        return [multi_edit(rng, v) for v in node]
+    if isinstance(node, int) and rng.random() < 0.2:
+        return rng.choice([-1, 0, 1, node + 1, "x", None])
+    return node
 
 
 class CallTimeout(Exception):
@@ -70,19 +93,29 @@ def _raise_timeout(signum, frame):
 
 @functools.cache
 def parseable_edits():
-    """Every single edit of a shipped file that parses, as its JSON text and
-    the subcommands its records feed. Any exception from `parse_instance`
-    other than the schema and cap errors escapes."""
+    """Every single edit of a shipped file, and 360 seeded multi-edits, that
+    parse, as JSON text and the subcommands to run on it: each subcommand
+    runs once per distinct ring, level and records it reads. Any exception
+    from `parse_instance` other than the schema and cap errors escapes."""
+    docs = [json.loads(path.read_text()) for path in CORPUS]
+    rng = random.Random(99)
+    edits = [e for doc in docs for e in single_edits(doc)]
+    edits += [multi_edit(rng, rng.choice(docs)) for _ in range(360)]
+    seen = set()
     runs = []
-    for path in CORPUS:
-        for doc in single_edits(json.loads(path.read_text())):
-            text = json.dumps(doc)
-            try:
-                inst = parse_instance(text)
-            except (SchemaError, EnumerationCapError):
-                continue
-            cmds = {c for rec, cs in RECORD_COMMANDS.items() if getattr(inst, rec) is not None for c in cs}
-            runs.append((text, tuple(sorted(cmds))))
+    for doc in edits:
+        text = json.dumps(doc)
+        try:
+            inst = parse_instance(text)
+        except (SchemaError, EnumerationCapError):
+            continue
+        cmds = []
+        for cmd, records in COMMAND_RECORDS.items():
+            key = repr((cmd, inst.ring, inst.level) + tuple(getattr(inst, r) for r in records))
+            if key not in seen:
+                seen.add(key)
+                cmds.append(cmd)
+        runs.append((text, tuple(cmds)))
     return tuple(runs)
 
 
@@ -118,8 +151,8 @@ class TestSchema:
             parse_instance(path.read_text())
 
     def test_fuzzed_documents_fail_cleanly(self):
-        # every single edit of a shipped file parses or raises the schema or
-        # cap error; nothing else may escape
+        # every single edit of a shipped file, and every multi-edit, parses
+        # or raises the schema or cap error; nothing else may escape
         assert len(parseable_edits()) > 500
 
 
