@@ -21,11 +21,7 @@ from iwaheights.errors import (
     PrecisionError,
     SchemaError,
 )
-from iwaheights.heights import (
-    BlockPairing,
-    HeightPairing,
-    derived_height,
-)
+from iwaheights.heights import BlockPairing, DerivedHeightPairing, HeightPairing
 from iwaheights.instancefile import InstanceFile, parse_instance, render_generated
 from iwaheights.lambdamod import (
     DEFAULT_ENUM_CAP,
@@ -36,7 +32,7 @@ from iwaheights.lambdamod import (
     log_p,
     shape_dims,
 )
-from iwaheights.lfun import build_synthetic, main_theorem_check, order_of_vanishing
+from iwaheights.lfun import build_synthetic, instance_from_data, main_theorem_check, order_of_vanishing
 from iwaheights.poles import norm_class
 from iwaheights.reports import Report
 from iwaheights.scenarios import (
@@ -170,13 +166,13 @@ def cmd_heights(args) -> Report:
         },
     )
 
-    rep.add("generator independence", ANCHOR_WELLDEF, h1.basis_matrix() == h2.basis_matrix(), None)
+    rep.add("generator independence", ANCHOR_WELLDEF, h1.gram == h2.gram, None)
 
     sym = pairing.declared_symmetry()
     parity = {"iota_antisymmetric": 1, "zero": 1, "iota_symmetric": 0}.get(sym)
 
     for r in range(1, args.max_r + 1):
-        d = derived_height(h1, r)
+        d = DerivedHeightPairing(h1, r)
         stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
         left = d.left_kernel_elements()
         right = d.right_kernel_elements()
@@ -225,8 +221,6 @@ def _instance_from_file(inst_file: InstanceFile, max_size: int):
         )
     if inst_file.pairing is None:
         raise SchemaError("an explicit lfun record needs a pairing record")
-    from iwaheights.lfun import instance_from_data
-
     duality = rec["duality"]
     return instance_from_data(
         inst_file.ring,
@@ -376,7 +370,7 @@ def cmd_oracle(args) -> Report:
         h = HeightPairing(pairing, u=1)
         M = h.module
         for r in range(1, args.max_r + 1):
-            d = derived_height(h, r)
+            d = DerivedHeightPairing(h, r)
             stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
             rep.add(
                 f"h^({r}) kernels vs filtration",

@@ -11,8 +11,12 @@ Generator bookkeeping: with the generator gamma0^u the pre-height scales
 by u^(-1) (two polar re-expressions contribute u^(-2), the evaluation
 functional contributes u), and the basis element gamma0^u - 1 is congruent
 to u*(gamma0 - 1) mod J^2; the two effects cancel, which is what makes the
-J/J^2-valued height independent of u.  The tests recompute everything with
-u = 1 and u = 2.
+J/J^2-valued height independent of u.  h is evaluated only through its
+Gram matrix on the ambient basis (`HeightPairing.gram`); at u != 1 a basis
+value can need more precision than the ring cap holds, and the
+`PrecisionError` of phi_u then propagates.  The filtration stages do not
+depend on u (`FiniteLevelModule.filtration_stage`).  The tests recompute
+everything with u = 1 and u = 2.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from iwaheights import kernels, linalg
-from iwaheights.errors import IwaheightsError, PrecisionError
+from iwaheights.errors import IwaheightsError
 from iwaheights.iwalg import (
     GroupRingElem,
     RingSpec,
@@ -117,8 +121,6 @@ class BlockPairing:
     first use in closed form; like `TablePairing.table` it determines the
     pairing.
     """
-
-    kind = "block"
 
     def __init__(
         self,
@@ -219,8 +221,6 @@ def _monomial_poles(spec: RingSpec, level: int, c: int) -> list[PoleElem]:
 class TablePairing:
     """A pole-valued pairing given by its table on the ambient O-basis."""
 
-    kind = "table"
-
     def __init__(
         self,
         module: FiniteLevelModule,
@@ -318,57 +318,36 @@ class HeightPairing:
         self._u_inv = spec.unit_inverse(u % spec.modulus)
 
     @functools.cached_property
-    def gram(self) -> Optional[list[list[int]]]:
+    def gram(self) -> list[list[int]]:
         """G[a][b] = u^(-1) * phi_u([e_a, e_b]) mod p^k on the ambient bases,
-        from `pairing.table`; None when phi_u raises `PrecisionError` on a
-        table entry.
+        from `pairing.table`.  phi_u is O-linear, so G determines h.  The
+        matrix is shared, so callers must not mutate it.
 
-        phi_u is O-linear, so the Gram matrix determines h.  For u != 1 a
-        level-n basis value can need more precision than the ring cap
-        holds while a sum of such values drops to a lower level, where
-        phi_u is defined; h is then evaluated value by value.  u = 1
-        never needs the fallback.
+        For u != 1 a level-n basis value can need more precision than the
+        ring cap holds; the `PrecisionError` phi_u raises then propagates.
+        u = 1 never raises.
         """
-        try:
-            values = [[phi(self.u, v) for v in row] for row in self.pairing.table]
-        except PrecisionError:
-            return None
         m = self.spec.modulus
-        return [[self._u_inv * c % m for c in row] for row in values]
+        return [[self._u_inv * phi(self.u, v) % m for v in row] for row in self.pairing.table]
 
     def coeff(self, x: Vec, y: Vec) -> int:
-        """u^(-1) * phi_u([x, y]) mod p^k: x^T G y with the Gram matrix, or,
-        when `gram` is None, phi_u of the pole value [x, y] itself."""
-        m = self.spec.modulus
-        G = self.gram
-        if G is None:
-            return (self._u_inv * phi(self.u, self.pairing.value(x, y))) % m
+        """u^(-1) * phi_u([x, y]) mod p^k: x^T G y with the Gram matrix."""
         total = 0
-        for xa, row in zip(x, G):
+        for xa, row in zip(x, self.gram):
             if xa:
                 total += xa * sum(g * yb for g, yb in zip(row, y))
-        return total % m
+        return total % self.spec.modulus
 
     def value(self, x: Vec, y: Vec) -> JGradedValue:
         return JGradedValue(self.spec, 1, self.coeff(x, y))
 
     def left_kernel(self) -> Submodule:
-        """{x : h(x, .) = 0}, by elimination against the basis."""
-        return self._kernel(zip(*self.basis_matrix()))
+        """{x : h(x, .) = 0}, by elimination against the Gram matrix."""
+        return self._kernel(zip(*self.gram))
 
     def right_kernel(self) -> Submodule:
         """{y : h(., y) = 0}."""
-        return self._kernel(self.basis_matrix())
-
-    def basis_matrix(self) -> list[list[int]]:
-        """h on the ambient basis pairs, which is `gram`; without it, the
-        `PrecisionError` phi_u raises on a basis pair.  The Gram matrix is
-        shared, so callers must not mutate the result."""
-        if self.gram is None:
-            for row in self.pairing.table:
-                for v in row:
-                    phi(self.u, v)
-        return self.gram
+        return self._kernel(self.gram)
 
     def _kernel(self, rows) -> Submodule:
         M = self.module
@@ -417,32 +396,25 @@ class DerivedHeightPairing:
         they are computed (nothing runs before the first row is asked for).
 
         Each argument is checked for membership in the stage once and each
-        left preimage is solved once.  With a Gram matrix G the row of x is
-        w^T G y over ys, and G is contracted on the shorter side: with each
-        preimage w (w^T G) when xs is no longer than ys, otherwise with
-        each y (G y), and then the left preimages are solved row by row.
-        Without one, h is evaluated pair by pair (`HeightPairing.coeff`).
+        left preimage is solved once.  The row of x is w^T G y over ys (w
+        the preimage of x, G the Gram matrix of h), and G is contracted on
+        the shorter side: with each preimage w (w^T G) when xs is no longer
+        than ys, otherwise with each y (G y), and then the left preimages
+        are solved row by row.
         """
-        h = self.h
-        G = h.gram
+        G = self.h.gram
         m = self.spec.modulus
-        scale = pow(h.u, self.r - 1, m)
+        scale = pow(self.h.u, self.r - 1, m)
         if len(xs) <= len(ys):
-            ws = [self._preimage(x) for x in xs]
+            ws = [_vec_times_matrix(self._preimage(x), G) for x in xs]
             self._check_right(ys)
-            if G is not None:
-                ws = [_vec_times_matrix(w, G) for w in ws]
         else:
             self._check_right(ys)
             ws = map(self._preimage, xs)
-            if G is not None:
-                # each y becomes G y, so a row is the preimage dotted with it
-                ys = [[sum(g * b for g, b in zip(row, y)) for row in G] for y in ys]
+            # each y becomes G y, so a row is the preimage dotted with it
+            ys = [[sum(g * b for g, b in zip(row, y)) for row in G] for y in ys]
         for w in ws:
-            if G is None:
-                yield [scale * h.coeff(w, y) % m for y in ys]
-            else:
-                yield [scale * sum(a * b for a, b in zip(w, y)) % m for y in ys]
+            yield [scale * sum(a * b for a, b in zip(w, y)) % m for y in ys]
 
     def _preimage(self, x: Vec) -> list[int]:
         """A torsion preimage of x: sum q_i w_i over the stage's Howell rows."""
@@ -491,7 +463,3 @@ def _vec_times_matrix(w: Vec, G: Sequence[Vec]) -> list[int]:
         if a:
             out = [o + a * g for o, g in zip(out, row)]
     return out
-
-
-def derived_height(h: HeightPairing, r: int) -> DerivedHeightPairing:
-    return DerivedHeightPairing(h, r)

@@ -120,8 +120,8 @@ class FiniteLevelModule:
     `rel_gens` keeps the presentation's relation rows, one flat row per
     relation; `rel_rows` is the Howell basis of the span of all their
     gamma-shifts.  The module is immutable once built and caches
-    `j_torsion(r)` per r and `filtration_stage(r, u)` per (r, u).  Cached
-    submodules are shared between callers and must not be mutated.  A rank
+    `j_torsion(r)` and `filtration_stage(r)` per r.  Cached submodules are
+    shared between callers and must not be mutated.  A rank
     above `MAX_RANK` is refused by `check_rank` before any relation row is
     built.
     """
@@ -161,7 +161,7 @@ class FiniteLevelModule:
         self._summand_modules: dict[tuple[int, ...], FiniteLevelModule] = {}
         self._ideals: dict[int, list[list[int]]] = {}
         self._j_torsion: dict[int, Submodule] = {}
-        self._stages: dict[tuple[int, int], Submodule] = {}
+        self._stages: dict[int, Submodule] = {}
 
     def _coerce(self, entry) -> GroupRingElem:
         if isinstance(entry, GroupRingElem):
@@ -344,14 +344,19 @@ class FiniteLevelModule:
             tor = self._j_torsion[r] = self.torsion(self.T_class() ** r)
         return tor
 
-    def filtration_stage(self, r: int, u: int = 1) -> "Submodule":
-        """M^(r): the image of M[J^r] under (gamma^u - 1)^(r-1), applied to
-        each torsion generator with `act`; computed once per (r, u), and
-        the returned submodule is shared."""
-        stage = self._stages.get((r, u))
+    def filtration_stage(self, r: int) -> "Submodule":
+        """M^(r): the image of M[J^r] under (gamma - 1)^(r-1), applied to
+        each torsion generator with `act`; computed once per r, and the
+        returned submodule is shared.
+
+        The stage does not depend on the generator: gamma^u - 1 = (gamma -
+        1)(1 + gamma + ... + gamma^(u-1)) for a unit u, and the second
+        factor has augmentation u, so it is a unit of the local ring
+        Lambda_N and (gamma^u - 1)^(r-1) M[J^r] is the same image."""
+        stage = self._stages.get(r)
         if stage is None:
-            x = self.T_class(u) ** (r - 1)
-            stage = self._stages[r, u] = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
+            x = self.T_class() ** (r - 1)
+            stage = self._stages[r] = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
         return stage
 
     def universal_norms(self) -> "Submodule":

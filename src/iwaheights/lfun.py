@@ -42,9 +42,9 @@ from iwaheights.errors import (
 from iwaheights.heights import (
     BlockPairing,
     BlockSpec,
+    DerivedHeightPairing,
     HeightPairing,
     block_module,
-    derived_height,
 )
 from iwaheights.iwalg import (
     IwasawaPoly,
@@ -72,21 +72,7 @@ def _dot(f: Vec, d: Vec, m: int) -> int:
     return sum(a * b for a, b in zip(f, d)) % m
 
 
-class Duality:
-    """A duality between the free module and a dual module D, given by
-    `functional(x)`: the vector f over D's ambient basis with
-    <x, d> = f . d mod p^k for every d."""
-
-    module: FiniteLevelModule
-
-    def functional(self, x: Sequence[IwasawaPoly]) -> list[int]:
-        raise NotImplementedError
-
-    def pair(self, x: Sequence[IwasawaPoly], d: Vec) -> int:
-        return _dot(self.functional(x), d, self.module.spec.modulus)
-
-
-class CanonicalDuality(Duality):
+class CanonicalDuality:
     """Componentwise duality: <x, d> = phi(1, x_i * iota(d_i) / omega_(n_i)).
 
     The Z_s coordinate i pairs with the i-th component of the dual module
@@ -107,8 +93,6 @@ class CanonicalDuality(Duality):
     is projected once and each pairing is a dot product.
     """
 
-    kind = "canonical"
-
     def __init__(self, levels: Sequence[int], module: FiniteLevelModule):
         if len(levels) != module.ngens:
             raise ValueError("one level per dual-module component")
@@ -123,12 +107,10 @@ class CanonicalDuality(Duality):
         return out
 
 
-class TableDuality(Duality):
+class TableDuality:
     """Duality given by an explicit table: row (i, j) is the functional of
     the monomial T^j in coordinate i on the dual module's ambient basis;
     one coordinate per dual-module component, rows of the ambient rank."""
-
-    kind = "table"
 
     def __init__(self, table: Sequence[Sequence[Sequence[int]]], module: FiniteLevelModule):
         self.table = [[list(row) for row in coord] for coord in table]
@@ -170,7 +152,7 @@ class LfunInstance:
     spec: RingSpec
     L_z: tuple[IwasawaPoly, ...]
     D_loc: FiniteLevelModule
-    duality: Duality
+    duality: Union[CanonicalDuality, TableDuality]
     height: HeightPairing
     z0: tuple[int, ...]
     strict: Submodule
@@ -306,10 +288,6 @@ class LambdaFunctional:
         return all(self(list(g)).is_zero() for g in self._torsion.gens())
 
 
-def lambda_special(inst: LfunInstance, r: int, u: int = 1) -> LambdaFunctional:
-    return LambdaFunctional(inst, r, u)
-
-
 def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
     """Run the (a)/(b)/(c) consistency checks; validation comes first.
 
@@ -332,7 +310,7 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
     )
     M = inst.global_module
     r_top = r_max if ordv is math.inf else min(int(ordv), r_max)
-    lams = [lambda_special(inst, r) for r in range(r_top + 1)]
+    lams = [LambdaFunctional(inst, r) for r in range(r_top + 1)]
     zero0 = lams[0].is_identically_zero()
     member = inst.strict.contains(inst.z0)
     checks.append(
@@ -367,7 +345,7 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
         )
         if not member:
             continue
-        d_r = derived_height(inst.height, r)
+        d_r = DerivedHeightPairing(inst.height, r)
         lam = lams[r]
         all_ok = True
         witness = []
@@ -491,7 +469,7 @@ def build_synthetic(
     # solve for the class vector of L_z / T^ord
     vbar = [0] * D.dim
     if target_ord >= 1:
-        d_r = derived_height(height, target_ord)
+        d_r = DerivedHeightPairing(height, target_ord)
         cgens = d_r.stage.gens()
         if cgens:
             targets = [d_r.value(z0, c).coeff for c in cgens]

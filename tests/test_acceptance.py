@@ -14,12 +14,7 @@ from pathlib import Path
 import pytest
 
 from iwaheights.errors import IndeterminateError, NotDistinguishedError
-from iwaheights.heights import (
-    BlockPairing,
-    BlockSpec,
-    HeightPairing,
-    derived_height,
-)
+from iwaheights.heights import BlockPairing, BlockSpec, DerivedHeightPairing, HeightPairing
 from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
@@ -129,7 +124,7 @@ def test_criterion_5_derived_tower():
         sym = h.pairing.declared_symmetry()
         parity = 1 if sym in ("iota_antisymmetric", "zero") else 0
         for r in range(1, 5):
-            d = derived_height(h, r)
+            d = DerivedHeightPairing(h, r)
             nxt = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
             assert d.left_kernel_elements() == nxt, (name, r)
             assert d.right_kernel_elements() == nxt, (name, r)
@@ -160,7 +155,7 @@ def test_criterion_6_concrete_witness(spec31):
     span_t2 = {tuple(M.scale(c, t2)) for c in range(3)}
     stage1 = {tuple(v) for v in M.filtration_stage(1).elements()}
     assert stage1 == span_t2
-    d1 = derived_height(h, 1)
+    d1 = DerivedHeightPairing(h, 1)
     assert all(
         d1.value(list(x), list(y)).is_zero() for x in span_t2 for y in span_t2
     )
@@ -169,7 +164,7 @@ def test_criterion_6_concrete_witness(spec31):
     preimages = [w for w in els if tuple(matvec(shift, list(w), 3)) == t2]
     oracle_vals = {h.coeff(w, t2) for w in preimages}
     assert oracle_vals == {1}
-    d3 = derived_height(h, 3)
+    d3 = DerivedHeightPairing(h, 3)
     v = d3.value(t2, t2)
     assert v.degree == 3 and v.coeff == 1 and spec31.is_unit(v.coeff)
     dims = []

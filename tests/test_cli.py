@@ -179,6 +179,21 @@ class TestCommandFuzz:
         finally:
             signal.signal(signal.SIGALRM, previous)
 
+    def test_sampled_commands_stay_under_memory_bound(self, tmp_path):
+        # a seeded sample of the sweep, each call in a child process whose
+        # address space is capped at 1 GB (a cap on this process would
+        # bound the whole test run); running out must still end in an
+        # exit code of the contract, never in a traceback
+        runs = [(text, cmd) for text, cmds in parseable_edits() for cmd in cmds]
+        target = tmp_path / "edit.json"
+        for text, cmd in random.Random(17).sample(runs, 20):
+            target.write_text(text)
+            code, _, err = run_cli(
+                cmd, "--input", str(target), "--max-size", "2000", timeout=30, max_memory=10**9
+            )
+            assert code in (0, 1, 2, 3), (cmd, text, err)
+            assert "Traceback" not in err and "MemoryError" not in err, (cmd, text, err)
+
 
 class TestExitCodes:
     def test_all_pass_is_zero(self):

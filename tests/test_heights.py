@@ -17,11 +17,11 @@ from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.heights import (
     BlockPairing,
     BlockSpec,
+    DerivedHeightPairing,
     HeightPairing,
     TablePairing,
     _basis,
     block_module,
-    derived_height,
     validate_pole_pairing,
 )
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
@@ -195,11 +195,11 @@ class TestDerivedTower:
         M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
         # h^(1) vanishes identically on span{T^2} x span{T^2}
-        d1 = derived_height(h, 1)
+        d1 = DerivedHeightPairing(h, 1)
         assert d1.stage.order() == 3 and d1.stage.contains(t2)
         assert d1.value(t2, t2).is_zero()
         # h^(3)(T^2, T^2) = 1 * (gamma-1)^3, a unit multiple
-        d3 = derived_height(h, 3)
+        d3 = DerivedHeightPairing(h, 3)
         v = d3.value(t2, t2)
         assert v.degree == 3
         assert v.coeff == 1
@@ -212,7 +212,7 @@ class TestDerivedTower:
         for spec in (spec31, spec32):
             h = HeightPairing(single_block(spec))
             M = h.module
-            d1 = derived_height(h, 1)
+            d1 = DerivedHeightPairing(h, 1)
             for x in d1.stage.elements():
                 for y in d1.stage.elements():
                     assert d1.value(x, y).coeff == h.coeff(x, y)
@@ -222,7 +222,7 @@ class TestDerivedTower:
         h = HeightPairing(single_block(spec31))
         M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
-        d3 = derived_height(h, 3)
+        d3 = DerivedHeightPairing(h, 3)
         target = d3.value(t2, t2).coeff
         tcl = M.T_class()
         t2cl = GroupRingElem.one(spec31, 1)
@@ -240,7 +240,7 @@ class TestDerivedTower:
         for r in (1, 2, 3, 4):
             assert M.filtration_stage(r).order() == expected_orders[r]
         for r in (1, 2, 3):
-            d = derived_height(h, r)
+            d = DerivedHeightPairing(h, r)
             kernel = d.left_kernel_elements()
             stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
             assert kernel == stage_next
@@ -257,7 +257,7 @@ class TestDerivedTower:
             h = HeightPairing(BlockPairing(spec, blocks))
             M = h.module
             for r in range(1, 5):
-                d = derived_height(h, r)
+                d = DerivedHeightPairing(h, r)
                 assert d.check_well_defined()
                 nxt = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
                 assert d.left_kernel_elements() == nxt
@@ -273,7 +273,7 @@ class TestDerivedTower:
             ):
                 h = HeightPairing(BlockPairing(spec, blocks))
                 for r in range(1, 5):
-                    d = derived_height(h, r)
+                    d = DerivedHeightPairing(h, r)
                     sign = (-1) ** (r + parity)
                     for x in d.stage.elements():
                         for y in d.stage.elements():
@@ -301,7 +301,7 @@ class TestDerivedTower:
         h1 = HeightPairing(bp, u=1)
         h2 = HeightPairing(bp, u=2)
         for r in (1, 2, 3):
-            d1, d2 = derived_height(h1, r), derived_height(h2, r)
+            d1, d2 = DerivedHeightPairing(h1, r), DerivedHeightPairing(h2, r)
             for x in d1.stage.elements():
                 for y in d1.stage.elements():
                     assert d1.value(x, y).coeff == d2.value(x, y).coeff
@@ -310,7 +310,7 @@ class TestDerivedTower:
         h = HeightPairing(single_block(spec31))
         M = h.module
         one = elem_from_poly(M, [1])
-        d2 = derived_height(h, 2)
+        d2 = DerivedHeightPairing(h, 2)
         with pytest.raises(IwaheightsError):
             d2.value(one, one)
 
@@ -349,6 +349,18 @@ def uncached_derived_value(d, x, y):
     for c, g in zip(sol, gens):
         w = [(a + c * b) % m for a, b in zip(w, g)]
     return pow(h.u, r - 1, m) * pow(h.u, -1, m) * phi(h.u, h.pairing.value(w, y)) % m
+
+
+def phi_fails_on_basis(pairing, u):
+    """Whether phi_u raises `PrecisionError` on some basis value of the
+    pairing, which is when h has no Gram matrix at generator exponent u."""
+    try:
+        for row in pairing.table:
+            for v in row:
+                phi(u, v)
+    except PrecisionError:
+        return True
+    return False
 
 
 @st.composite
@@ -494,10 +506,15 @@ class TestMemoisedDerivedValue:
     @settings(max_examples=60, deadline=None)
     def test_matches_uncached_solve_in_any_order(self, pairing, r, u, data):
         h = HeightPairing(pairing, u=u)
-        d = derived_height(h, r)
+        d = DerivedHeightPairing(h, r)
         assume(d.stage.order() <= 81)
+        fails = phi_fails_on_basis(pairing, u)
         pairs = [(x, y) for x in d.stage.elements() for y in d.stage.gens()]
         for x, y in data.draw(st.permutations(pairs), label="call order"):
+            if fails:
+                with pytest.raises(PrecisionError):
+                    d.value(x, y)
+                continue
             v = d.value(x, y)
             assert v.degree == r
             assert v.coeff == uncached_derived_value(d, x, y)
@@ -507,7 +524,7 @@ class TestMemoisedDerivedValue:
         M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
         one = elem_from_poly(M, [1])
-        d2 = derived_height(h, 2)
+        d2 = DerivedHeightPairing(h, 2)
         d2.value(t2, t2)
         with pytest.raises(IwaheightsError, match="right argument"):
             d2.value(t2, one)
@@ -516,9 +533,10 @@ class TestMemoisedDerivedValue:
 
 
 class TestGramMatrix:
-    """HeightPairing.coeff is x^T G y with G from the basis table, or phi_u
-    of the pole value when phi_u needs more precision on a basis value
-    than on the sum (gram is None)."""
+    """HeightPairing.coeff is x^T G y with G from the basis table, which
+    must be phi_u of the pole value; when phi_u needs more precision than
+    the ring cap holds on a basis value, G and every evaluation of h raise
+    its `PrecisionError`."""
 
     @given(block_pairings(), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=80, deadline=None)
@@ -527,48 +545,46 @@ class TestGramMatrix:
         M = h.module
         m = h.spec.modulus
         draw_vec = st.lists(st.integers(0, m - 1), min_size=M.dim, max_size=M.dim)
+        fails = phi_fails_on_basis(pairing, u)
         for _ in range(3):
             x = M.canon(data.draw(draw_vec, label="x"))
             y = M.canon(data.draw(draw_vec, label="y"))
-            try:
-                want = pow(u, -1, m) * phi(u, pairing.value(x, y)) % m
-            except PrecisionError:
-                assert h.gram is None
+            if fails:
                 with pytest.raises(PrecisionError):
                     h.coeff(x, y)
             else:
-                assert h.coeff(x, y) == want
+                assert h.coeff(x, y) == pow(u, -1, m) * phi(u, pairing.value(x, y)) % m
 
     @pytest.mark.parametrize(
         "blocks",
         [[BlockSpec(2)], [BlockSpec(2, 2, swapped=True)], [BlockSpec(0), BlockSpec(2)]],
     )
-    def test_precision_boundary_falls_back(self, blocks):
+    def test_precision_boundary_raises(self, blocks):
         # at u = 2 the level-2 basis values need more than cap 16, so
-        # there is no Gram matrix; every stage value must still come out,
-        # pair by pair and from `matrix` with either side the longer
+        # there is no Gram matrix and h raises phi_u's error
         pairing = BlockPairing(RingSpec(3, 2, 16), blocks, level=2)
         h = HeightPairing(pairing, u=2)
-        assert h.gram is None
-        d = derived_height(h, 1)
-        els, gens = d.stage.elements(), d.stage.gens()
-        assert len(gens) < len(els)
-        want = [[uncached_derived_value(d, x, y) for y in gens] for x in els]
-        assert [[d.value(x, y).coeff for y in gens] for x in els] == want
-        assert list(d.matrix(els, gens)) == want
-        assert list(d.matrix(gens, els)) == [[uncached_derived_value(d, x, y) for y in els] for x in gens]
+        d = DerivedHeightPairing(h, 1)
+        gens = d.stage.gens()
+        msg = "^cap 16 too small to re-express at generator exponent 2$"
+        with pytest.raises(PrecisionError, match=msg):
+            h.gram
+        with pytest.raises(PrecisionError, match=msg):
+            h.coeff(gens[0], gens[0])
+        with pytest.raises(PrecisionError, match=msg):
+            list(d.matrix(gens, gens))
 
 
 class TestDerivedMatrix:
     """DerivedHeightPairing.matrix contracts the Gram matrix on the shorter
-    side; each entry must be the per-pair value (without a Gram matrix:
-    `TestGramMatrix.test_precision_boundary_falls_back`), and both kernel
-    enumerations (one `matrix` call each) must match the per-pair loops."""
+    side; each entry must be the per-pair value, and both kernel
+    enumerations (one `matrix` call each) must match the per-pair loops.
+    Where the Gram matrix raises (`TestGramMatrix`), so does `matrix`."""
 
     @given(block_pairings(), st.integers(1, 3), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=40, deadline=None)
     def test_entries_match_uncached_solve(self, pairing, r, u, data):
-        d = derived_height(HeightPairing(pairing, u=u), r)
+        d = DerivedHeightPairing(HeightPairing(pairing, u=u), r)
         els = d.stage.elements()
         assume(len(els) <= 243)
         short = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=2), label="short")
@@ -576,16 +592,21 @@ class TestDerivedMatrix:
             st.lists(st.sampled_from(els), min_size=len(short) + 1, max_size=len(short) + 2),
             label="long",
         )
+        fails = phi_fails_on_basis(pairing, u)
         for xs, ys in ((short, long), (long, short)):
-            rows = list(d.matrix(xs, ys))
-            assert rows == [[uncached_derived_value(d, x, y) for y in ys] for x in xs]
+            if fails:
+                with pytest.raises(PrecisionError):
+                    list(d.matrix(xs, ys))
+            else:
+                rows = list(d.matrix(xs, ys))
+                assert rows == [[uncached_derived_value(d, x, y) for y in ys] for x in xs]
 
     def test_membership_errors_match_value(self, spec31):
         h = HeightPairing(single_block(spec31))
         M = h.module
         t2 = elem_from_poly(M, [0, 0, 1])
         one = elem_from_poly(M, [1])
-        d2 = derived_height(h, 2)
+        d2 = DerivedHeightPairing(h, 2)
         # both contraction sides: xs no longer than ys, and xs longer
         for xs, ys in (([one], [t2, t2]), ([t2, one], [t2])):
             with pytest.raises(IwaheightsError, match="left argument is not in the stage-2"):
@@ -597,14 +618,20 @@ class TestDerivedMatrix:
     @given(block_pairings(dead=st.booleans()), st.integers(1, 3), st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_kernels_match_per_pair_loops(self, pairing, r, u):
-        d = derived_height(HeightPairing(pairing, u=u), r)
+        d = DerivedHeightPairing(HeightPairing(pairing, u=u), r)
         assume(d.stage.order() <= 243)
-        assert d.left_kernel_elements() == per_pair_left_kernel(d)
-        assert d.right_kernel_elements() == per_pair_right_kernel(d)
+        if phi_fails_on_basis(pairing, u):
+            with pytest.raises(PrecisionError):
+                d.left_kernel_elements()
+            with pytest.raises(PrecisionError):
+                d.right_kernel_elements()
+        else:
+            assert d.left_kernel_elements() == per_pair_left_kernel(d)
+            assert d.right_kernel_elements() == per_pair_right_kernel(d)
 
     def test_stage_without_generators(self, spec31):
         # the kernel chain of one level-1 block ends at stage 4
-        d = derived_height(HeightPairing(single_block(spec31)), 5)
+        d = DerivedHeightPairing(HeightPairing(single_block(spec31)), 5)
         assert d.stage.gens() == []
         els = {tuple(v) for v in d.stage.elements()}
         assert d.right_kernel_elements() == els == d.left_kernel_elements()

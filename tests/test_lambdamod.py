@@ -38,13 +38,19 @@ def brute_torsion(M, f_class):
     return {v for v in M.elements() if not any(M.act(f_class, v))}
 
 
+def units(spec):
+    """Every unit 1 <= u < p^k."""
+    return [u for u in range(1, spec.modulus) if spec.is_unit(u)]
+
+
 def checked_stages(M, r_max):
     """The stages M^(1), ..., M^(r_max), after checking that each does not
-    depend on the generator (u = 1 and u = 2 give the same stage) and that
-    they decrease."""
+    depend on the generator (the image under (gamma^u - 1)^(r-1) is the
+    same for every unit u) and that they decrease."""
     stages = [M.filtration_stage(r) for r in range(1, r_max + 1)]
     for r, stage in enumerate(stages, 1):
-        assert stage == M.filtration_stage(r, 2), f"stage {r} depends on the generator"
+        for u in units(M.spec):
+            assert stage == matrix_filtration_stage(M, r, u), f"stage {r} depends on the generator"
     for big, small in zip(stages, stages[1:]):
         assert all(big.contains(v) for v in small.hrows), "stages fail to decrease"
     return stages
@@ -381,8 +387,8 @@ class TestFastPathsAgainstOracles:
     """act() convolves each generator's block with x; the oracle is the
     explicit action matrix.  j_torsion(r) is cached per r; the oracle is
     a fresh torsion computation.  filtration_stage applies a power of
-    (gamma^u - 1) with act(); the oracle builds the power by repeated
-    products and applies its action matrix."""
+    (gamma - 1) with act(); the oracle builds the power of (gamma^u - 1),
+    for any unit u, by repeated products and applies its action matrix."""
 
     @given(modules(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -409,19 +415,21 @@ class TestFastPathsAgainstOracles:
         assert first == M.torsion(x)
         assert M.j_torsion(r) is first
 
-    @given(modules(), st.integers(1, 3), st.sampled_from([1, 2]))
+    @given(modules(), st.integers(1, 3), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_filtration_stage_matches_matrix_image(self, M, r, u):
-        assert M.filtration_stage(r, u).hrows == matrix_filtration_stage(M, r, u).hrows
+    def test_filtration_stage_matches_matrix_image(self, M, r, data):
+        u = data.draw(st.sampled_from(units(M.spec)), label="u")
+        assert M.filtration_stage(r).hrows == matrix_filtration_stage(M, r, u).hrows
 
-    @given(modules(), st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2])), min_size=1, max_size=4))
+    @given(modules(), st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_filtration_stage_cached_per_r_and_u(self, M, calls):
-        # stages of other (r, u) built in between must not disturb the cache
-        for r, u in calls:
-            stage = M.filtration_stage(r, u)
+    def test_filtration_stage_cached_per_r(self, M, rs, data):
+        # stages of other r built in between must not disturb the cache
+        for r in rs:
+            u = data.draw(st.sampled_from(units(M.spec)), label="u")
+            stage = M.filtration_stage(r)
             assert stage.hrows == matrix_filtration_stage(M, r, u).hrows
-            assert M.filtration_stage(r, u) is stage
+            assert M.filtration_stage(r) is stage
 
     @given(group_ring_elems(), st.integers(0, 5))
     @settings(max_examples=80, deadline=None)

@@ -23,11 +23,11 @@ from iwaheights.iwalg import IwasawaPoly, project_to_level
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP
 from iwaheights.lfun import (
     CanonicalDuality,
+    LambdaFunctional,
     LfunInstance,
     TableDuality,
     build_synthetic,
     der,
-    lambda_special,
     main_theorem_check,
     order_of_vanishing,
 )
@@ -196,21 +196,21 @@ class TestLambdaSpecial:
         for ordv in (1, 2, 3):
             inst = build_synthetic(9, target_ord=ordv)
             for r in range(ordv):
-                assert lambda_special(inst, r).is_identically_zero()
+                assert LambdaFunctional(inst, r).is_identically_zero()
 
     def test_at_order_nonzero(self):
         for ordv in (0, 1, 2, 3):
             inst = build_synthetic(10, target_ord=ordv)
-            assert not lambda_special(inst, ordv).is_identically_zero()
+            assert not LambdaFunctional(inst, ordv).is_identically_zero()
 
     def test_zero_argument(self):
         inst = build_synthetic(11, target_ord=1)
-        lam = lambda_special(inst, 1)
+        lam = LambdaFunctional(inst, 1)
         assert lam([0] * inst.D_loc.dim).is_zero()
 
     def test_domain_guard(self):
         inst = build_synthetic(12, target_ord=1)
-        lam = lambda_special(inst, 1)
+        lam = LambdaFunctional(inst, 1)
         # a non-torsion element must be rejected
         non_torsion = None
         tor = inst.D_loc.j_torsion(1)
@@ -229,9 +229,9 @@ class TestLambdaSpecial:
                 inst = build_synthetic(13, k=k, target_ord=ordv)
                 units = [u for u in range(1, inst.spec.modulus) if inst.spec.is_unit(u)]
                 gens = inst.D_loc.j_torsion(1).gens()
-                base = lambda_special(inst, ordv, u=1)
+                base = LambdaFunctional(inst, ordv, u=1)
                 for u in units[:4]:
-                    lam_u = lambda_special(inst, ordv, u=u)
+                    lam_u = LambdaFunctional(inst, ordv, u=u)
                     for g in gens:
                         assert lam_u(list(g)).coeff == base(list(g)).coeff
 
@@ -258,7 +258,7 @@ class TestMainTheorem:
         # in the iff-false direction
         inst = build_synthetic(14, target_ord=0)
         assert not inst.strict.contains(inst.z0)
-        assert not lambda_special(inst, 0).is_identically_zero()
+        assert not LambdaFunctional(inst, 0).is_identically_zero()
         checks = main_theorem_check(inst, 2)
         rec = next(c for c in checks if c["name"].startswith("(a)"))
         assert rec["ok"] and not rec["witness"]["lambda0_zero"]
@@ -339,9 +339,13 @@ class TestClosedFormDuality:
         x = [random_poly(rng, spec) for _ in range(D.ngens)]
         d = [rng.randrange(spec.modulus) for _ in range(D.dim)]
         assert isinstance(inst.duality, CanonicalDuality)
-        assert inst.duality.pair(x, d) == pole_pair(inst.duality, x, d)
+
+        def pair(v):
+            return sum(a * b for a, b in zip(inst.duality.functional(v), d)) % spec.modulus
+
+        assert pair(x) == pole_pair(inst.duality, x, d)
         # on the instance's own L_z as well
-        assert inst.duality.pair(inst.L_z, d) == pole_pair(inst.duality, inst.L_z, d)
+        assert pair(inst.L_z) == pole_pair(inst.duality, inst.L_z, d)
 
     @given(st.sampled_from(DUALITY_CASES), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -376,7 +380,6 @@ class TestClosedFormDuality:
         d = [rng.randrange(m) for _ in range(D.dim)]
         f = dual.functional(x)
         assert len(f) == D.dim
-        assert dual.pair(x, d) == table_pair(table, x, d, m)
         assert sum(a * b for a, b in zip(f, d)) % m == table_pair(table, x, d, m)
         # a table shorter than the highest nonzero coefficient of x refuses
         top = max(j for xi in x for j, c in enumerate(xi.coeffs) if c)
@@ -385,8 +388,6 @@ class TestClosedFormDuality:
             table_pair(short, x, d, m)
         with pytest.raises(PrecisionError, match="too short"):
             TableDuality(short, D).functional(x)
-        with pytest.raises(PrecisionError, match="too short"):
-            TableDuality(short, D).pair(x, d)
 
     def test_monomial_table_reproduces_canonical(self):
         inst = cached_instance(DUALITY_CASES[0])

@@ -2,12 +2,7 @@
 
 import pytest
 
-from iwaheights.heights import (
-    BlockPairing,
-    BlockSpec,
-    HeightPairing,
-    derived_height,
-)
+from iwaheights.heights import BlockPairing, BlockSpec, DerivedHeightPairing, HeightPairing
 from iwaheights.lambdamod import infer_invariants, shape_dims
 from iwaheights.scenarios import (
     POLARIZED,
@@ -114,7 +109,7 @@ class TestDegeneracyFloor:
             s_plus = 1 + dp
             s_minus = 1 + dm
             floor = degeneracy_floor(ScenarioInput(s_plus, s_minus))
-            d1 = derived_height(h, 1)
+            d1 = DerivedHeightPairing(h, 1)
             kernel = d1.left_kernel_elements()
             # log_3 of the kernel size = its dimension over F_3
             kdim = 0
