@@ -14,9 +14,11 @@ to u*(gamma0 - 1) mod J^2; the two effects cancel, which is what makes the
 J/J^2-valued height independent of u.  h is evaluated only through its
 Gram matrix on the ambient basis (`HeightPairing.gram`); at u != 1 a basis
 value can need more precision than the ring cap holds, and the
-`PrecisionError` of phi_u then propagates.  The filtration stages do not
-depend on u (`FiniteLevelModule.filtration_stage`).  The tests recompute
-everything with u = 1 and u = 2.
+`PrecisionError` of phi_u then propagates.  The exponent u is a parameter
+of `HeightPairing` only, where the `heights` report compares the Gram
+matrices at u = 1 and u = 2; the derived tower is written at gamma, and
+the tests check it against an oracle that shifts by (gamma^u - 1)^(r-1)
+and scales by u^(r-1) for u = 1 and u = 2.
 """
 
 from __future__ import annotations
@@ -302,9 +304,11 @@ def validate_pole_pairing(pairing) -> None:
 class HeightPairing:
     """The J/J^2-valued height attached to a pole-valued pairing.
 
-    The coefficient is u^(-1) * phi_u([x, y]) for the chosen generator
-    exponent u; the value does not depend on u.  The pairing is not
-    validated here: callers run `pairing.validate()` on input pairings.
+    The coefficient is u^(-1) * phi_u([x, y]) for the generator exponent
+    u; the value does not depend on u.  Every command uses u = 1, and the
+    `heights` report builds a second height at u = 2 to compare the Gram
+    matrices.  The pairing is not validated here: callers run
+    `pairing.validate()` on input pairings.
     """
 
     def __init__(self, pairing, u: int = 1):
@@ -338,9 +342,6 @@ class HeightPairing:
                 total += xa * sum(g * yb for g, yb in zip(row, y))
         return total % self.spec.modulus
 
-    def value(self, x: Vec, y: Vec) -> JGradedValue:
-        return JGradedValue(self.spec, 1, self.coeff(x, y))
-
     def left_kernel(self) -> Submodule:
         """{x : h(x, .) = 0}, by elimination against the Gram matrix."""
         return self._kernel(zip(*self.gram))
@@ -358,7 +359,7 @@ class DerivedHeightPairing:
     """h^(r) on the filtration stage M^(r), valued in J^r/J^(r+1).
 
     h^(1) is the restriction of h to the J-torsion; for r > 1 the left
-    argument is pulled back through (gamma^u - 1)^(r-1) inside M[J^r].
+    argument is pulled back through (gamma - 1)^(r-1) inside M[J^r].
     The preimage problem is factored once, here: one batched
     `solve_combination` against the shifted torsion rows (each torsion
     generator times the shift, by `act`, plus the relation rows) gives a
@@ -366,8 +367,9 @@ class DerivedHeightPairing:
     argument x = sum q_i s_i (the quotients of its reduction against the
     stage, `linalg.coordinates`) then has the preimage sum q_i w_i, and
     h^(r)(x, y) is one evaluation of h.  That preimage may differ from
-    any other by an element of ker((gamma^u-1)^(r-1)) in M[J^r], which h
-    kills against the stage (`check_well_defined`).
+    any other by an element of ker((gamma-1)^(r-1)) in M[J^r], which h
+    kills against the stage (checked in the tests).  Only the Gram matrix
+    of h is read, and it is the same at every generator exponent of h.
     """
 
     def __init__(self, h: HeightPairing, r: int):
@@ -378,10 +380,9 @@ class DerivedHeightPairing:
         self.spec = h.spec
         M = h.module
         self.stage = M.filtration_stage(r)
-        self.torsion = M.j_torsion(r)
-        self._shift = M.T_class(h.u) ** (r - 1)
-        gens = self.torsion.hrows
-        shifted = [list(M.act(self._shift, g)) for g in gens] + [list(rel) for rel in M.rel_rows]
+        shift = M.T_class() ** (r - 1)
+        gens = M.j_torsion(r).hrows
+        shifted = [list(M.act(shift, g)) for g in gens] + [list(rel) for rel in M.rel_rows]
         sols = linalg.solve_combination(shifted, self.stage.hrows, self.spec.p, self.spec.k)
         if None in sols:
             raise IwaheightsError("no torsion preimage found (filtration data broken)")
@@ -404,7 +405,6 @@ class DerivedHeightPairing:
         """
         G = self.h.gram
         m = self.spec.modulus
-        scale = pow(self.h.u, self.r - 1, m)
         if len(xs) <= len(ys):
             ws = [_vec_times_matrix(self._preimage(x), G) for x in xs]
             self._check_right(ys)
@@ -414,7 +414,7 @@ class DerivedHeightPairing:
             # each y becomes G y, so a row is the preimage dotted with it
             ys = [[sum(g * b for g, b in zip(row, y)) for row in G] for y in ys]
         for w in ws:
-            yield [scale * sum(a * b for a, b in zip(w, y)) % m for y in ys]
+            yield [sum(a * b for a, b in zip(w, y)) % m for y in ys]
 
     def _preimage(self, x: Vec) -> list[int]:
         """A torsion preimage of x: sum q_i w_i over the stage's Howell rows."""
@@ -427,14 +427,6 @@ class DerivedHeightPairing:
         for y in ys:
             if not self.stage.contains(y):
                 raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
-
-    def check_well_defined(self) -> bool:
-        """Preimage independence: two torsion preimages of the same stage
-        element differ by ker((gamma^u-1)^(r-1)) inside M[J^r], so it
-        suffices that h kills that kernel against the stage."""
-        ambiguity = self.h.module.torsion(self._shift).intersect(self.torsion)
-        gens = self.stage.gens()
-        return all(self.h.coeff(t, y) == 0 for t in ambiguity.gens() for y in gens)
 
     @functools.cached_property
     def _stage_elements(self) -> list[Vec]:

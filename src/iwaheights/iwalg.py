@@ -100,11 +100,6 @@ class IwasawaPoly:
     def T(cls, spec: RingSpec) -> "IwasawaPoly":
         return cls(spec, (0, 1))
 
-    @classmethod
-    def gamma_power(cls, spec: RingSpec, e: int) -> "IwasawaPoly":
-        """(1+T)^e as an exact polynomial (e >= 0; degree capped at cap)."""
-        return cls(spec, [math.comb(e, j) for j in range(min(e, spec.cap) + 1)])
-
     # -- basics --------------------------------------------------------
     def _check(self, other: "IwasawaPoly") -> None:
         if self.spec != other.spec:

@@ -242,12 +242,12 @@ class FiniteLevelModule:
             out.extend(kernels.cyclic_mul(xs, vec[i * n : (i + 1) * n], m))
         return self.canon(out)
 
-    def gamma_class(self, u: int = 1) -> GroupRingElem:
-        return GroupRingElem.gamma(self.spec, self.level, u)
+    def gamma_class(self) -> GroupRingElem:
+        return GroupRingElem.gamma(self.spec, self.level)
 
-    def T_class(self, u: int = 1) -> GroupRingElem:
-        """Class of (1+T)^u - 1 at this level (u = 1 gives gamma - 1)."""
-        return self.gamma_class(u) - GroupRingElem.one(self.spec, self.level)
+    def T_class(self) -> GroupRingElem:
+        """Class of gamma - 1 at this level."""
+        return self.gamma_class() - GroupRingElem.one(self.spec, self.level)
 
     # -- submodules -------------------------------------------------------
     def submodule(self, vectors: Iterable[Sequence[int]]) -> "Submodule":

@@ -246,16 +246,23 @@ def order_of_vanishing(inst: LfunInstance) -> Union[int, float]:
     return inst.vanishing_order
 
 
-def der(inst: LfunInstance, r: int, u: int = 1) -> tuple[IwasawaPoly, ...]:
-    """Exact preimage of L_z under multiplication by (gamma^u - 1)^r."""
+def der(inst: LfunInstance, r: int) -> tuple[IwasawaPoly, ...]:
+    """Exact preimage of L_z under multiplication by T^r = (gamma - 1)^r.
+
+    Dividing by (gamma^u - 1)^r instead gives this quotient times a unit
+    congruent to u^(-r) mod J, so u^r times the special value at gamma^u
+    is the one at gamma (the tests check it).  An r above the precision
+    of L_z is a resource cap."""
     if r == 0:
         return inst.L_z
     spec = inst.spec
     ordv = order_of_vanishing(inst)
     if r > ordv:
         raise NotDivisibleError(f"L_z has order {ordv}, cannot divide by J^{r}")
-    gu = IwasawaPoly.gamma_power(spec, u) - IwasawaPoly.one(spec)
-    f = gu**r
+    prec = min(x.precision for x in inst.L_z)
+    if r > prec:
+        raise PrecisionError(f"cannot divide by T^{r}: L_z is known to precision {prec}")
+    f = IwasawaPoly.T(spec) ** r
     out = []
     for x in inst.L_z:
         q, rem = weierstrass_divide(x, f)
@@ -266,15 +273,14 @@ def der(inst: LfunInstance, r: int, u: int = 1) -> tuple[IwasawaPoly, ...]:
 
 
 class LambdaFunctional:
-    """The degree-r special value on the J-torsion of the dual module."""
+    """The degree-r special value on the J-torsion of the dual module,
+    written at the generator gamma (`der`)."""
 
-    def __init__(self, inst: LfunInstance, r: int, u: int = 1):
+    def __init__(self, inst: LfunInstance, r: int):
         self.inst = inst
         self.r = r
-        self.u = u
-        self._functional = inst.duality.functional(der(inst, r, u))
+        self._functional = inst.duality.functional(der(inst, r))
         self._torsion = inst.D_loc.j_torsion(1)
-        self._scale = pow(u, r, inst.spec.modulus)
 
     def __call__(self, c: Vec) -> JGradedValue:
         if not self._torsion.contains(c):
@@ -282,7 +288,7 @@ class LambdaFunctional:
                 "special values are defined on the J-torsion of the dual module only"
             )
         val = _dot(self._functional, c, self.inst.spec.modulus)
-        return JGradedValue(self.inst.spec, self.r, self._scale * val)
+        return JGradedValue(self.inst.spec, self.r, val)
 
     def is_identically_zero(self) -> bool:
         return all(self(list(g)).is_zero() for g in self._torsion.gens())

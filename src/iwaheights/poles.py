@@ -41,21 +41,6 @@ class JGradedValue:
             raise ValueError("degree must be >= 0")
         object.__setattr__(self, "coeff", self.coeff % self.spec.modulus)
 
-    def __add__(self, other: "JGradedValue") -> "JGradedValue":
-        if self.degree != other.degree:
-            raise ValueError("cannot add graded values of different degrees")
-        return JGradedValue(self.spec, self.degree, self.coeff + other.coeff)
-
-    def __neg__(self) -> "JGradedValue":
-        return JGradedValue(self.spec, self.degree, -self.coeff)
-
-    def scale(self, c: int) -> "JGradedValue":
-        return JGradedValue(self.spec, self.degree, c * self.coeff)
-
-    def shift_degree(self, s: int) -> "JGradedValue":
-        """Multiply by (gamma-1)^s; the coefficient is unchanged."""
-        return JGradedValue(self.spec, self.degree + s, self.coeff)
-
     def is_zero(self) -> bool:
         return self.coeff == 0
 

@@ -36,6 +36,11 @@ def random_poly(rng: random.Random, spec: RingSpec, precision=None) -> IwasawaPo
     )
 
 
+def gamma_power(spec: RingSpec, e: int) -> IwasawaPoly:
+    """(1+T)^e, the generator gamma^e as a power series."""
+    return (IwasawaPoly.one(spec) + IwasawaPoly.T(spec)) ** e
+
+
 def monomial_table(inst, nrows):
     """Table rows (i, j) = the functional of T^j in coordinate i under the
     instance's duality: a faithful explicit table of that duality."""
@@ -166,6 +171,16 @@ def per_pair_right_kernel(d) -> set:
     `value` call per pair: the oracle of `right_kernel_elements`."""
     gens = d.stage.gens()
     return {tuple(y) for y in d.stage.elements() if all(d.value(x, y).is_zero() for x in gens)}
+
+
+def derived_well_defined(d) -> bool:
+    """Preimage independence of h^(r): two torsion preimages of the same
+    stage element differ by ker((gamma-1)^(r-1)) inside M[J^r], so it
+    suffices that h kills that kernel against the stage generators."""
+    M = d.h.module
+    ambiguity = M.torsion(M.T_class() ** (d.r - 1)).intersect(M.j_torsion(d.r))
+    gens = d.stage.gens()
+    return all(d.h.coeff(t, y) == 0 for t in ambiguity.gens() for y in gens)
 
 
 def restricted_kernel_check(

@@ -363,12 +363,13 @@ def edited_instance(tmp_path, name, edit):
     return path
 
 
-def faithful_table():
+def faithful_table(nrows=None):
     """The canonical duality of lfun_seed0_ord1.json as an explicit table:
-    3 coordinates of rows of width 9, the dual module's ambient rank."""
+    3 coordinates of rows of width 9, the dual module's ambient rank, with
+    one row per monomial T^j below `nrows` (all cap + 1 by default)."""
     text = (ROOT / "instances" / "lfun_seed0_ord1.json").read_text()
     inst = _instance_from_file(parse_instance(text), DEFAULT_ENUM_CAP)
-    return monomial_table(inst, inst.spec.cap + 1)
+    return monomial_table(inst, inst.spec.cap + 1 if nrows is None else nrows)
 
 
 def set_table(table):
@@ -410,6 +411,20 @@ class TestBadFileInputs:
         assert code == 2, out
         assert "duality table needs 3 coordinates of rows of width 9" in err
         assert "Traceback" not in err
+
+    def test_derivative_above_precision_is_three(self, tmp_path, capsys):
+        # L_z = 0 has infinite order, so --max-r 16 asks for L_z / T^16 at
+        # cap 15, where T^16 truncates to 0; with a table duality that was
+        # a validation error (exit 2) from the Weierstrass division
+        def edit(doc):
+            doc["lfun"]["l_z"] = [[0] * len(c) for c in doc["lfun"]["l_z"]]
+            doc["lfun"]["duality"] = faithful_table(4)
+
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", edit)
+        assert main(["lfun-check", "--input", str(path), "--max-r", "16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource cap: ") and "T^16" in captured.err
 
     def test_negative_local_level_is_two(self, tmp_path):
         path = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_field("lfun", "local_levels", [-1]))

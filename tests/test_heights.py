@@ -28,6 +28,7 @@ from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
 from iwaheights.lambdamod import FiniteLevelModule, log_p
 from iwaheights.poles import PoleElem, phi, pole_involution
 from tests.conftest import (
+    derived_well_defined,
     matvec,
     per_pair_left_kernel,
     per_pair_right_kernel,
@@ -258,7 +259,7 @@ class TestDerivedTower:
             M = h.module
             for r in range(1, 5):
                 d = DerivedHeightPairing(h, r)
-                assert d.check_well_defined()
+                assert derived_well_defined(d)
                 nxt = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
                 assert d.left_kernel_elements() == nxt
                 assert d.right_kernel_elements() == nxt
@@ -337,7 +338,7 @@ def uncached_derived_value(d, x, y):
     for _ in range(r):
         tr = tr * t
     gens = M.torsion(tr).hrows
-    tu = M.T_class(h.u)
+    tu = GroupRingElem.gamma(spec, M.level, h.u) - GroupRingElem.one(spec, M.level)
     shift = GroupRingElem.one(spec, M.level)
     for _ in range(r - 1):
         shift = shift * tu

@@ -365,9 +365,11 @@ def modules(draw):
 def matrix_filtration_stage(M, r, u):
     """M^(r) by the action matrix: (gamma^u - 1)^(r-1) built by repeated
     products, applied to each generator of M[J^r] with matvec."""
-    x = GroupRingElem.one(M.spec, M.level)
+    one = GroupRingElem.one(M.spec, M.level)
+    tu = GroupRingElem.gamma(M.spec, M.level, u) - one
+    x = one
     for _ in range(r - 1):
-        x = x * M.T_class(u)
+        x = x * tu
     A = M.action_matrix(x)
     return M.submodule(matvec(A, list(g), M.spec.modulus) for g in M.j_torsion(r).hrows)
 
@@ -481,7 +483,7 @@ class TestTorsionPerSummand:
         if kind == "J^r":
             f = M.T_class() ** data.draw(st.integers(1, 5), label="r")
         elif kind == "omega_n":
-            f = M.gamma_class(spec.p ** data.draw(st.integers(0, level), label="n")) - GroupRingElem.one(spec, level)
+            f = GroupRingElem.gamma(spec, level, spec.p ** data.draw(st.integers(0, level), label="n")) - GroupRingElem.one(spec, level)
         else:
             # gamma + 1 has augmentation 2, a unit: it is prime to J
             f = M.gamma_class() + GroupRingElem.one(spec, level)
@@ -562,7 +564,7 @@ def k1_elements(M):
     one = GroupRingElem.one(spec, level)
     return st.one_of(
         st.integers(0, n + 1).map(lambda r: M.T_class() ** r),
-        st.integers(0, level).map(lambda e: M.gamma_class(spec.p**e) - one),
+        st.integers(0, level).map(lambda e: GroupRingElem.gamma(spec, level, spec.p**e) - one),
         coeffs.map(lambda cs: GroupRingElem(spec, level, cs)),
         st.just(GroupRingElem.zero(spec, level)),
         coeffs.map(lambda cs: GroupRingElem(spec, level, cs)).filter(lambda x: x.augmentation() % spec.p),

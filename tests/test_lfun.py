@@ -19,7 +19,7 @@ from iwaheights.errors import (
     PrecisionError,
 )
 from iwaheights.instancefile import parse_instance, render_generated
-from iwaheights.iwalg import IwasawaPoly, project_to_level
+from iwaheights.iwalg import IwasawaPoly, project_to_level, weierstrass_divide
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP
 from iwaheights.lfun import (
     CanonicalDuality,
@@ -164,6 +164,19 @@ class TestOrderOfVanishing:
             build_synthetic(0, target_ord=-1)
 
 
+def der_at(inst, r, u):
+    """L_z divided by (gamma^u - 1)^r = ((1+T)^u - 1)^r: the derivative
+    with respect to the generator gamma^u."""
+    one, T = IwasawaPoly.one(inst.spec), IwasawaPoly.T(inst.spec)
+    f = ((one + T) ** u - one) ** r
+    out = []
+    for x in inst.L_z:
+        q, rem = weierstrass_divide(x, f)
+        assert rem.is_zero()
+        out.append(q)
+    return out
+
+
 class TestDer:
     def test_r0_is_identity(self):
         inst = build_synthetic(5, target_ord=2)
@@ -183,12 +196,14 @@ class TestDer:
         with pytest.raises(NotDivisibleError):
             der(inst, 2)
 
-    def test_division_with_u2(self):
-        # dividing by (gamma^2 - 1)^r also works and rescales consistently
-        inst = build_synthetic(8, target_ord=2)
-        q1 = der(inst, 2, u=1)
-        q2 = der(inst, 2, u=2)
-        assert all(isinstance(x, IwasawaPoly) for x in q1 + q2)
+    def test_quotient_times_T_power_is_L_z(self):
+        for ordv in (1, 2, 3):
+            inst = build_synthetic(8, target_ord=ordv)
+            for r in range(1, ordv + 1):
+                T_r = IwasawaPoly.T(inst.spec) ** r
+                for q, x in zip(der(inst, r), inst.L_z):
+                    assert q.precision == x.precision - r
+                    assert (q * T_r).truncate(q.precision) == x.truncate(q.precision)
 
 
 class TestLambdaSpecial:
@@ -224,16 +239,20 @@ class TestLambdaSpecial:
             lam(non_torsion)
 
     def test_generator_independence(self):
+        # the derivative with respect to gamma^u, scaled by u^r, is the one
+        # with respect to gamma, for every unit u
         for ordv in (1, 2):
             for k in (1, 2):
                 inst = build_synthetic(13, k=k, target_ord=ordv)
-                units = [u for u in range(1, inst.spec.modulus) if inst.spec.is_unit(u)]
+                spec = inst.spec
+                m = spec.modulus
                 gens = inst.D_loc.j_torsion(1).gens()
-                base = LambdaFunctional(inst, ordv, u=1)
-                for u in units[:4]:
-                    lam_u = LambdaFunctional(inst, ordv, u=u)
+                base = LambdaFunctional(inst, ordv)
+                for u in filter(spec.is_unit, range(1, m)):
+                    f_u = inst.duality.functional(der_at(inst, ordv, u))
                     for g in gens:
-                        assert lam_u(list(g)).coeff == base(list(g)).coeff
+                        lhs = pow(u, ordv, m) * sum(a * b for a, b in zip(f_u, g)) % m
+                        assert lhs == base(list(g)).coeff
 
 
 class TestMainTheorem:

@@ -262,11 +262,3 @@ class TestJGradedValue:
     def test_canonical_form(self, spec31):
         v = JGradedValue(spec31, 2, 5)
         assert v.coeff == 2
-
-    def test_degree_mix_rejected(self, spec31):
-        with pytest.raises(ValueError):
-            JGradedValue(spec31, 1, 1) + JGradedValue(spec31, 2, 1)
-
-    def test_shift(self, spec31):
-        v = JGradedValue(spec31, 1, 2).shift_degree(2)
-        assert v.degree == 3 and v.coeff == 2
