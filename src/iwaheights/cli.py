@@ -409,54 +409,48 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="instance file (strict JSON)")
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    common.add_argument(
-        "--max-size", type=positive_int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"
-    )
-    common.add_argument(
-        "--max-r", type=positive_int, default=4, help="largest derived degree to check"
-    )
+# each flag's add_argument spec, declared once
+FLAGS = {
+    "--input": dict(help="instance file (strict JSON)"),
+    "--format": dict(choices=("text", "json"), default="text", help="report format"),
+    "--seed": dict(type=int, default=0, help="deterministic seed"),
+    "--max-size": dict(type=positive_int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"),
+    "--max-r": dict(type=positive_int, default=4, help="largest derived degree to check"),
+    "--ord": dict(type=int, default=1, help="target order of vanishing"),
+    "--p": dict(type=int, default=3),
+    "--k": dict(type=int, default=1),
+    "--s-plus": dict(type=int, default=None),
+    "--s-minus": dict(type=int, default=None),
+    "--output": dict(help="write to a file instead of stdout"),
+}
 
+REPORT_FLAGS = ("--input", "--format", "--max-size", "--max-r")
+BUILDER_FLAGS = ("--seed", "--ord", "--p", "--k")
+
+# subcommand -> (function, help, the flags it reads); a flag it does not
+# read is refused by argparse (exit 2)
+COMMANDS = {
+    "invariants": (cmd_invariants, "shape/module invariants", REPORT_FLAGS),
+    "heights": (cmd_heights, "derived-height suite", REPORT_FLAGS),
+    "lfun-check": (cmd_lfun_check, "L-function consistency", REPORT_FLAGS + BUILDER_FLAGS),
+    "scenario": (cmd_scenario, "sign-twisted scenario", ("--input", "--format", "--s-plus", "--s-minus")),
+    "generate": (cmd_generate, "emit a synthetic instance file", BUILDER_FLAGS + ("--max-size", "--output")),
+    "oracle": (cmd_oracle, "oracle vs fast-path comparison", REPORT_FLAGS),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iwaheights",
         description="Exact height-pairing and L-function consistency checks "
         "over Z/p^k coefficient rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", parents=[common], help="shape/module invariants")
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_h = sub.add_parser("heights", parents=[common], help="derived-height suite")
-    p_h.set_defaults(func=cmd_heights)
-
-    p_l = sub.add_parser("lfun-check", parents=[common], help="L-function consistency")
-    p_l.add_argument("--ord", type=int, default=1, help="target order of vanishing")
-    p_l.add_argument("--p", type=int, default=3)
-    p_l.add_argument("--k", type=int, default=1)
-    p_l.set_defaults(func=cmd_lfun_check)
-
-    p_s = sub.add_parser("scenario", parents=[common], help="sign-twisted scenario")
-    p_s.add_argument("--s-plus", type=int, default=None)
-    p_s.add_argument("--s-minus", type=int, default=None)
-    p_s.set_defaults(func=cmd_scenario)
-
-    p_g = sub.add_parser("generate", parents=[common], help="emit a synthetic instance file")
-    p_g.add_argument("--ord", type=int, default=1)
-    p_g.add_argument("--p", type=int, default=3)
-    p_g.add_argument("--k", type=int, default=1)
-    p_g.add_argument("--output", help="write to a file instead of stdout")
-    p_g.set_defaults(func=cmd_generate)
-
-    p_o = sub.add_parser("oracle", parents=[common], help="oracle vs fast-path comparison")
-    p_o.set_defaults(func=cmd_oracle)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            cmd.add_argument(flag, **FLAGS[flag])
+        cmd.set_defaults(func=func)
     return parser
 
 
@@ -464,7 +458,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_r > MAX_R:
+        # only the subcommands that read --max-r have it
+        if getattr(args, "max_r", 0) > MAX_R:
             raise EnumerationCapError(f"--max-r {args.max_r} is above the cap {MAX_R}")
         out = args.func(args)
     except (EnumerationCapError, PrecisionError) as e:

@@ -334,14 +334,6 @@ class HeightPairing:
         m = self.spec.modulus
         return [[self._u_inv * phi(self.u, v) % m for v in row] for row in self.pairing.table]
 
-    def coeff(self, x: Vec, y: Vec) -> int:
-        """u^(-1) * phi_u([x, y]) mod p^k: x^T G y with the Gram matrix."""
-        total = 0
-        for xa, row in zip(x, self.gram):
-            if xa:
-                total += xa * sum(g * yb for g, yb in zip(row, y))
-        return total % self.spec.modulus
-
     def left_kernel(self) -> Submodule:
         """{x : h(x, .) = 0}, by elimination against the Gram matrix."""
         return self._kernel(zip(*self.gram))

@@ -105,11 +105,6 @@ class IwasawaPoly:
         if self.spec != other.spec:
             raise ValueError("mixed ring specs")
 
-    def coefficient(self, i: int) -> int:
-        if i > self.precision:
-            raise PrecisionError(f"coefficient {i} unknown at precision {self.precision}")
-        return self.coeffs[i]
-
     def augmentation(self) -> int:
         return self.coeffs[0]
 

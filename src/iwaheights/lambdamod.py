@@ -20,13 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import EnumerationCapError
-from iwaheights.iwalg import (
-    GroupRingElem,
-    IwasawaPoly,
-    RingSpec,
-    _T_to_gamma_matrix,
-    project_to_level,
-)
+from iwaheights.iwalg import GroupRingElem, RingSpec, _T_to_gamma_matrix
 
 DEFAULT_ENUM_CAP = 3**10
 
@@ -260,7 +254,7 @@ class FiniteLevelModule:
     def full_submodule(self) -> "Submodule":
         return self.submodule([[int(c == i) for c in range(self.dim)] for i in range(self.dim)])
 
-    def torsion(self, f: Union[IwasawaPoly, GroupRingElem]) -> "Submodule":
+    def torsion(self, f: GroupRingElem) -> "Submodule":
         """Kernel of multiplication by f: the f-torsion submodule.
 
         On a direct sum of summands Lambda_N/(f_i) (`_summands`) it is the
@@ -275,8 +269,6 @@ class FiniteLevelModule:
         Mixed relations, and one generator at k > 1, take
         `_preimage_torsion` on the whole module.
         """
-        if isinstance(f, IwasawaPoly):
-            f = project_to_level(f, self.level)
         if self._summands is None or (self.spec.k > 1 and self.ngens < 2):
             return self._preimage_torsion(f)
         if self.spec.k == 1:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from iwaheights.cli import _instance_from_file, main
+from iwaheights.cli import COMMANDS, _instance_from_file, main
 from iwaheights.instancefile import parse_instance
 from iwaheights.errors import EnumerationCapError, SchemaError
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_R
@@ -80,6 +81,13 @@ def multi_edit(rng, node):
     if isinstance(node, int) and rng.random() < 0.2:
         return rng.choice([-1, 0, 1, node + 1, "x", None])
     return node
+
+
+def sweep_argv(cmd, target):
+    """`cmd` on the edited file, given each sweep flag that the CLI's table
+    says it reads, so a subcommand is swept with its own flags."""
+    values = {"--input": str(target), "--max-size": "2000"}
+    return [cmd] + [a for flag, value in values.items() if flag in COMMANDS[cmd][2] for a in (flag, value)]
 
 
 class CallTimeout(Exception):
@@ -169,7 +177,7 @@ class TestCommandFuzz:
                 for cmd in cmds:
                     signal.alarm(10)
                     try:
-                        code = main([cmd, "--input", str(target), "--max-size", "2000"])
+                        code = main(sweep_argv(cmd, target))
                     except Exception as e:
                         pytest.fail(f"{cmd} raised {e!r} on {text}")
                     finally:
@@ -188,11 +196,39 @@ class TestCommandFuzz:
         target = tmp_path / "edit.json"
         for text, cmd in random.Random(17).sample(runs, 20):
             target.write_text(text)
-            code, _, err = run_cli(
-                cmd, "--input", str(target), "--max-size", "2000", timeout=30, max_memory=10**9
-            )
+            code, _, err = run_cli(*sweep_argv(cmd, target), timeout=30, max_memory=10**9)
             assert code in (0, 1, 2, 3), (cmd, text, err)
             assert "Traceback" not in err and "MemoryError" not in err, (cmd, text, err)
+
+
+# the flags each subcommand reads; it refuses every other flag of the CLI
+REPORT_FLAGS = {"--input", "--format", "--max-size", "--max-r"}
+READS = {
+    "invariants": REPORT_FLAGS,
+    "heights": REPORT_FLAGS,
+    "oracle": REPORT_FLAGS,
+    "lfun-check": REPORT_FLAGS | {"--seed", "--ord", "--p", "--k"},
+    "scenario": {"--input", "--format", "--s-plus", "--s-minus"},
+    "generate": {"--seed", "--max-size", "--ord", "--p", "--k", "--output"},
+}
+UNREAD = [(cmd, flag) for cmd in READS for flag in sorted(set().union(*READS.values()) - READS[cmd])]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("cmd", sorted(READS))
+    def test_help_lists_exactly_the_flags_read(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) == READS[cmd] | {"--help"}
+
+    @pytest.mark.parametrize("cmd, flag", UNREAD, ids=[f"{cmd}{flag}" for cmd, flag in UNREAD])
+    def test_unread_flag_is_two(self, cmd, flag, capsys):
+        # bad input (exit 2), not a flag that is accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -246,6 +282,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["lfun-check", "--ord", "1"], ["scenario", "--s-plus", "1", "--s-minus", "0"]])
     def test_max_r_cap_holds_for_every_command(self, argv, capsys):
+        # the cap holds on every subcommand that reads --max-r; scenario
+        # reads no degree, so the flag itself is bad input
+        if argv[0] == "scenario":
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--max-r", "1"])
+            assert exc.value.code == 2
+            return
         assert main(argv + ["--max-r", str(MAX_R + 1)]) == 3
         assert capsys.readouterr().out == ""
         assert main(argv + ["--max-r", str(MAX_R), "--format", "json"]) == 0

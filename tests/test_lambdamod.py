@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from iwaheights.errors import EnumerationCapError
 from iwaheights.heights import BlockSpec, block_module
 from iwaheights.instancefile import parse_instance
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec
+from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level
 from iwaheights.lambdamod import (
     MAX_RANK,
     ElementaryShape,
@@ -105,19 +105,19 @@ class TestTorsion:
     def test_T_torsion_of_level1_block(self, spec31):
         # Lambda_1 over F_3 is F_3[T]/(T^3); the T-torsion is spanned by T^2
         M = lambda_block(spec31, 1)
-        tor = M.torsion(IwasawaPoly.T(spec31))
+        tor = M.torsion(project_to_level(IwasawaPoly.T(spec31), M.level))
         t2 = M.from_components([GroupRingElem.from_poly_coeffs(spec31, 1, [0, 0, 1])])
         assert tor.order() == 3
         assert tor.contains(t2)
 
     def test_unit_torsion_trivial(self, spec31):
         M = lambda_block(spec31, 1)
-        assert M.torsion(IwasawaPoly.one(spec31)).order() == 1
+        assert M.torsion(project_to_level(IwasawaPoly.one(spec31), M.level)).order() == 1
 
     def test_omega_torsion_everything(self, spec31):
         M = lambda_block(spec31, 1)
         om = IwasawaPoly(spec31, [0, 0, 0, 1])  # omega_1 mod 3
-        assert M.torsion(om).order() == M.size
+        assert M.torsion(project_to_level(om, M.level)).order() == M.size
 
     def test_torsion_against_enumeration(self, spec31, spec32):
         rng = random.Random(3)

@@ -22,7 +22,6 @@ UNREACHED = {
     "heights.TablePairing": "no instance record builds it yet (ROADMAP item 5), and "
     "perfbench's tracer counts heights.TablePairing.value",
     "lfun.TableDuality": "no shipped instance file has a duality table",
-    "heights.HeightPairing.coeff": "x^T G y, the form of h the test oracles evaluate",
 }
 
 
