@@ -10,6 +10,7 @@ error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -81,6 +82,29 @@ def _build_pairing(inst: InstanceFile, max_size: int) -> BlockPairing:
     blocks = inst.pairing["blocks"]
     level = max([inst.level] + [b.level for b in blocks])
     return BlockPairing(inst.ring, blocks, enum_cap=max_size, level=level)
+
+
+# the builder flags' documented defaults; argparse leaves an unset flag None,
+# so a flag given beside --input is seen and refused (`_refuse_beside_input`)
+BUILDER_DEFAULTS = {"seed": 0, "ord": 1, "p": 3, "k": 1}
+
+
+def _build_from_flags(args):
+    """The synthetic instance of --seed/--ord/--p/--k, an unset flag taking
+    its value from BUILDER_DEFAULTS (`lfun-check` without --input, `generate`)."""
+    v = {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in BUILDER_DEFAULTS.items()
+    }
+    return build_synthetic(v["seed"], p=v["p"], k=v["k"], target_ord=v["ord"], enum_cap=args.max_size)
+
+
+def _refuse_beside_input(args, names) -> None:
+    """--input reads these values from the file, so a flag among `names`
+    given beside it would be ignored: refuse it as bad input (exit 2)."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise SchemaError(f"--input ignores {' '.join(given)}; give the flags or the file, not both")
 
 
 def _dims_from_module(M: FiniteLevelModule, r_max: int) -> list[int]:
@@ -237,18 +261,13 @@ def _instance_from_file(inst_file: InstanceFile, max_size: int):
 
 def cmd_lfun_check(args) -> Report:
     if args.input:
+        _refuse_beside_input(args, BUILDER_DEFAULTS)
         inst_file = _load(args)
         if inst_file.lfun is None:
             raise SchemaError("lfun-check needs an lfun record or --seed/--ord")
         built = _instance_from_file(inst_file, args.max_size)
     else:
-        built = build_synthetic(
-            args.seed,
-            p=args.p,
-            k=args.k,
-            target_ord=args.ord,
-            enum_cap=args.max_size,
-        )
+        built = _build_from_flags(args)
     ordv = order_of_vanishing(built)
     rep = Report(
         "lfun-check",
@@ -263,6 +282,7 @@ def cmd_lfun_check(args) -> Report:
 
 def cmd_scenario(args) -> Report:
     if args.input:
+        _refuse_beside_input(args, ("s_plus", "s_minus"))
         inst = _load(args)
         if inst.scenario is None:
             raise SchemaError("scenario needs a scenario record or flags")
@@ -310,10 +330,7 @@ def cmd_scenario(args) -> Report:
 
 
 def cmd_generate(args) -> int:
-    built = build_synthetic(
-        args.seed, p=args.p, k=args.k, target_ord=args.ord, enum_cap=args.max_size
-    )
-    text = render_generated(built)
+    text = render_generated(_build_from_flags(args))
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -413,12 +430,12 @@ def positive_int(text: str) -> int:
 FLAGS = {
     "--input": dict(help="instance file (strict JSON)"),
     "--format": dict(choices=("text", "json"), default="text", help="report format"),
-    "--seed": dict(type=int, default=0, help="deterministic seed"),
+    "--seed": dict(type=int, default=None, help="deterministic seed"),
     "--max-size": dict(type=positive_int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"),
     "--max-r": dict(type=positive_int, default=4, help="largest derived degree to check"),
-    "--ord": dict(type=int, default=1, help="target order of vanishing"),
-    "--p": dict(type=int, default=3),
-    "--k": dict(type=int, default=1),
+    "--ord": dict(type=int, default=None, help="target order of vanishing"),
+    "--p": dict(type=int, default=None),
+    "--k": dict(type=int, default=None),
     "--s-plus": dict(type=int, default=None),
     "--s-minus": dict(type=int, default=None),
     "--output": dict(help="write to a file instead of stdout"),
@@ -439,7 +456,16 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    Sharing is safe because parsing never changes a parser: each
+    `parse_args` fills a new Namespace (a subcommand parses into its own
+    new one), every default is immutable, help and error text build their
+    formatter when they print, and `prog` is fixed rather than read from
+    sys.argv.
+    """
     parser = argparse.ArgumentParser(
         prog="iwaheights",
         description="Exact height-pairing and L-function consistency checks "

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from iwaheights import cli
 from iwaheights.cli import COMMANDS, _instance_from_file, main
 from iwaheights.instancefile import parse_instance
 from iwaheights.errors import EnumerationCapError, SchemaError
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, MAX_R
 from tests.conftest import monomial_table, run_cli
+from tests.test_corpus_pins import PINS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
@@ -229,6 +231,90 @@ class TestFlags:
             main([cmd, flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+# flags that --input would ignore, each given beside a file the subcommand reads
+IGNORED_BESIDE_INPUT = [("lfun-check", "lfun_seed0_ord1.json", flag) for flag in ("--seed", "--ord", "--p", "--k")] + [
+    ("scenario", "scenario_demo.json", flag) for flag in ("--s-plus", "--s-minus")
+]
+
+
+class TestInputRefusal:
+    @pytest.mark.parametrize(
+        "cmd, name, flag", IGNORED_BESIDE_INPUT, ids=[f"{cmd}{flag}" for cmd, _, flag in IGNORED_BESIDE_INPUT]
+    )
+    def test_flag_beside_input_is_two(self, cmd, name, flag, capsys):
+        # even the flag's default value is refused: the file would override it
+        argv = [cmd, "--input", f"instances/{name}", flag, "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid input: ") and flag in err
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and flag in err
+
+    def test_message_names_every_ignored_flag(self, capsys):
+        argv = ["lfun-check", "--input", "instances/lfun_seed0_ord1.json", "--ord", "3", "--p", "5"]
+        assert main(argv) == 2
+        assert "--ord --p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, name", sorted({(cmd, name) for cmd, name, _ in IGNORED_BESIDE_INPUT}))
+    def test_input_alone_keeps_its_pinned_report(self, cmd, name, capsys):
+        for fmt, digest in zip(("text", "json"), PINS[name, cmd]):
+            assert main([cmd, "--input", f"instances/{name}", "--format", fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# one process running these in turn must print what a fresh process prints
+# for each: a run that fails to parse or prints help must leave the shared
+# parser as it found it (at --ord 3 the report shows --max-r, which it caps
+# at the order of vanishing)
+REUSE_SEQUENCE = [
+    ["lfun-check", "--ord", "3", "--max-r", "2"],
+    ["lfun-check", "--ord", "3"],
+    ["lfun-check"],
+    ["generate", "--max-r", "1"],
+    ["heights", "--help"],
+    ["generate", "--seed", "1"],
+    ["heights", "--input", "instances/single_block_f3.json"],
+    ["scenario", "--s-plus", "1", "--s-minus", "0"],
+]
+
+
+def in_process(argv, capsys):
+    """(exit code, stdout, stderr) of `cli.main(argv)`, a SystemExit taken
+    as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_matches_fresh_processes(self, capsys, monkeypatch):
+        # help is wrapped to $COLUMNS in both processes
+        monkeypatch.setenv("COLUMNS", "100")
+        runs = [in_process(argv, capsys) for argv in REUSE_SEQUENCE]
+        assert [code for code, _, _ in runs] == [0, 0, 0, 2, 0, 0, 0, 0]
+        for argv, run in zip(REUSE_SEQUENCE, runs):
+            assert run == run_cli(*argv, timeout=60), argv
+
+    @pytest.mark.parametrize("cmd", [None, *COMMANDS])
+    def test_used_parser_prints_the_help_of_a_fresh_one(self, cmd, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        for argv in REUSE_SEQUENCE:
+            in_process(argv, capsys)
+        argv = ["--help"] if cmd is None else [cmd, "--help"]
+        helps = []
+        for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and helps[0].startswith("usage: iwaheights")
 
 
 class TestExitCodes:
