@@ -430,14 +430,14 @@ def positive_int(text: str) -> int:
 FLAGS = {
     "--input": dict(help="instance file (strict JSON)"),
     "--format": dict(choices=("text", "json"), default="text", help="report format"),
-    "--seed": dict(type=int, default=None, help="deterministic seed"),
+    "--seed": dict(type=int, default=None, help=f"deterministic seed (default {BUILDER_DEFAULTS['seed']})"),
     "--max-size": dict(type=positive_int, default=DEFAULT_ENUM_CAP, help="element cap for enumeration"),
     "--max-r": dict(type=positive_int, default=4, help="largest derived degree to check"),
-    "--ord": dict(type=int, default=None, help="target order of vanishing"),
-    "--p": dict(type=int, default=None),
-    "--k": dict(type=int, default=None),
-    "--s-plus": dict(type=int, default=None),
-    "--s-minus": dict(type=int, default=None),
+    "--ord": dict(type=int, default=None, help=f"target order of vanishing (default {BUILDER_DEFAULTS['ord']})"),
+    "--p": dict(type=int, default=None, help=f"odd prime p of the ring Z/p^k (default {BUILDER_DEFAULTS['p']})"),
+    "--k": dict(type=int, default=None, help=f"exponent k of the ring Z/p^k (default {BUILDER_DEFAULTS['k']})"),
+    "--s-plus": dict(type=int, default=None, help="dimension s+ of the plus eigencomponent"),
+    "--s-minus": dict(type=int, default=None, help="dimension s- of the minus eigencomponent"),
     "--output": dict(help="write to a file instead of stdout"),
 }
 

@@ -93,10 +93,6 @@ class IwasawaPoly:
         return cls(spec, (), precision)
 
     @classmethod
-    def one(cls, spec: RingSpec) -> "IwasawaPoly":
-        return cls(spec, (1,))
-
-    @classmethod
     def T(cls, spec: RingSpec) -> "IwasawaPoly":
         return cls(spec, (0, 1))
 
@@ -105,36 +101,9 @@ class IwasawaPoly:
         if self.spec != other.spec:
             raise ValueError("mixed ring specs")
 
-    def augmentation(self) -> int:
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
         """Zero up to the stored precision."""
         return not any(self.coeffs)
-
-    def truncate(self, precision: int) -> "IwasawaPoly":
-        return IwasawaPoly(self.spec, self.coeffs, min(precision, self.precision))
-
-    def __add__(self, other: "IwasawaPoly") -> "IwasawaPoly":
-        self._check(other)
-        prec = min(self.precision, other.precision)
-        m = self.spec.modulus
-        return IwasawaPoly(
-            self.spec,
-            [(a + b) % m for a, b in zip(self.coeffs, other.coeffs)],
-            prec,
-        )
-
-    def __sub__(self, other: "IwasawaPoly") -> "IwasawaPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "IwasawaPoly":
-        m = self.spec.modulus
-        return IwasawaPoly(self.spec, [(-a) % m for a in self.coeffs], self.precision)
-
-    def scale(self, c: int) -> "IwasawaPoly":
-        m = self.spec.modulus
-        return IwasawaPoly(self.spec, [(c * a) % m for a in self.coeffs], self.precision)
 
     def __mul__(self, other: "IwasawaPoly") -> "IwasawaPoly":
         self._check(other)
@@ -157,7 +126,7 @@ class IwasawaPoly:
     def __eq__(self, other: object) -> bool:
         """Strict equality: the same ring, precision and coefficients.  Two
         series known to different precisions are never equal; compare them
-        after `truncate` to the smaller one."""
+        at the smaller precision."""
         if not isinstance(other, IwasawaPoly):
             return NotImplemented
         return (
@@ -202,19 +171,6 @@ def weierstrass_degree(f: IwasawaPoly) -> int:
             f"no unit coefficient up to T^{f.precision}; indeterminate at this precision"
         )
     raise NotDistinguishedError("element has no unit coefficient up to the cap")
-
-
-def is_distinguished(f: IwasawaPoly) -> bool:
-    """True iff some known coefficient is a unit of O.
-
-    An element that is zero (or p-divisible) through a precision below the
-    cap raises IndeterminateError instead of returning False.
-    """
-    try:
-        weierstrass_degree(f)
-        return True
-    except NotDistinguishedError:
-        return False
 
 
 def _invert_unit_series(coeffs: Sequence[int], m: int, prec: int, spec: RingSpec) -> list[int]:
@@ -276,26 +232,6 @@ def weierstrass_divide(g: IwasawaPoly, f: IwasawaPoly) -> tuple[IwasawaPoly, Iwa
     return IwasawaPoly(spec, q, out_prec), r
 
 
-def involution(lam: IwasawaPoly) -> IwasawaPoly:
-    """The ring automorphism induced by gamma -> gamma^(-1).
-
-    Substitutes T -> (1+T)^(-1) - 1 through its geometric series; applying
-    it twice returns the input at matching precision.
-    """
-    spec = lam.spec
-    m = spec.modulus
-    prec = lam.precision
-    s = [0] + [(-1) ** i % m for i in range(1, prec + 1)]
-    out = [lam.coeffs[-1]]
-    for j in range(len(lam.coeffs) - 2, -1, -1):
-        out = kernels.poly_mul_trunc(out, s, m, prec)
-        if out:
-            out[0] = (out[0] + lam.coeffs[j]) % m
-        else:
-            out = [lam.coeffs[j]]
-    return IwasawaPoly(spec, out, prec)
-
-
 def _geometric_sum(spec: RingSpec, step: int, count: int) -> IwasawaPoly:
     """sum_(j < count) (1+T)^(j*step), exactly, as a polynomial of degree
     (count-1)*step; refused before anything is built when that is above the cap."""
@@ -308,20 +244,6 @@ def _geometric_sum(spec: RingSpec, step: int, count: int) -> IwasawaPoly:
         for t in range(e + 1):
             coeffs[t] += math.comb(e, t)
     return IwasawaPoly(spec, coeffs)
-
-
-def norm_element(spec: RingSpec, n: int) -> IwasawaPoly:
-    """((1+T)^(p^n) - 1) / T, exactly, as a polynomial of degree p^n - 1."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    return _geometric_sum(spec, 1, spec.p**n)
-
-
-def cyclotomic_factor(spec: RingSpec, n: int, m_level: int) -> IwasawaPoly:
-    """The exact quotient ((1+T)^(p^n) - 1) / ((1+T)^(p^m) - 1) for m <= n."""
-    if m_level > n:
-        raise ValueError("need m_level <= n")
-    return _geometric_sum(spec, spec.p**m_level, spec.p ** (n - m_level))
 
 
 def generator_ratio(spec: RingSpec, n: int, u: int) -> IwasawaPoly:
@@ -462,10 +384,6 @@ class GroupRingElem:
         m = self.spec.modulus
         return GroupRingElem(self.spec, self.level, [(-a) % m for a in self.coeffs])
 
-    def scale(self, c: int) -> "GroupRingElem":
-        m = self.spec.modulus
-        return GroupRingElem(self.spec, self.level, [(c * a) % m for a in self.coeffs])
-
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._check(other)
         cs = kernels.cyclic_mul(list(self.coeffs), list(other.coeffs), self.spec.modulus)
@@ -482,18 +400,9 @@ class GroupRingElem:
     def involution(self) -> "GroupRingElem":
         return GroupRingElem(self.spec, self.level, iota_coeffs(self.coeffs))
 
-    def augmentation(self) -> int:
-        return sum(self.coeffs) % self.spec.modulus
-
     @property
     def identity_coefficient(self) -> int:
         return self.coeffs[0]
-
-    def fold_to_level(self, m_level: int) -> "GroupRingElem":
-        """Image under the quotient map to the level-m group ring."""
-        if m_level > self.level:
-            raise ValueError("fold target must be a lower level")
-        return GroupRingElem(self.spec, m_level, fold_coeffs(self.coeffs, self.spec.p**m_level))
 
     def at_level(self, n: int) -> "GroupRingElem":
         """This element at level n: folded down from above, or its
@@ -501,7 +410,7 @@ class GroupRingElem:
         if n == self.level:
             return self
         if n < self.level:
-            return self.fold_to_level(n)
+            return GroupRingElem(self.spec, n, fold_coeffs(self.coeffs, self.spec.p**n))
         return GroupRingElem(self.spec, n, self.coeffs)
 
     def is_zero(self) -> bool:

@@ -2,8 +2,8 @@
 
 A module is presented as Lambda_N^g modulo the Lambda_N-span of relation
 rows.  Internally everything is a submodule of the ambient O-module
-O^(g*p^N) represented by a Howell basis, so membership, kernels, images,
-intersections, and orders are all exact.  Enumeration-backed operations
+O^(g*p^N) represented by a Howell basis, so membership, kernels, images
+and orders are all exact.  Enumeration-backed operations
 (the oracles of record) refuse to run above a configurable element cap.
 
 The J-adic machinery lives here: J-power torsion M[J^r], the filtration
@@ -171,17 +171,6 @@ class FiniteLevelModule:
     def zero(self) -> Vec:
         return (0,) * self.dim
 
-    def gen(self, i: int) -> Vec:
-        return self.canon([1 if c == i * self.block else 0 for c in range(self.dim)])
-
-    def from_components(self, comps: Sequence[GroupRingElem]) -> Vec:
-        if len(comps) != self.ngens:
-            raise ValueError("need one component per generator")
-        flat: list[int] = []
-        for c in comps:
-            flat.extend(c.coeffs)
-        return self.canon(flat)
-
     def component(self, vec: Sequence[int], i: int) -> GroupRingElem:
         return GroupRingElem(
             self.spec, self.level, vec[i * self.block : (i + 1) * self.block]
@@ -190,10 +179,6 @@ class FiniteLevelModule:
     def add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
         m = self.spec.modulus
         return self.canon([(x + y) % m for x, y in zip(a, b)])
-
-    def scale(self, c: int, a: Sequence[int]) -> Vec:
-        m = self.spec.modulus
-        return self.canon([(c * x) % m for x in a])
 
     def elements(self) -> list[Vec]:
         """All canonical representatives; refuses above the element cap."""
@@ -409,10 +394,6 @@ class Submodule:
                     seen.add(y)
                     frontier.append(y)
         return sorted(seen)
-
-    def intersect(self, other: "Submodule") -> "Submodule":
-        rows = linalg.span_intersection(self.hrows, other.hrows, self.module.spec.p, self.module.spec.k)
-        return self.module.submodule(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):

@@ -67,6 +67,9 @@ from iwaheights.poles import JGradedValue
 
 Vec = Sequence[int]
 
+# highest level of the builder's local-only block (`build_synthetic`)
+MAX_LOCAL_LEVEL = 4
+
 
 def _dot(f: Vec, d: Vec, m: int) -> int:
     return sum(a * b for a, b in zip(f, d)) % m
@@ -355,14 +358,12 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
         lam = lams[r]
         all_ok = True
         witness = []
-        for c in d_r.stage.gens():
-            lhs = d_r.value(inst.z0, c)
+        gens = d_r.stage.gens()
+        (heights,) = d_r.matrix([inst.z0], gens)
+        for c, height in zip(gens, heights):
             rhs = lam(list(inst.localize(c)))
-            same = lhs.coeff == rhs.coeff and lhs.degree == rhs.degree
-            all_ok = all_ok and same
-            witness.append(
-                {"c": list(c), "height": lhs.coeff, "special_value": rhs.coeff}
-            )
+            all_ok = all_ok and height == rhs.coeff
+            witness.append({"c": list(c), "height": height, "special_value": rhs.coeff})
         checks.append(
             {
                 "name": f"(c) identity r={r}",
@@ -421,9 +422,10 @@ def build_synthetic(
         return k * p**n + p**n + target_ord + 8
 
     # local-only block: large enough that T^ord * D[T^(ord+1)] is nonzero.
-    # Levels above 4 are not searched: building and checking a level-5
-    # block ran for over a minute.
-    for n_loc in range(1, 5):
+    # Levels above MAX_LOCAL_LEVEL are not searched: building and checking a
+    # level-5 block ran for over a minute, so an order that needs one is
+    # refused as a resource cap.
+    for n_loc in range(1, MAX_LOCAL_LEVEL + 1):
         if k * p**n_loc <= target_ord + 1:
             continue
         level = max(max(global_levels, default=0), n_loc)
@@ -440,7 +442,10 @@ def build_synthetic(
         if D_test.filtration_stage(target_ord + 1).order() > 1:
             break
     else:
-        raise InstanceInvalidError("no usable local block level found")
+        raise EnumerationCapError(
+            f"order {target_ord} needs a local block above level {MAX_LOCAL_LEVEL}, "
+            "the bound of the builder's level search"
+        )
 
     # the duality projects to every block level, so the cap follows the
     # ambient level (equal to n_loc for the default global levels)

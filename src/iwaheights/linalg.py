@@ -185,30 +185,6 @@ def solve_combination(
     return out
 
 
-def span_intersection(
-    rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[int]], p: int, k: int
-) -> list[list[int]]:
-    """Generators of span(rows_a) & span(rows_b)."""
-    m = p**k
-    ra, rb = len(rows_a), len(rows_b)
-    if ra == 0 or rb == 0:
-        return []
-    width = len(rows_a[0])
-    mat = [
-        [rows_a[i][c] for i in range(ra)] + [(-rows_b[j][c]) % m for j in range(rb)]
-        for c in range(width)
-    ]
-    gens = []
-    for u in right_kernel(mat, ra + rb, p, k):
-        vec = [0] * width
-        for i in range(ra):
-            if u[i]:
-                vec = [(x + u[i] * y) % m for x, y in zip(vec, rows_a[i])]
-        if any(vec):
-            gens.append(vec)
-    return howell(gens, p, k)
-
-
 def preimage_span(
     mat: Sequence[Sequence[int]],
     span_rows: Sequence[Sequence[int]],

@@ -19,7 +19,6 @@ from typing import Sequence
 from iwaheights.errors import PrecisionError
 from iwaheights.iwalg import (
     GroupRingElem,
-    IwasawaPoly,
     RingSpec,
     generator_ratio,
     project_to_level,
@@ -78,29 +77,8 @@ class PoleElem:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def raise_level(self, n: int) -> tuple[int, GroupRingElem]:
-        """Numerator re-expressed with denominator at level n >= self.level."""
-        if n < self.level:
-            raise ValueError("can only raise the level")
-        return n, GroupRingElem(self.spec, n, transfer_coeffs(self.numerator.coeffs, self.spec.p**n))
-
-    def __add__(self, other: "PoleElem") -> "PoleElem":
-        if self.spec != other.spec:
-            raise ValueError("mixed specs")
-        return pole_sum(
-            self.spec,
-            [(self.level, self.numerator.coeffs), (other.level, other.numerator.coeffs)],
-        )
-
-    def __sub__(self, other: "PoleElem") -> "PoleElem":
-        return self + (-other)
-
     def __neg__(self) -> "PoleElem":
         return PoleElem(self.spec, self.level, -self.numerator, _normalise=False)
-
-    def act_group(self, x: GroupRingElem) -> "PoleElem":
-        """Action of a finite-level group-ring element (level >= self.level)."""
-        return PoleElem(self.spec, self.level, self.numerator * x.at_level(self.level))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoleElem):
@@ -138,9 +116,9 @@ def _minimal_form(spec: RingSpec, level: int, num: GroupRingElem) -> tuple[int, 
 def pole_sum(spec: RingSpec, parts: Sequence[tuple[int, Sequence[int]]]) -> PoleElem:
     """The class of sum_i c_i/(gamma^(p^(n_i))-1) for parts (n_i, coefficients of c_i).
 
-    Each numerator is raised to the top level by `transfer_coeffs` (times
-    nu, as in `PoleElem.raise_level`), the numerators are added mod p^k and
-    the sum is normalised once.  The coefficients (lists or tuples) need not
+    Each numerator is raised to the top level by `transfer_coeffs`: c/omega_n
+    is (c * nu)/omega_N with nu = omega_N/omega_n.  The numerators are added
+    mod p^k and the sum is normalised once.  The coefficients (lists or tuples) need not
     be reduced.
     """
     n = max((level for level, _ in parts), default=0)
@@ -151,11 +129,6 @@ def pole_sum(spec: RingSpec, parts: Sequence[tuple[int, Sequence[int]]]) -> Pole
             raise ValueError("numerator must live at the stated level")
         total = [a + b for a, b in zip(total, transfer_coeffs(cs, size))]
     return PoleElem(spec, n, GroupRingElem(spec, n, total))
-
-
-def pole_reduce(lam: IwasawaPoly, n: int) -> PoleElem:
-    """The class of lam/(gamma^(p^n)-1) in P, canonically normalised."""
-    return PoleElem(lam.spec, n, project_to_level(lam, n))
 
 
 def pole_involution(x: PoleElem) -> PoleElem:

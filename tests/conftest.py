@@ -9,11 +9,12 @@ from typing import Sequence, Union
 
 import pytest
 
+from iwaheights import linalg
 from iwaheights.errors import IwaheightsError
 from iwaheights.heights import HeightPairing, _basis
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, Submodule, check_rank
-from iwaheights.poles import norm_class
+from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, _geometric_sum, project_to_level
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, Submodule, Vec, check_rank
+from iwaheights.poles import PoleElem, norm_class
 
 
 @pytest.fixture
@@ -38,7 +39,74 @@ def random_poly(rng: random.Random, spec: RingSpec, precision=None) -> IwasawaPo
 
 def gamma_power(spec: RingSpec, e: int) -> IwasawaPoly:
     """(1+T)^e, the generator gamma^e as a power series."""
-    return (IwasawaPoly.one(spec) + IwasawaPoly.T(spec)) ** e
+    return IwasawaPoly(spec, [1, 1]) ** e
+
+
+# -- ring, pole and module operations that no command needs ----------------
+def truncate(f: IwasawaPoly, precision: int) -> IwasawaPoly:
+    """f known only modulo T^(precision+1), or to its own precision if lower."""
+    return IwasawaPoly(f.spec, f.coeffs, min(precision, f.precision))
+
+
+def poly_add(a: IwasawaPoly, b: IwasawaPoly, sign: int = 1) -> IwasawaPoly:
+    """a + sign*b, known to the smaller of the two precisions."""
+    if a.spec != b.spec:
+        raise ValueError("mixed ring specs")
+    return IwasawaPoly(a.spec, [x + sign * y for x, y in zip(a.coeffs, b.coeffs)], min(a.precision, b.precision))
+
+
+def involution(lam: IwasawaPoly) -> IwasawaPoly:
+    """The ring automorphism induced by gamma -> gamma^(-1): T -> (1+T)^(-1) - 1,
+    the geometric series sum_(i>=1) (-T)^i, substituted by Horner's rule."""
+    spec, prec = lam.spec, lam.precision
+    s = IwasawaPoly(spec, [0] + [(-1) ** i for i in range(1, prec + 1)], prec)
+    out = IwasawaPoly(spec, lam.coeffs[-1:], prec)
+    for c in reversed(lam.coeffs[:-1]):
+        out = poly_add(out * s, IwasawaPoly(spec, [c], prec))
+    return out
+
+
+def norm_element(spec: RingSpec, n: int) -> IwasawaPoly:
+    """((1+T)^(p^n) - 1) / T, exactly, as a polynomial of degree p^n - 1."""
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    return _geometric_sum(spec, 1, spec.p**n)
+
+
+def scale_elem(x: GroupRingElem, c: int) -> GroupRingElem:
+    return GroupRingElem(x.spec, x.level, [c * a for a in x.coeffs])
+
+
+def act_group(v: PoleElem, x: GroupRingElem) -> PoleElem:
+    """x * v for a group-ring element x of level >= v.level."""
+    return PoleElem(v.spec, v.level, v.numerator * x.at_level(v.level))
+
+
+def from_components(M: FiniteLevelModule, comps: Sequence[GroupRingElem]) -> Vec:
+    """The element of M with one group-ring component per generator."""
+    if len(comps) != M.ngens:
+        raise ValueError("need one component per generator")
+    return M.canon([c for x in comps for c in x.coeffs])
+
+
+def scale_vec(M: FiniteLevelModule, c: int, a: Sequence[int]) -> Vec:
+    return M.canon([c * x for x in a])
+
+
+def span_intersection(rows_a, rows_b, p: int, k: int) -> list[list[int]]:
+    """Howell basis of span(rows_a) & span(rows_b): the images of the
+    combinations of rows_a that land in span(rows_b)."""
+    if not rows_a:
+        return []
+    cols = [list(c) for c in zip(*rows_a)]
+    combos = linalg.preimage_span(cols, rows_b, len(rows_a), p, k)
+    return linalg.howell([matvec(cols, x, p**k) for x in combos], p, k)
+
+
+def intersect(a: Submodule, b: Submodule) -> Submodule:
+    """The intersection of two submodules of the same module."""
+    M = a.module
+    return M.submodule(span_intersection(a.hrows, b.hrows, M.spec.p, M.spec.k))
 
 
 def monomial_table(inst, nrows):
@@ -150,7 +218,7 @@ def norm_image_intersection(M: FiniteLevelModule) -> Submodule:
     while n <= M.level + M.spec.k + 2:
         A = M.action_matrix(norm_class(M.spec, n, M.level))
         img = M.submodule([[A[r][c] for r in range(M.dim)] for c in range(M.dim)])
-        nxt = current.intersect(img)
+        nxt = intersect(current, img)
         if nxt == current and n > M.level:
             return current
         current = nxt
@@ -188,7 +256,7 @@ def derived_well_defined(d) -> bool:
     stage element differ by ker((gamma-1)^(r-1)) inside M[J^r], so it
     suffices that h kills that kernel against the stage generators."""
     M = d.h.module
-    ambiguity = M.torsion(M.T_class() ** (d.r - 1)).intersect(M.j_torsion(d.r))
+    ambiguity = intersect(M.torsion(M.T_class() ** (d.r - 1)), M.j_torsion(d.r))
     gens = d.stage.gens()
     return all(height_coeff(d.h, t, y) == 0 for t in ambiguity.gens() for y in gens)
 

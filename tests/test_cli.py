@@ -223,6 +223,13 @@ class TestFlags:
         assert exc.value.code == 0
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) == READS[cmd] | {"--help"}
 
+    def test_every_flag_is_described(self):
+        # an unset builder flag takes its value from BUILDER_DEFAULTS, so
+        # its help states that value
+        assert [flag for flag, spec in cli.FLAGS.items() if not spec.get("help")] == []
+        for name, default in cli.BUILDER_DEFAULTS.items():
+            assert cli.FLAGS[f"--{name}"]["help"].endswith(f"(default {default})"), name
+
     @pytest.mark.parametrize("cmd, flag", UNREAD, ids=[f"{cmd}{flag}" for cmd, flag in UNREAD])
     def test_unread_flag_is_two(self, cmd, flag, capsys):
         # bad input (exit 2), not a flag that is accepted and ignored
@@ -403,11 +410,15 @@ class TestExitCodes:
         assert "invalid input" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["lfun-check", "generate"])
-    def test_order_beyond_local_levels_is_two(self, cmd, capsys):
-        # ord 100 at p = 3, k = 1 needs a local block above level 4, which
-        # the builder refuses before building anything
-        assert main([cmd, "--ord", "100"]) == 2
-        assert "no usable local block level" in capsys.readouterr().err
+    def test_order_beyond_local_levels_is_three(self, cmd, capsys):
+        # ord 80 and up at p = 3, k = 1 need a local block above level 4,
+        # the bound of the builder's level search: valid input refused by
+        # a resource cap (ord 79 fits a level-4 block)
+        for ordv in (80, 100):
+            assert main([cmd, "--ord", str(ordv)]) == 3
+            assert capsys.readouterr().err == (
+                f"resource cap: order {ordv} needs a local block above level 4, the bound of the builder's level search\n"
+            )
 
     def test_oversized_dual_module_is_three(self):
         # p = 5, ord 124 needs a level-4 local block: a dual module of
@@ -688,6 +699,32 @@ class TestBadFileInputs:
         assert code == 3, err
         assert reason in err and "Traceback" not in err
         assert time.perf_counter() - t0 < 10
+
+
+def set_l_z_entry(doc):
+    doc["lfun"]["l_z"][0][1] = 2
+
+
+# (id, shipped file, edit, subcommand, the checks that must fail)
+FAILING_EDITS = [
+    # at the first stage generator the height stays 1, the special value becomes 2
+    ("l_z", "lfun_seed0_ord1.json", set_l_z_entry, "lfun-check", ["(c) identity r=1"]),
+    ("z0", "lfun_seed0_ord1.json", set_field("lfun", "z0", [0] * 6), "lfun-check", ["(c) identity r=1"]),
+    ("odd-e2", "shape_demo.json", set_field("shape", "j_blocks", [[2, 1]]), "invariants", ["parity of even multiplicities"]),
+]
+
+
+class TestFailingVerdicts:
+    """Valid files whose data break an identity: each exits 1 and fails
+    exactly the named checks, so a verdict that always passes is caught."""
+
+    @pytest.mark.parametrize("name, edit, cmd, failed", [e[1:] for e in FAILING_EDITS], ids=[e[0] for e in FAILING_EDITS])
+    def test_edited_instance_fails_named_checks(self, tmp_path, capsys, name, edit, cmd, failed):
+        path = edited_instance(tmp_path, name, edit)
+        assert main([cmd, "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert re.findall(r"^\[FAIL\] (.+?) \|", out, re.M) == failed
+        assert "FAILURES PRESENT" in out
 
 
 class TestDeterminism:

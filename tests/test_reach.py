@@ -1,27 +1,40 @@
-"""Reach guard: every function of `heights` and `lfun` is run by some command.
+"""Reach guard: every function of every module of the package is run by
+some command.
 
-Each subcommand runs in-process on every shipped instance file (`generate`
-reads no file and runs once) under `sys.setprofile`, which records the code
-object of every Python call.  A function or method of the two modules that
-no run calls is reachable from the tests only: delete it, move it to the
-tests, or name it in `UNREACHED` with the reason it stays.
+Each subcommand runs in-process on every shipped instance file, in text
+and in JSON format, under `sys.setprofile`, which records the code object
+of every Python call.  A few more runs reach what those cannot: `generate`
+(it reads no file), a k = 2 builder instance, explicit --max-r and
+--max-size values, and `lfun-check` on a file with an explicit duality
+table.  A function or method that no run calls is reachable from the
+tests only: delete it, move it to the tests, or name it in `UNREACHED`
+with the reason it stays.  The modules are found with `pkgutil`, so a new
+module is guarded as soon as it exists.
 """
 
+import importlib
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
-from iwaheights import heights, lfun
+import iwaheights
 from iwaheights.cli import main
+from tests.test_cli import edited_instance, faithful_table, set_table
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
 FILE_COMMANDS = ["invariants", "heights", "lfun-check", "oracle", "scenario"]
+MODULES = [iwaheights] + [importlib.import_module(f"iwaheights.{i.name}") for i in pkgutil.iter_modules(iwaheights.__path__)]
 
+# a key starting with "__" exempts that method name in every class; any
+# other key exempts a function, or a class with all its methods
 UNREACHED = {
+    "__eq__": "value types keep Python's equality contract (ROADMAP north star)",
+    "__hash__": "equal values hash alike, the other half of that contract",
+    "__repr__": "pytest prints repr in its assertion messages",
     "heights.TablePairing": "no instance record builds it yet (ROADMAP item 5), and "
     "perfbench's tracer counts heights.TablePairing.value",
-    "lfun.TableDuality": "no shipped instance file has a duality table",
 }
 
 
@@ -42,23 +55,48 @@ def _functions(module):
             if isinstance(member, property):
                 member = member.fget
             member = getattr(member, "func", member)  # functools.cached_property
+            member = getattr(member, "__func__", member)  # classmethod, staticmethod
+            member = inspect.unwrap(member)  # functools.cache, lru_cache
             if inspect.isfunction(member) and member.__code__.co_filename == module.__file__:
                 out.append((qual, member.__code__))
     return out
 
 
 def _exempt(name, key):
+    if key.startswith("__"):
+        return name.rsplit(".", 1)[-1] == key
     return name == key or name.startswith(key + ".")
 
 
-def test_every_function_is_reached(capsys):
+def _runs(tmp_path):
+    runs = []
+    for path in CORPUS:
+        for cmd in FILE_COMMANDS:
+            runs.append([cmd, "--input", str(path)])
+            runs.append([cmd, "--input", str(path), "--format", "json"])
+    table_file = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_table(faithful_table()))
+    return runs + [
+        ["generate"],
+        ["lfun-check", "--k", "2", "--ord", "2"],
+        ["heights", "--input", str(ROOT / "instances" / "two_block_mixed_f3.json"), "--max-r", "2", "--max-size", "729"],
+        ["lfun-check", "--input", str(table_file)],
+    ]
+
+
+def test_every_function_is_reached(tmp_path, capsys):
+    runs = _runs(tmp_path)
+    functions = [f for module in MODULES for f in _functions(module)]
+    # a cached function runs its code only on a miss, so start every cache empty
+    for module in MODULES:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    runs = [[cmd, "--input", str(path)] for path in CORPUS for cmd in FILE_COMMANDS] + [["generate"]]
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in runs]
@@ -66,11 +104,12 @@ def test_every_function_is_reached(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert set(codes) <= {0, 1, 2, 3}
-    functions = _functions(heights) + _functions(lfun)
     unreached = [
         name for name, code in functions if code not in called and not any(_exempt(name, key) for key in UNREACHED)
     ]
     assert unreached == []
-    # an exemption that a command now reaches is stale and must go
-    stale = [key for key in UNREACHED if any(_exempt(name, key) and code in called for name, code in functions)]
+    # an exemption that exempts nothing is stale and must go, and so is one
+    # for a function or class as soon as a command reaches any of it
+    hits = {key: [code in called for name, code in functions if _exempt(name, key)] for key in UNREACHED}
+    stale = [key for key, hit in hits.items() if all(hit) or (not key.startswith("__") and any(hit))]
     assert stale == []

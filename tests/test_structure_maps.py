@@ -2,9 +2,8 @@
 they replaced.
 
 `fold_coeffs`, `transfer_coeffs` and `iota_coeffs` (and `at_level` and
-the geometric sums behind `norm_element`, `cyclotomic_factor` and
-`generator_ratio`) each
-have one implementation in the package.  Each test here keeps the
+the geometric sum behind `generator_ratio`, and the tests' `norm_element`)
+each have one implementation in the package.  Each test here keeps the
 hand-written version that one of them replaced as its oracle and compares
 the two over (p, k) in {(3,1), (3,2), (5,1)} and levels 0-2.
 """
@@ -20,14 +19,12 @@ from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
     RingSpec,
-    cyclotomic_factor,
     fold_coeffs,
     generator_ratio,
     iota_coeffs,
-    norm_element,
     transfer_coeffs,
 )
-from iwaheights.poles import PoleElem
+from tests.conftest import norm_element, scale_elem
 
 SPECS = st.sampled_from([(3, 1), (3, 2), (5, 1)])
 LEVELS = st.integers(0, 2)
@@ -99,21 +96,6 @@ def closed_norm_element(spec, n):
     return IwasawaPoly(spec, [math.comb(q, i) for i in range(1, q + 1)])
 
 
-def loop_cyclotomic_factor(spec, n, m_level):
-    """The former `cyclotomic_factor`."""
-    step = spec.p**m_level
-    count = spec.p ** (n - m_level)
-    deg = spec.p**n - step
-    if spec.cap < deg:
-        raise PrecisionError("cap too small")
-    coeffs = [0] * (deg + 1)
-    for j in range(count):
-        e = j * step
-        for t in range(e + 1):
-            coeffs[t] += math.comb(e, t)
-    return IwasawaPoly(spec, coeffs)
-
-
 def loop_generator_ratio(spec, n, u):
     """The former `generator_ratio`."""
     q = spec.p**n
@@ -147,7 +129,7 @@ def test_fold_matches_replaced_folds(pk, data):
     lo, hi = draw_levels(data)
     x = draw_elem(data, spec, hi)
     s = spec.p**lo
-    assert x.fold_to_level(lo) == loop_fold_to_level(x, lo)
+    assert x.at_level(lo) == loop_fold_to_level(x, lo)
     # a component of a longer vector, as `BlockPairing.value` folds it
     width = spec.p**hi
     v = draw_coeffs(data, spec, 3 * width)
@@ -162,8 +144,7 @@ def test_transfer_matches_replaced_transfers(pk, data):
     spec = RingSpec(*pk, 8)
     lo, hi = draw_levels(data)
     x = draw_elem(data, spec, lo)
-    assert PoleElem(spec, lo, x, _normalise=False).raise_level(hi) == (hi, loop_transfer(x, hi))
-    # tuples stay tuples (`PoleElem.raise_level`, `spread`), lists stay lists
+    # tuples stay tuples, lists stay lists
     assert transfer_coeffs(x.coeffs, spec.p**hi) == loop_transfer(x, hi).coeffs
     assert transfer_coeffs(list(x.coeffs), spec.p**hi) == list(loop_transfer(x, hi).coeffs)
 
@@ -175,7 +156,7 @@ def test_fold_of_transfer_is_multiplication_by_index(pk, data):
     lo, hi = draw_levels(data)
     x = draw_elem(data, spec, lo)
     up = GroupRingElem(spec, hi, transfer_coeffs(x.coeffs, spec.p**hi))
-    assert up.fold_to_level(lo) == x.scale(spec.p ** (hi - lo))
+    assert up.at_level(lo) == scale_elem(x, spec.p ** (hi - lo))
 
 
 # -- involution --------------------------------------------------------------
@@ -205,14 +186,6 @@ def test_at_level_matches_module_coercion(pk, level, n, data):
 def test_norm_element_matches_closed_form(pk, n, cap):
     spec = RingSpec(*pk, cap)
     same_outcome(lambda: norm_element(spec, n), lambda: closed_norm_element(spec, n))
-
-
-@given(SPECS, st.data(), st.integers(1, 30))
-@settings(max_examples=120, deadline=None)
-def test_cyclotomic_factor_matches_loop(pk, data, cap):
-    spec = RingSpec(*pk, cap)
-    lo, hi = draw_levels(data)
-    same_outcome(lambda: cyclotomic_factor(spec, hi, lo), lambda: loop_cyclotomic_factor(spec, hi, lo))
 
 
 @given(SPECS, LEVELS, st.integers(1, 8), st.integers(1, 60))
