@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: invariants, heights, lfun-check, scenario, generate, oracle.
+Subcommands: invariants, heights, lfun-check, generate, oracle.
 Reports are deterministic (byte-identical for identical inputs and seeds)
 and every verdict line carries the algebraic identity it checked plus a
 witness.  Exit codes: 0 all-pass, 1 check failure, 2 validation or schema
@@ -31,18 +31,12 @@ from iwaheights.lambdamod import (
     FiniteLevelModule,
     infer_invariants,
     log_p,
+    odd_even_multiplicities,
     shape_dims,
 )
 from iwaheights.lfun import build_synthetic, instance_from_data, main_theorem_check, order_of_vanishing
 from iwaheights.poles import norm_class
 from iwaheights.reports import Report
-from iwaheights.scenarios import (
-    POLARIZED,
-    ScenarioInput,
-    anticyclotomic_prediction,
-    degeneracy_floor,
-    parity_check,
-)
 
 ANCHOR_DIMS = "dim^(r) = e_r + e_(r+1) + ... + e_inf"
 ANCHOR_E = "e_r = dim(S^(r)/S^(r+1)); e_inf = dim S^(inf)"
@@ -51,9 +45,6 @@ ANCHOR_KERNEL = "ker h^(r) = Y^(r+1) on both sides"
 ANCHOR_WELLDEF = "h computed at gamma and gamma^2 agree"
 ANCHOR_SIGNS = "h^(r)(x,y) = (-1)^(r+parity) h^(r)(y,x)"
 ANCHOR_GLOBAL_KERNEL = "ker h = universal norms"
-ANCHOR_PRED = "e_1 = 2 min(s+,s-); e_2 = |s+ - s-| - 1"
-ANCHOR_CONSISTENCY = "s+ + s- = 1 + e_1 + e_2"
-ANCHOR_FLOOR = "dim ker h^(1) >= |s+ - s-|"
 ANCHOR_ORACLE = "enumeration oracle agrees with the fast path"
 
 
@@ -138,14 +129,12 @@ def cmd_invariants(args) -> Report:
             and prof.e_infinity == shape.e_infinity,
             {"e": list(prof.e), "e_infinity": prof.e_infinity},
         )
-        parity = parity_check(
-            [shape.multiplicity(i) for i in range(1, r_max + 1)], POLARIZED
-        )
+        flagged = odd_even_multiplicities([shape.multiplicity(i) for i in range(1, r_max + 1)])
         rep.add(
             "parity of even multiplicities",
             ANCHOR_PARITY,
-            parity.ok,
-            {"flagged": list(parity.flagged)},
+            not flagged,
+            {"flagged": list(flagged)},
         )
     if inst.module is not None:
         M = _build_module(inst, args.max_size)
@@ -280,55 +269,6 @@ def cmd_lfun_check(args) -> Report:
     return rep
 
 
-def cmd_scenario(args) -> Report:
-    if args.input:
-        _refuse_beside_input(args, ("s_plus", "s_minus"))
-        inst = _load(args)
-        if inst.scenario is None:
-            raise SchemaError("scenario needs a scenario record or flags")
-        sp, sm = inst.scenario["s_plus"], inst.scenario["s_minus"]
-    else:
-        if args.s_plus is None or args.s_minus is None:
-            raise SchemaError("scenario needs --s-plus and --s-minus")
-        sp, sm = args.s_plus, args.s_minus
-    try:
-        pred = anticyclotomic_prediction(ScenarioInput(sp, sm))
-    except ValueError as e:
-        raise InstanceInvalidError(str(e)) from None
-    rep = Report("scenario", meta={"s_plus": sp, "s_minus": sm})
-    e1 = pred.shape.multiplicity(1)
-    e2 = pred.shape.multiplicity(2)
-    rep.add(
-        "predicted shape",
-        ANCHOR_PRED,
-        True,
-        {"e_infinity": 1, "e_1": e1, "e_2": e2},
-    )
-    rep.add(
-        "consistency identity",
-        ANCHOR_CONSISTENCY,
-        pred.consistency_ok and sp + sm == 1 + e1 + e2,
-        {"s_total": pred.s_total},
-    )
-    dims = shape_dims(pred.shape, 4)
-    prof = infer_invariants(dims)
-    rep.add(
-        "round trip through dimensions",
-        ANCHOR_E,
-        prof.multiplicity(1) == e1
-        and prof.multiplicity(2) == e2
-        and prof.e_infinity == 1,
-        {"dims": dims},
-    )
-    rep.add(
-        "degeneracy floor",
-        ANCHOR_FLOOR,
-        True,
-        {"floor": degeneracy_floor(ScenarioInput(sp, sm))},
-    )
-    return rep
-
-
 def cmd_generate(args) -> int:
     text = render_generated(_build_from_flags(args))
     if args.output:
@@ -436,8 +376,6 @@ FLAGS = {
     "--ord": dict(type=int, default=None, help=f"target order of vanishing (default {BUILDER_DEFAULTS['ord']})"),
     "--p": dict(type=int, default=None, help=f"odd prime p of the ring Z/p^k (default {BUILDER_DEFAULTS['p']})"),
     "--k": dict(type=int, default=None, help=f"exponent k of the ring Z/p^k (default {BUILDER_DEFAULTS['k']})"),
-    "--s-plus": dict(type=int, default=None, help="dimension s+ of the plus eigencomponent"),
-    "--s-minus": dict(type=int, default=None, help="dimension s- of the minus eigencomponent"),
     "--output": dict(help="write to a file instead of stdout"),
 }
 
@@ -450,7 +388,6 @@ COMMANDS = {
     "invariants": (cmd_invariants, "shape/module invariants", REPORT_FLAGS),
     "heights": (cmd_heights, "derived-height suite", REPORT_FLAGS),
     "lfun-check": (cmd_lfun_check, "L-function consistency", REPORT_FLAGS + BUILDER_FLAGS),
-    "scenario": (cmd_scenario, "sign-twisted scenario", ("--input", "--format", "--s-plus", "--s-minus")),
     "generate": (cmd_generate, "emit a synthetic instance file", BUILDER_FLAGS + ("--max-size", "--output")),
     "oracle": (cmd_oracle, "oracle vs fast-path comparison", REPORT_FLAGS),
 }

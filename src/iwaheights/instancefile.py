@@ -49,7 +49,6 @@ SCHEMA = {
     },
     "lfun?": lambda v: LFUN_EXPLICIT if isinstance(v, dict) and "l_z" in v else LFUN_BUILDER,
     "shape?": {"e_infinity": int, "j_blocks": [[int]], "coprime?": [SEQ]},
-    "scenario?": {"s_plus": int, "s_minus": int, "e_infinity_expected?": int},
 }
 
 
@@ -95,7 +94,6 @@ class InstanceFile:
     pairing: Optional[dict] = None
     lfun: Optional[dict] = None
     shape: Optional[dict] = None
-    scenario: Optional[dict] = None
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -160,14 +158,6 @@ def parse_instance(text: str) -> InstanceFile:
             "j_blocks": tuple(map(tuple, sh["j_blocks"])),
             "coprime": tuple(map(tuple, sh.get("coprime", []))),
         }
-
-    if "scenario" in data:
-        sc = data["scenario"]
-        if sc.get("e_infinity_expected", 1) != 1:
-            raise SchemaError(
-                "$.scenario.e_infinity_expected: the anticyclotomic prediction fixes e_inf = 1"
-            )
-        out.scenario = {"s_plus": sc["s_plus"], "s_minus": sc["s_minus"]}
 
     return out
 

@@ -458,3 +458,12 @@ def infer_invariants(dims: Sequence[int]) -> InvariantProfile:
         raise ValueError("dimension sequence has not stabilised")
     e = tuple(a - b for a, b in zip(dims, dims[1:]))
     return InvariantProfile(e, dims[-1])
+
+
+def odd_even_multiplicities(e_seq: Sequence[int]) -> tuple[int, ...]:
+    """The even degrees r (e_seq[0] is e_1) whose multiplicity e_r is odd.
+
+    An even-degree derived pairing on a sign-coherent module is
+    alternating, so each of these degrees breaks e_r = 0 mod 2.
+    """
+    return tuple(r for r, e in enumerate(e_seq, start=1) if r % 2 == 0 and e % 2 == 1)

@@ -22,10 +22,9 @@ from iwaheights.iwalg import (
     weierstrass_degree,
     weierstrass_divide,
 )
-from iwaheights.lambdamod import ElementaryShape, infer_invariants, shape_dims
+from iwaheights.lambdamod import ElementaryShape, infer_invariants, odd_even_multiplicities, shape_dims
 from iwaheights.lfun import build_synthetic, main_theorem_check
 from iwaheights.poles import PoleElem, eta, phi
-from iwaheights.scenarios import POLARIZED, ScenarioInput, anticyclotomic_prediction, parity_check
 from tests.conftest import (
     from_components,
     height_coeff,
@@ -225,16 +224,8 @@ def test_criterion_8_invariant_calculus():
             for i in range(1, 5):
                 assert prof.multiplicity(i) == shape.multiplicity(i)
             count += 1
-    for sp in range(6):
-        for sm in range(6):
-            if abs(sp - sm) < 1:
-                continue
-            pred = anticyclotomic_prediction(ScenarioInput(sp, sm))
-            e1 = pred.shape.multiplicity(1)
-            e2 = pred.shape.multiplicity(2)
-            assert sp + sm == 1 + e1 + e2
     for seq in itertools.product(range(4), repeat=4):
-        flags = parity_check(seq, POLARIZED).flagged
+        flags = odd_even_multiplicities(seq)
         want = tuple(r for r in (2, 4) if seq[r - 1] % 2 == 1)
         assert flags == want
     report("8 invariant calculus", True, f"{count} shapes round-tripped")
@@ -249,8 +240,6 @@ def test_criterion_9_cli_determinism():
             cmds.append("heights")
         if "shape" in doc or "module" in doc:
             cmds.append("invariants")
-        if "scenario" in doc:
-            cmds.append("scenario")
         if "lfun" in doc:
             cmds.append("lfun-check")
         for cmd in cmds:

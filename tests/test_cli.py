@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -46,7 +47,6 @@ COMMAND_RECORDS = {
     "heights": ("pairing",),
     "lfun-check": ("lfun", "pairing"),
     "oracle": ("module", "pairing", "lfun"),
-    "scenario": ("scenario",),
 }
 
 
@@ -209,10 +209,10 @@ READS = {
     "heights": REPORT_FLAGS,
     "oracle": REPORT_FLAGS,
     "lfun-check": REPORT_FLAGS | {"--seed", "--ord", "--p", "--k"},
-    "scenario": {"--input", "--format", "--s-plus", "--s-minus"},
     "generate": {"--seed", "--max-size", "--ord", "--p", "--k", "--output"},
 }
-UNREAD = [(cmd, flag) for cmd in READS for flag in sorted(set().union(*READS.values()) - READS[cmd])]
+# no subcommand reads the sign-twisted scenario's --s-plus and --s-minus
+UNREAD = [(cmd, flag) for cmd in READS for flag in sorted(set().union(*READS.values(), {"--s-minus", "--s-plus"}) - READS[cmd])]
 
 
 class TestFlags:
@@ -239,10 +239,28 @@ class TestFlags:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+class TestNoScenario:
+    """The sign-twisted scenario predictions are not part of the checker:
+    no subcommand or instance record accepts them (nor any flag, see
+    `UNREAD`)."""
+
+    def test_scenario_subcommand_is_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--s-plus", "1", "--s-minus", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'scenario'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["invariants", "heights", "lfun-check", "oracle"])
+    def test_scenario_record_is_two(self, tmp_path, capsys, cmd):
+        edit = lambda doc: doc.update(scenario={"s_plus": 3, "s_minus": 0})
+        path = edited_instance(tmp_path, "shape_demo.json", edit)
+        assert main([cmd, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown field '$.scenario'" in captured.err
+
+
 # flags that --input would ignore, each given beside a file the subcommand reads
-IGNORED_BESIDE_INPUT = [("lfun-check", "lfun_seed0_ord1.json", flag) for flag in ("--seed", "--ord", "--p", "--k")] + [
-    ("scenario", "scenario_demo.json", flag) for flag in ("--s-plus", "--s-minus")
-]
+IGNORED_BESIDE_INPUT = [("lfun-check", "lfun_seed0_ord1.json", flag) for flag in ("--seed", "--ord", "--p", "--k")]
 
 
 class TestInputRefusal:
@@ -277,7 +295,7 @@ REUSE_SEQUENCE = [
     ["heights", "--help"],
     ["generate", "--seed", "1"],
     ["heights", "--input", "instances/single_block_f3.json"],
-    ["scenario", "--s-plus", "1", "--s-minus", "0"],
+    ["invariants", "--input", "instances/shape_demo.json", "--format", "json"],
 ]
 
 
@@ -329,10 +347,6 @@ class TestExitCodes:
         assert code == 2
         assert "zz" in err
 
-    def test_scenario_precondition_is_two(self):
-        code, _, _ = run_cli("scenario", "--s-plus", "2", "--s-minus", "2")
-        assert code == 2
-
     def test_cap_is_three(self):
         code, _, err = run_cli(
             "oracle", "--input", "instances/single_block_f3.json", "--max-size", "5"
@@ -366,15 +380,9 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert f"--max-r 100000 is above the cap {MAX_R}" in err
 
-    @pytest.mark.parametrize("argv", [["lfun-check", "--ord", "1"], ["scenario", "--s-plus", "1", "--s-minus", "0"]])
+    @pytest.mark.parametrize("argv", [["lfun-check", "--ord", "1"]])
     def test_max_r_cap_holds_for_every_command(self, argv, capsys):
-        # the cap holds on every subcommand that reads --max-r; scenario
-        # reads no degree, so the flag itself is bad input
-        if argv[0] == "scenario":
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--max-r", "1"])
-            assert exc.value.code == 2
-            return
+        # the cap holds on every subcommand that reads --max-r
         assert main(argv + ["--max-r", str(MAX_R + 1)]) == 3
         assert capsys.readouterr().out == ""
         assert main(argv + ["--max-r", str(MAX_R), "--format", "json"]) == 0
@@ -603,14 +611,6 @@ class TestBadFileInputs:
         assert main([cmd, "--input", str(path)]) == 2
         assert "invalid input: not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [0, 5])
-    def test_scenario_e_infinity_other_than_one_is_two(self, tmp_path, capsys, value):
-        # the prediction fixes e_inf = 1; another value was parsed and ignored
-        path = edited_instance(tmp_path, "scenario_demo.json", set_field("scenario", "e_infinity_expected", value))
-        assert main(["scenario", "--input", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "$.scenario.e_infinity_expected" in captured.err
-
     @pytest.mark.parametrize(
         "coprime, reason",
         [(-1, "$.shape.coprime: expected a list"), ([-1], "$.shape.coprime[0]: expected a list")],
@@ -725,6 +725,27 @@ class TestFailingVerdicts:
         out = capsys.readouterr().out
         assert re.findall(r"^\[FAIL\] (.+?) \|", out, re.M) == failed
         assert "FAILURES PRESENT" in out
+
+
+def readme_commands():
+    """Every `iwaheights ...` line of the README's sh blocks, as argv."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("iwaheights ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_exits_zero(self, argv, tmp_path, capsys):
+        # instance paths are resolved from the repository root, and a file
+        # the command writes goes to tmp_path
+        argv = [str(ROOT / a) if a.startswith("instances/") else a for a in argv]
+        if "--output" in argv:
+            i = argv.index("--output") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == 0, capsys.readouterr().err
+
+    def test_readme_lists_commands(self):
+        assert len(readme_commands()) >= 5
 
 
 class TestDeterminism:

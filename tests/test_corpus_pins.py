@@ -15,7 +15,7 @@ import pytest
 from iwaheights.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "instances"
-INPUT_COMMANDS = ("invariants", "heights", "lfun-check", "scenario", "oracle")
+INPUT_COMMANDS = ("invariants", "heights", "lfun-check", "oracle")
 
 # (file, subcommand) -> (sha256 of the text report, sha256 of the json report)
 PINS = {
@@ -66,10 +66,6 @@ PINS = {
     ("lfun_seed0_ord2.json", "oracle"): (
         "1ee703f9a1280b26558b0568b297a779ad9a9d61aab591bdab46c0fae02db1d0",
         "131b7d7cb49eab0d0dc53ef4d4f4142fcac620e7740d3ca8dfd259b81a3b9a7d",
-    ),
-    ("scenario_demo.json", "scenario"): (
-        "4233955c49cd19e022d6955a331ea3dff58186183ecb01a863552b7079501a14",
-        "943ebf329944566b8981011b6dff89820b3d094bdcfc871db9bf9a49615a4b93",
     ),
     ("shape_demo.json", "invariants"): (
         "14c1e990a7d49eca1c677000aa9548b2b9c30a1f79ceb2d699ffbdede8698703",

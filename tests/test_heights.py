@@ -702,6 +702,24 @@ class TestTwistEquivariance:
             is False
         )
 
+    def test_dead_blocks_are_the_first_kernel(self, spec31):
+        # level-0 toys: a nondegenerate pair that the twist tau swaps, plus
+        # dp dead blocks that tau fixes and dm that it negates, so tau is
+        # equivariant with sign -1; at level 0 only the dead (zero-pairing)
+        # directions are degenerate, and ker h^(1) has dimension exactly
+        # dp + dm
+        for dp, dm in [(0, 0), (1, 0), (2, 0), (1, 1)]:
+            blocks = [BlockSpec(0, 1), BlockSpec(0, -1)] + [BlockSpec(0, dead=True) for _ in range(dp + dm)]
+            h = HeightPairing(BlockPairing(spec31, blocks))
+            dim = h.module.dim
+            tau = [[0] * dim for _ in range(dim)]
+            tau[0][1] = tau[1][0] = 1
+            for t in range(2, dim):
+                tau[t][t] = 1 if t < 2 + dp else -1 % 3
+            assert twist_equivariance_check(h, tau, tau, -1) is True
+            kernel = DerivedHeightPairing(h, 1).left_kernel_elements()
+            assert log_p(len(kernel), 3) == dp + dm, (dp, dm)
+
     def test_non_automorphism_rejected(self, spec31):
         h = HeightPairing(single_block(spec31))
         M = h.module

@@ -22,6 +22,7 @@ from iwaheights.lambdamod import (
     FiniteLevelModule,
     infer_invariants,
     log_p,
+    odd_even_multiplicities,
     shape_dims,
     t_valuation,
 )
@@ -334,6 +335,17 @@ class TestShapes:
         checked_stages(big, 4)
         checked_stages(free, 4)
         assert delta_orders(big, 4) == delta_orders(free, 4)
+
+
+class TestOddEvenMultiplicities:
+    def test_pass_case(self):
+        assert odd_even_multiplicities([0, 2]) == ()
+
+    def test_flag_case(self):
+        assert odd_even_multiplicities([1, 1]) == (2,)
+
+    def test_empty(self):
+        assert odd_even_multiplicities([]) == ()
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from tests.test_cli import edited_instance, faithful_table, set_table
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "instances").glob("*.json"))
-FILE_COMMANDS = ["invariants", "heights", "lfun-check", "oracle", "scenario"]
+FILE_COMMANDS = ["invariants", "heights", "lfun-check", "oracle"]
 MODULES = [iwaheights] + [importlib.import_module(f"iwaheights.{i.name}") for i in pkgutil.iter_modules(iwaheights.__path__)]
 
 # a key starting with "__" exempts that method name in every class; any
