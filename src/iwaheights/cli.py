@@ -156,15 +156,20 @@ def cmd_invariants(args) -> Report:
     return rep
 
 
+def _kernel_chain(h: HeightPairing, r: int):
+    """h^(r), its left kernel, and whether both kernels are Y^(r+1)."""
+    d = DerivedHeightPairing(h, r)
+    stage_next = {tuple(v) for v in h.module.filtration_stage(r + 1).elements()}
+    left = d.left_kernel_elements()
+    return d, left, left == stage_next and d.right_kernel_elements() == stage_next
+
+
 def cmd_heights(args) -> Report:
     inst = _load(args)
     if inst.pairing is None:
         raise SchemaError("heights needs a pairing record")
     pairing = _build_pairing(inst, args.max_size)
-    try:
-        pairing.validate()
-    except IwaheightsError as e:
-        raise InstanceInvalidError(str(e)) from None
+    pairing.validate()
     h1 = HeightPairing(pairing, u=1)
     h2 = HeightPairing(pairing, u=2)
     M = h1.module
@@ -185,16 +190,13 @@ def cmd_heights(args) -> Report:
     parity = {"iota_antisymmetric": 1, "zero": 1, "iota_symmetric": 0}.get(sym)
 
     for r in range(1, args.max_r + 1):
-        d = DerivedHeightPairing(h1, r)
-        stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
-        left = d.left_kernel_elements()
-        right = d.right_kernel_elements()
+        d, left, ok = _kernel_chain(h1, r)
         gens = d.stage.gens()
         matrix = [[d.value(x, y).coeff for y in gens] for x in gens]
         rep.add(
             f"kernel chain r={r}",
             ANCHOR_KERNEL,
-            left == stage_next and right == stage_next,
+            ok,
             {
                 "stage_order": d.stage.order(),
                 "kernel_order": len(left),
@@ -224,7 +226,7 @@ def cmd_heights(args) -> Report:
 def _instance_from_file(inst_file: InstanceFile, max_size: int):
     rec = inst_file.lfun
     if rec["form"] == "builder":
-        return build_synthetic(
+        built = build_synthetic(
             rec["seed"],
             p=inst_file.ring.p,
             k=inst_file.ring.k,
@@ -232,6 +234,14 @@ def _instance_from_file(inst_file: InstanceFile, max_size: int):
             target_ord=rec["target_ord"],
             enum_cap=max_size,
         )
+        # the builder chooses the cap and the level; a file stating others is refused
+        for field, given, chosen in (
+            ("cap", inst_file.ring.cap, built.spec.cap),
+            ("level", inst_file.level, built.D_loc.level),
+        ):
+            if given != chosen:
+                raise SchemaError(f"$.ring.{field}: {given} differs from the builder's {chosen}")
+        return built
     if inst_file.pairing is None:
         raise SchemaError("an explicit lfun record needs a pairing record")
     duality = rec["duality"]
@@ -265,7 +275,7 @@ def cmd_lfun_check(args) -> Report:
             "params": {k: v for k, v in sorted(built.meta.items())},
         },
     )
-    rep.extend_raw(main_theorem_check(built, args.max_r))
+    rep.checks += main_theorem_check(built, args.max_r)
     return rep
 
 
@@ -283,8 +293,9 @@ def cmd_generate(args) -> int:
 
 def cmd_oracle(args) -> Report:
     inst = _load(args)
+    if inst.module is None and inst.pairing is None and inst.lfun is None:
+        raise SchemaError("oracle needs a module, pairing, or lfun record")
     rep = Report("oracle")
-    ran_any = False
 
     if inst.module is not None:
         M = _build_module(inst, args.max_size)
@@ -292,7 +303,6 @@ def cmd_oracle(args) -> Report:
             raise EnumerationCapError(
                 f"module has {M.size} elements, above --max-size {args.max_size}"
             )
-        ran_any = True
         els = M.elements()
         tcl = M.T_class()
         fast = {tuple(v) for v in M.torsion(tcl).elements()}
@@ -322,34 +332,20 @@ def cmd_oracle(args) -> Report:
             raise EnumerationCapError(
                 f"pairing module has {pairing.module.size} elements, above --max-size"
             )
-        ran_any = True
         pairing.validate()
         h = HeightPairing(pairing, u=1)
-        M = h.module
         for r in range(1, args.max_r + 1):
-            d = DerivedHeightPairing(h, r)
-            stage_next = {tuple(v) for v in M.filtration_stage(r + 1).elements()}
-            rep.add(
-                f"h^({r}) kernels vs filtration",
-                ANCHOR_ORACLE,
-                d.left_kernel_elements() == stage_next
-                and d.right_kernel_elements() == stage_next,
-                None,
-            )
+            rep.add(f"h^({r}) kernels vs filtration", ANCHOR_ORACLE, _kernel_chain(h, r)[2], None)
         rep.add(
             "global kernel vs universal norms",
             ANCHOR_ORACLE,
-            h.left_kernel() == M.universal_norms(),
+            h.left_kernel() == h.module.universal_norms(),
             None,
         )
 
     if inst.lfun is not None:
-        ran_any = True
         built = _instance_from_file(inst, args.max_size)
-        rep.extend_raw(main_theorem_check(built, args.max_r))
-
-    if not ran_any:
-        raise SchemaError("oracle needs a module, pairing, or lfun record")
+        rep.checks += main_theorem_check(built, args.max_r)
     return rep
 
 

@@ -47,6 +47,7 @@ from iwaheights.heights import (
     block_module,
 )
 from iwaheights.iwalg import (
+    GroupRingElem,
     IwasawaPoly,
     RingSpec,
     j_valuation,
@@ -64,6 +65,7 @@ from iwaheights.lambdamod import (
     check_rank,
 )
 from iwaheights.poles import JGradedValue
+from iwaheights.reports import CheckRecord
 
 Vec = Sequence[int]
 
@@ -297,82 +299,65 @@ class LambdaFunctional:
         return all(self(list(g)).is_zero() for g in self._torsion.gens())
 
 
-def main_theorem_check(inst: LfunInstance, r_max: int) -> list[dict]:
+def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
     """Run the (a)/(b)/(c) consistency checks; validation comes first.
 
-    Returns one record per check with a verdict and a witness.  The two
-    sides of (c) share nothing past the instance data: the left side goes
-    through the pole pairing and the filtration tower, the right side
+    Returns one report record per check with a verdict and a witness.  The
+    two sides of (c) share nothing past the instance data: the left side
+    goes through the pole pairing and the filtration tower, the right side
     through coordinate division and the duality table.
     """
     inst.validate()
-    checks: list[dict] = []
     ordv = order_of_vanishing(inst)
     ord_str = "inf(>=cap)" if ordv is math.inf else str(ordv)
-    checks.append(
-        {
-            "name": "ord-dual-agreement",
-            "anchor": "ord(L) = max{r : L(D[J^r]) = 0}",
-            "ok": True,
-            "witness": {"ord": ord_str},
-        }
-    )
+    checks = [CheckRecord("ord-dual-agreement", "ord(L) = max{r : L(D[J^r]) = 0}", True, {"ord": ord_str})]
     M = inst.global_module
     r_top = r_max if ordv is math.inf else min(int(ordv), r_max)
     lams = [LambdaFunctional(inst, r) for r in range(r_top + 1)]
     zero0 = lams[0].is_identically_zero()
     member = inst.strict.contains(inst.z0)
     checks.append(
-        {
-            "name": "(a) strict membership",
-            "anchor": "lambda^(0) = 0 iff z0 in strict submodule",
-            "ok": zero0 == member,
-            "witness": {"lambda0_zero": zero0, "z0_strict": member},
-        }
+        CheckRecord(
+            "(a) strict membership",
+            "lambda^(0) = 0 iff z0 in strict submodule",
+            zero0 == member,
+            {"lambda0_zero": zero0, "z0_strict": member},
+        )
     )
     for r in range(0, r_top + 1):
         is_zero = lams[r].is_identically_zero()
-        expect_zero = r < ordv
         checks.append(
-            {
-                "name": f"(b) r={r}",
-                "anchor": "lambda^(r) = 0 iff r < ord(L)",
-                "ok": is_zero == expect_zero,
-                "witness": {"zero": is_zero, "r": r, "ord": ord_str},
-            }
+            CheckRecord(
+                f"(b) r={r}",
+                "lambda^(r) = 0 iff r < ord(L)",
+                is_zero == (r < ordv),
+                {"zero": is_zero, "r": r, "ord": ord_str},
+            )
         )
     for r in range(1, r_top + 1):
-        stage = M.filtration_stage(r)
-        member = stage.contains(inst.z0)
-        checks.append(
-            {
-                "name": f"(c) membership r={r}",
-                "anchor": "ord >= r forces z0 in Y^(r)",
-                "ok": member,
-                "witness": {"r": r},
-            }
-        )
+        member = M.filtration_stage(r).contains(inst.z0)
+        checks.append(CheckRecord(f"(c) membership r={r}", "ord >= r forces z0 in Y^(r)", member, {"r": r}))
         if not member:
             continue
         d_r = DerivedHeightPairing(inst.height, r)
-        lam = lams[r]
-        all_ok = True
-        witness = []
         gens = d_r.stage.gens()
         (heights,) = d_r.matrix([inst.z0], gens)
+        witness = []
         for c, height in zip(gens, heights):
-            rhs = lam(list(inst.localize(c)))
-            all_ok = all_ok and height == rhs.coeff
-            witness.append({"c": list(c), "height": height, "special_value": rhs.coeff})
-        checks.append(
-            {
-                "name": f"(c) identity r={r}",
-                "anchor": "h^(r)(z0, c) = lambda^(r)(c_p)",
-                "ok": all_ok,
-                "witness": witness,
-            }
-        )
+            rhs = lams[r](list(inst.localize(c))).coeff
+            witness.append({"c": list(c), "height": height, "special_value": rhs})
+        ok = all(w["height"] == w["special_value"] for w in witness)
+        checks.append(CheckRecord(f"(c) identity r={r}", "h^(r)(z0, c) = lambda^(r)(c_p)", ok, witness))
     return checks
+
+
+def _block_stage_nonzero(spec: RingSpec, level: int, r: int) -> bool:
+    """Whether the stage T^(r-1) * Lambda_n[T^r] of the block Lambda_n (n =
+    `level`) is nonzero.  Lambda_n is a local Frobenius ring, so the stage
+    is zero iff Lambda_n[T^r] lies in Lambda_n[T^(r-1)], iff (T^(r-1))
+    lies in (T^r), iff T^(r-1) = 0 (T is not a unit)."""
+    t = GroupRingElem.gamma(spec, level) - GroupRingElem.one(spec, level)
+    return not (t ** (r - 1)).is_zero()
 
 
 def _assemble(
@@ -438,8 +423,7 @@ def build_synthetic(
             raise EnumerationCapError(
                 f"ring cap {ring_cap(level)} at level {level}, above the cap {MAX_CAP}"
             )
-        D_test = block_module(RingSpec(p, k, ring_cap(n_loc)), [BlockSpec(n_loc)], enum_cap)
-        if D_test.filtration_stage(target_ord + 1).order() > 1:
+        if _block_stage_nonzero(RingSpec(p, k, ring_cap(n_loc)), n_loc, target_ord + 1):
             break
     else:
         raise EnumerationCapError(

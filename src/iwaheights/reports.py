@@ -28,10 +28,6 @@ class Report:
     def add(self, name: str, anchor: str, ok: bool, witness: Any = None) -> None:
         self.checks.append(CheckRecord(name, anchor, bool(ok), witness))
 
-    def extend_raw(self, records) -> None:
-        for r in records:
-            self.add(r["name"], r["anchor"], r["ok"], r.get("witness"))
-
     @property
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)

@@ -192,8 +192,8 @@ def test_criterion_7_main_theorem(ordv):
         inst = build_synthetic(seed, target_ord=ordv)
         checks = main_theorem_check(inst, 4)
         for c in checks:
-            if not c["ok"]:
-                failures.append((seed, c["name"]))
+            if not c.ok:
+                failures.append((seed, c.name))
     report(f"7 main theorem ord={ordv}", not failures, f"20 seeds, failures: {failures}")
 
 
@@ -208,8 +208,8 @@ def test_criterion_7_level_ladder(p, levels, ordv):
     for seed in range(3):
         inst = build_synthetic(seed, p=p, global_levels=levels, target_ord=ordv)
         for c in main_theorem_check(inst, 4):
-            if not c["ok"]:
-                failures.append((seed, c["name"]))
+            if not c.ok:
+                failures.append((seed, c.name))
     report(f"7 level ladder p={p} levels={levels} ord={ordv}", not failures, f"3 seeds, failures: {failures}")
 
 

@@ -573,6 +573,18 @@ class TestBadFileInputs:
         assert code == 2
         assert "local_levels[0]: must be >= 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["lfun-check", "oracle"])
+    @pytest.mark.parametrize("field, value", [("cap", 1), ("cap", 999), ("level", 0), ("level", 7)])
+    def test_builder_ring_mismatch_is_two(self, tmp_path, capsys, cmd, field, value):
+        # the builder chooses the cap (63) and the level (3) of this record,
+        # and a file stating other values is refused with the builder's
+        chosen = {"cap": 63, "level": 3}[field]
+        path = edited_instance(tmp_path, "lfun_level3_ord1.json", lambda doc: doc["ring"].update({field: value}))
+        assert main([cmd, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: $.ring.{field}: {value} differs from the builder's {chosen}\n"
+
     @pytest.mark.parametrize("key", ["dead", "swapped"])
     @pytest.mark.parametrize("value", ["false", 0], ids=["string", "number"])
     def test_non_boolean_block_flag_is_two(self, tmp_path, key, value):
@@ -710,6 +722,8 @@ FAILING_EDITS = [
     # at the first stage generator the height stays 1, the special value becomes 2
     ("l_z", "lfun_seed0_ord1.json", set_l_z_entry, "lfun-check", ["(c) identity r=1"]),
     ("z0", "lfun_seed0_ord1.json", set_field("lfun", "z0", [0] * 6), "lfun-check", ["(c) identity r=1"]),
+    # lambda^(0) = 0 at order 1, but z0 is not in the zero submodule
+    ("strict", "lfun_seed0_ord1.json", set_field("lfun", "strict", "zero"), "lfun-check", ["(a) strict membership"]),
     ("odd-e2", "shape_demo.json", set_field("shape", "j_blocks", [[2, 1]]), "invariants", ["parity of even multiplicities"]),
 ]
 

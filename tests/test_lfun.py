@@ -18,14 +18,16 @@ from iwaheights.errors import (
     NotDivisibleError,
     PrecisionError,
 )
+from iwaheights.heights import BlockSpec, block_module
 from iwaheights.instancefile import parse_instance, render_generated
-from iwaheights.iwalg import IwasawaPoly, project_to_level, weierstrass_divide
+from iwaheights.iwalg import IwasawaPoly, RingSpec, project_to_level, weierstrass_divide
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP
 from iwaheights.lfun import (
     CanonicalDuality,
     LambdaFunctional,
     LfunInstance,
     TableDuality,
+    _block_stage_nonzero,
     build_synthetic,
     der,
     main_theorem_check,
@@ -260,8 +262,8 @@ class TestMainTheorem:
         for seed in range(20):
             inst = build_synthetic(seed, target_ord=ordv)
             checks = main_theorem_check(inst, 4)
-            assert all(c["ok"] for c in checks), [
-                c["name"] for c in checks if not c["ok"]
+            assert all(c.ok for c in checks), [
+                c.name for c in checks if not c.ok
             ]
 
     @pytest.mark.parametrize("ordv", [0, 1, 2])
@@ -269,7 +271,7 @@ class TestMainTheorem:
         for seed in range(6):
             inst = build_synthetic(seed, k=2, target_ord=ordv)
             checks = main_theorem_check(inst, 3)
-            assert all(c["ok"] for c in checks)
+            assert all(c.ok for c in checks)
 
     def test_ord0_negative_direction(self):
         # z0 outside the strict submodule, nonzero lambda^(0): (a) passes
@@ -278,8 +280,8 @@ class TestMainTheorem:
         assert not inst.strict.contains(inst.z0)
         assert not LambdaFunctional(inst, 0).is_identically_zero()
         checks = main_theorem_check(inst, 2)
-        rec = next(c for c in checks if c["name"].startswith("(a)"))
-        assert rec["ok"] and not rec["witness"]["lambda0_zero"]
+        rec = next(c for c in checks if c.name.startswith("(a)"))
+        assert rec.ok and not rec.witness["lambda0_zero"]
 
     def test_local_divisibility_implies_global(self):
         # ord >= r forces z0 into the stage-r filtration
@@ -326,7 +328,7 @@ class TestMainTheorem:
             meta={},
         )
         checks = main_theorem_check(clone, 3)
-        assert all(c["ok"] for c in checks)
+        assert all(c.ok for c in checks)
 
 
 class TestBuilder:
@@ -345,6 +347,17 @@ class TestBuilder:
             inst = build_synthetic(0, target_ord=ordv)
             inst.validate()
             assert order_of_vanishing(inst) == ordv
+
+    @pytest.mark.parametrize("p, k", [(p, k) for p in (3, 5) for k in (1, 2, 3)])
+    def test_block_stage_matches_trial_module(self, p, k):
+        # the builder's level search reads the stage T^(r-1) * Lambda_n[T^r]
+        # of one block off (gamma - 1)^(r-1); the oracle builds the block
+        # and its filtration stage
+        for n in range(3):
+            spec = RingSpec(p, k, k * p**n + p**n + 10)
+            block = block_module(spec, [BlockSpec(n)])
+            for r in range(1, k * p**n + 2):
+                assert _block_stage_nonzero(spec, n, r) == (block.filtration_stage(r).order() > 1), (n, r)
 
 
 class TestClosedFormDuality:
