@@ -159,7 +159,7 @@ def cmd_invariants(args) -> Report:
 def _kernel_chain(h: HeightPairing, r: int):
     """h^(r), its left kernel, and whether both kernels are Y^(r+1)."""
     d = DerivedHeightPairing(h, r)
-    stage_next = {tuple(v) for v in h.module.filtration_stage(r + 1).elements()}
+    stage_next = set(h.module.filtration_stage(r + 1).elements())
     left = d.left_kernel_elements()
     return d, left, left == stage_next and d.right_kernel_elements() == stage_next
 
@@ -264,6 +264,8 @@ def cmd_lfun_check(args) -> Report:
         inst_file = _load(args)
         if inst_file.lfun is None:
             raise SchemaError("lfun-check needs an lfun record or --seed/--ord")
+        if inst_file.lfun["form"] == "builder" and inst_file.pairing is not None:
+            raise SchemaError("$.pairing: a builder-form lfun record builds its own pairing")
         built = _instance_from_file(inst_file, args.max_size)
     else:
         built = _build_from_flags(args)
@@ -299,24 +301,20 @@ def cmd_oracle(args) -> Report:
 
     if inst.module is not None:
         M = _build_module(inst, args.max_size)
-        if M.size > args.max_size:
-            raise EnumerationCapError(
-                f"module has {M.size} elements, above --max-size {args.max_size}"
-            )
         els = M.elements()
         tcl = M.T_class()
-        fast = {tuple(v) for v in M.torsion(tcl).elements()}
-        brute = {tuple(v) for v in els if not any(M.act(tcl, v))}
+        fast = set(M.torsion(tcl).elements())
+        brute = {v for v in els if not any(M.act(tcl, v))}
         rep.add("torsion vs enumeration", ANCHOR_ORACLE, fast == brute, {"order": len(brute)})
 
-        norms_fast = {tuple(v) for v in M.universal_norms().elements()}
-        inter = set(map(tuple, els))
+        norms_fast = set(M.universal_norms().elements())
+        inter = set(els)
         # the images only shrink and all contain 0, so stop at {0}
         zero = {M.zero()}
         n = 1
         while n <= M.level + M.spec.k + 2 and inter != zero:
             nu = norm_class(M.spec, n, M.level)
-            img = {tuple(M.act(nu, v)) for v in els}
+            img = {M.act(nu, v) for v in els}
             inter &= img
             n += 1
         rep.add(

@@ -14,6 +14,8 @@ invariant bookkeeping for elementary module shapes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -149,8 +151,13 @@ class FiniteLevelModule:
                     row.extend(cs[-shift:] + cs[:-shift])
                 rows.append(row)
         self.rel_rows = linalg.howell(rows, spec.p, spec.k) if rows else []
-        self._rel_span = linalg.span_size(self.rel_rows, spec.p, spec.k)
-        self.size = spec.modulus**self.dim // self._rel_span
+        # residues a canonical representative takes in each column: the
+        # relation pivot p^w, or p^k where the relations have no pivot
+        self.col_sizes = [spec.modulus] * self.dim
+        for r in self.rel_rows:
+            c = linalg._pivot_col(r)
+            self.col_sizes[c] = r[c]
+        self.size = math.prod(self.col_sizes)
         self._summands = self._split()
         self._summand_modules: dict[tuple[int, ...], FiniteLevelModule] = {}
         self._ideals: dict[int, list[list[int]]] = {}
@@ -176,25 +183,13 @@ class FiniteLevelModule:
             self.spec, self.level, vec[i * self.block : (i + 1) * self.block]
         )
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
-        m = self.spec.modulus
-        return self.canon([(x + y) % m for x, y in zip(a, b)])
-
     def elements(self) -> list[Vec]:
         """All canonical representatives; refuses above the element cap."""
         if self.size > self.enum_cap:
             raise EnumerationCapError(
                 f"module has {self.size} elements, above the cap {self.enum_cap}"
             )
-        m = self.spec.modulus
-        ranges = [m] * self.dim
-        for r in self.rel_rows:
-            c = next(i for i, x in enumerate(r) if x)
-            ranges[c] = r[c]
-        out = [[]]
-        for bound in ranges:
-            out = [prefix + [v] for prefix in out for v in range(bound)]
-        return [tuple(v) for v in out]
+        return list(itertools.product(*map(range, self.col_sizes)))
 
     # -- group-ring action ----------------------------------------------
     def action_matrix(self, x: GroupRingElem) -> list[list[int]]:
@@ -359,9 +354,15 @@ class Submodule:
     module: FiniteLevelModule
     hrows: list[list[int]]
 
+    def _counts(self) -> list[int]:
+        """p^(w-v) per Howell row, for its pivot p^v in a column where the
+        module's `col_sizes` is p^w."""
+        sizes = self.module.col_sizes
+        return [sizes[c] // r[c] for r in self.hrows for c in [linalg._pivot_col(r)]]
+
     def order(self) -> int:
         """Number of elements of the submodule inside the quotient module."""
-        return linalg.span_size(self.hrows, self.module.spec.p, self.module.spec.k) // self.module._rel_span
+        return math.prod(self._counts())
 
     def contains(self, vec: Sequence[int]) -> bool:
         return linalg.span_contains(list(vec), self.hrows, self.module.spec.p, self.module.spec.k)
@@ -378,22 +379,25 @@ class Submodule:
         return out
 
     def elements(self) -> list[Vec]:
-        """All elements (as canonical quotient representatives), by closure."""
+        """All elements, as sorted canonical quotient representatives: the
+        combinations sum a_i * hrows_i, 0 <= a_i < p^(w-v) (`_counts`).
+
+        They hit each coset of the relation span R once: there are `order()`
+        of them, and two differing by an element of R would differ at their
+        first differing pivot column by an entry of valuation below w, which
+        R's Howell property forbids.  This needs R inside the submodule,
+        which every constructor ensures."""
+        counts = self._counts()
+        order = math.prod(counts)
         cap = self.module.enum_cap
-        if self.order() > cap:
-            raise EnumerationCapError(f"submodule order {self.order()} above cap {cap}")
+        if order > cap:
+            raise EnumerationCapError(f"submodule order {order} above cap {cap}")
         m = self.module.spec.modulus
-        seen = {self.module.zero()}
-        frontier = [self.module.zero()]
-        gens = self.gens()
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.module.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return sorted(seen)
+        combos = [self.module.zero()]
+        for r, count in zip(self.hrows, counts):
+            if count > 1:
+                combos = [[(x + a * y) % m for x, y in zip(v, r)] for v in combos for a in range(count)]
+        return sorted(self.module.canon(v) for v in combos)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):

@@ -139,14 +139,6 @@ def span_contains(v: Sequence[int], hrows: Sequence[Sequence[int]], p: int, k: i
     return not any(reduce_vector(v, hrows, p, k))
 
 
-def span_size(hrows: Sequence[Sequence[int]], p: int, k: int) -> int:
-    size = 1
-    for r in hrows:
-        v = pval(r[_pivot_col(r)], p, k)
-        size *= p ** (k - v)
-    return size
-
-
 def right_kernel(mat: Sequence[Sequence[int]], ncols: int, p: int, k: int) -> list[list[int]]:
     """Generators of {u in (Z/p^k)^ncols : mat . u = 0}."""
     nrows = len(mat)

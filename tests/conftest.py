@@ -93,6 +93,25 @@ def scale_vec(M: FiniteLevelModule, c: int, a: Sequence[int]) -> Vec:
     return M.canon([c * x for x in a])
 
 
+def closure_elements(S: Submodule) -> list[Vec]:
+    """The elements of S as canonical quotient representatives, grown from
+    zero by adding generators until nothing new appears: the oracle of
+    `Submodule.elements`."""
+    M = S.module
+    m = M.spec.modulus
+    gens = S.gens()
+    seen = {M.zero()}
+    frontier = [M.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = M.canon([(a + b) % m for a, b in zip(x, g)])
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return sorted(seen)
+
+
 def span_intersection(rows_a, rows_b, p: int, k: int) -> list[list[int]]:
     """Howell basis of span(rows_a) & span(rows_b): the images of the
     combinations of rows_a that land in span(rows_b)."""

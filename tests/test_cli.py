@@ -585,6 +585,17 @@ class TestBadFileInputs:
         assert captured.out == ""
         assert captured.err == f"invalid input: $.ring.{field}: {value} differs from the builder's {chosen}\n"
 
+    def test_pairing_beside_builder_record_is_two(self, tmp_path, capsys):
+        # lfun-check builds the pairing from the builder record, so a pairing
+        # record beside it would be ignored (it exited 0 with the report of
+        # the unedited file)
+        pairing = {"kind": "block", "blocks": [{"level": 0, "unit": 2, "swapped": True}]}
+        path = edited_instance(tmp_path, "lfun_level3_ord1.json", lambda doc: doc.update(pairing=pairing))
+        assert main(["lfun-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: $.pairing: a builder-form lfun record builds its own pairing\n"
+
     @pytest.mark.parametrize("key", ["dead", "swapped"])
     @pytest.mark.parametrize("value", ["false", 0], ids=["string", "number"])
     def test_non_boolean_block_flag_is_two(self, tmp_path, key, value):

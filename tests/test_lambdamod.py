@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwaheights.errors import EnumerationCapError
-from iwaheights.heights import BlockSpec, block_module
+from iwaheights.heights import BlockPairing, BlockSpec, HeightPairing, block_module
 from iwaheights.instancefile import parse_instance
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level
 from iwaheights.lambdamod import (
@@ -26,7 +26,7 @@ from iwaheights.lambdamod import (
     shape_dims,
     t_valuation,
 )
-from tests.conftest import from_components, matvec, module_from_shape, norm_image_intersection
+from tests.conftest import closure_elements, from_components, matvec, module_from_shape, norm_image_intersection
 from tests.test_perfbench_reports import load_workloads
 
 
@@ -639,3 +639,64 @@ class TestTorsionClosedFormK1:
         T = GroupRingElem.gamma(spec31, 2) - GroupRingElem.one(spec31, 2)
         assert [t_valuation(T**r) for r in range(11)] == list(range(9)) + [9, 9]
         assert t_valuation(GroupRingElem.gamma(spec31, 2, 3) - GroupRingElem.one(spec31, 2)) == 3
+
+
+@st.composite
+def coset_cases(draw, kind, k):
+    """(M, S) at p = 3, the given k and level 0-2, with |M| <= 3^6.  M has
+    split relations (one random relation or none per generator), mixed ones
+    (one or two random rows over all generators), or is a block pairing's
+    module; S comes from a drawn constructor, the kernels of h only on a
+    pairing's module."""
+    spec = RingSpec(3, k, 12)
+    level = draw(st.integers(0, 2), label="level")
+    n = 3**level
+    elem = st.lists(st.integers(0, spec.modulus - 1), min_size=n, max_size=n)
+    h = None
+    if kind == "block":
+        block = st.builds(BlockSpec, level=st.integers(0, min(level, 1)), swapped=st.booleans())
+        h = HeightPairing(BlockPairing(spec, draw(st.lists(block, min_size=1, max_size=2)), level=level))
+        M = h.module
+    else:
+        ngens = draw(st.integers(1, 2), label="ngens")
+        zero = [0] * n
+        if kind == "split":
+            rels = [draw(st.one_of(st.none(), elem), label=f"relation {i}") for i in range(ngens)]
+            relations = [[r if j == i else zero for j in range(ngens)] for i, r in enumerate(rels) if r is not None]
+        else:
+            relations = draw(st.lists(st.lists(elem, min_size=ngens, max_size=ngens), min_size=1, max_size=2))
+        M = FiniteLevelModule(spec, level, ngens, relations)
+    assume(M.size <= 3**6)
+    vec = st.lists(st.integers(0, spec.modulus - 1), min_size=M.dim, max_size=M.dim)
+    f = st.one_of(
+        st.integers(0, n + 1).map(lambda r: M.T_class() ** r),
+        elem.map(lambda cs: GroupRingElem(spec, level, cs)),
+    )
+    constructors = {
+        "submodule": lambda: M.submodule(draw(st.lists(vec, max_size=3), label="vectors")),
+        "zero": M.zero_submodule,
+        "full": M.full_submodule,
+        "torsion": lambda: M.torsion(draw(f, label="f")),
+        "stage": lambda: M.filtration_stage(draw(st.integers(1, 4), label="r")),
+    }
+    if h is not None:
+        constructors.update({"left kernel": h.left_kernel, "right kernel": h.right_kernel})
+    return M, constructors[draw(st.sampled_from(sorted(constructors)), label="constructor")]()
+
+
+class TestCosetEnumeration:
+    """`Submodule.elements` lists the combinations of its Howell rows that
+    the module's `col_sizes` allow, and `order()` multiplies their counts;
+    the oracle is the closure search `closure_elements`.  Split modules at
+    k = 1 and k = 2 and mixed ones take the three paths of `torsion`."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", ["split", "mixed", "block"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_elements_match_closure(self, kind, k, data):
+        M, S = data.draw(coset_cases(kind, k))
+        els = S.elements()
+        assert els == closure_elements(S)
+        assert S.order() == len(els)
+        assert M.size == len(M.elements())

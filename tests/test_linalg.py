@@ -1,6 +1,7 @@
 """Howell-form linear algebra over Z/p^k, checked against enumeration."""
 
 import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -39,7 +40,9 @@ def small_matrices(p, k, max_rows=3, max_cols=3):
 def test_howell_spans_same_set(rows):
     H = linalg.howell(rows, 3, 2)
     assert enumerate_span(rows, 9) == enumerate_span(H, 9)
-    assert linalg.span_size(H, 3, 2) == len(enumerate_span(rows, 9))
+    # a pivot p^v contributes p^(k-v) multiples of its row
+    size = math.prod(3 ** (2 - linalg.pval(next(x for x in r if x), 3, 2)) for r in H)
+    assert size == len(enumerate_span(rows, 9))
 
 
 @given(rows=small_matrices(3, 2))
