@@ -328,7 +328,7 @@ def cmd_oracle(args) -> Report:
         pairing = _build_pairing(inst, args.max_size)
         if pairing.module.size > args.max_size:
             raise EnumerationCapError(
-                f"pairing module has {pairing.module.size} elements, above --max-size"
+                f"pairing module has {pairing.module.size} elements, above the cap {args.max_size}"
             )
         pairing.validate()
         h = HeightPairing(pairing, u=1)

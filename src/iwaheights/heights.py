@@ -344,7 +344,7 @@ class HeightPairing:
 
     def _kernel(self, rows) -> Submodule:
         M = self.module
-        return M.submodule(linalg.right_kernel([list(r) for r in rows], M.dim, self.spec.p, self.spec.k))
+        return M.submodule(linalg.preimage_span(list(rows), [], M.dim, self.spec.p, self.spec.k))
 
 
 class DerivedHeightPairing:

@@ -110,6 +110,14 @@ def t_valuation(x: GroupRingElem) -> int:
     return next((j for j, c in enumerate(x.to_poly_coeffs()) if c), len(x.coeffs))
 
 
+def _circulant(x: GroupRingElem, level: int) -> list[list[int]]:
+    """The matrix of multiplication by x on Lambda_level: row a, column j
+    is x[(a - j) mod p^level], after `at_level` brings x to that level."""
+    xs = x.at_level(level).coeffs
+    n = len(xs)
+    return [[xs[(a - j) % n] for j in range(n)] for a in range(n)]
+
+
 class FiniteLevelModule:
     """Lambda_N^g / (relation rows), as an explicit O-module quotient.
 
@@ -159,7 +167,6 @@ class FiniteLevelModule:
             self.col_sizes[c] = r[c]
         self.size = math.prod(self.col_sizes)
         self._summands = self._split()
-        self._summand_modules: dict[tuple[int, ...], FiniteLevelModule] = {}
         self._ideals: dict[int, list[list[int]]] = {}
         self._j_torsion: dict[int, Submodule] = {}
         self._stages: dict[int, Submodule] = {}
@@ -193,17 +200,15 @@ class FiniteLevelModule:
 
     # -- group-ring action ----------------------------------------------
     def action_matrix(self, x: GroupRingElem) -> list[list[int]]:
-        """The matrix of multiplication by x: row a, column j of each
-        generator's block is x[(a - j) mod p^N]."""
-        xs = x.at_level(self.level).coeffs
+        """The matrix of multiplication by x: the circulant of x
+        (`_circulant`) on each generator's block."""
+        circulant = _circulant(x, self.level)
+        return [self._place(i, row) for i in range(self.ngens) for row in circulant]
+
+    def _place(self, i: int, row: list[int]) -> list[int]:
+        """A row of generator i's block, padded to the whole module."""
         n = self.block
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(self.ngens):
-            for a in range(n):
-                row = rows[i * n + a]
-                for j in range(n):
-                    row[i * n + j] = xs[(a - j) % n]
-        return rows
+        return [0] * (i * n) + row + [0] * (self.dim - (i + 1) * n)
 
     def act(self, x: GroupRingElem, vec: Sequence[int]) -> Vec:
         """x * vec, as a cyclic convolution of x with each generator's block
@@ -245,27 +250,28 @@ class FiniteLevelModule:
         - k = 1: Lambda_N = F_p[T]/(T^(p^N)), so f is T^w times a unit and
           the summand is Lambda_N/(T^(v_i)); its kernel is the ideal
           T^(max(v_i - w, 0)) Lambda_N (`_ideal_rows`), with no solve.
-        - k > 1: the summand is solved as a one-generator module.
-        Mixed relations, and one generator at k > 1, take
-        `_preimage_torsion` on the whole module.
+        - k > 1: the kernel is `linalg.preimage_span` of the summand's
+          relation rows (the module's `rel_rows` on that block, already its
+          Howell basis) under the circulant of f.
+        Mixed relations take `preimage_span` of `rel_rows` under the action
+        matrix of f on the whole module.
         """
-        if self._summands is None or (self.spec.k > 1 and self.ngens < 2):
-            return self._preimage_torsion(f)
-        if self.spec.k == 1:
+        p, k = self.spec.p, self.spec.k
+        if self._summands is None:
+            return Submodule(self, linalg.preimage_span(self.action_matrix(f), self.rel_rows, self.dim, p, k))
+        if k == 1:
             w = t_valuation(f)
             parts = [self._ideal_rows(max(v - w, 0)) for v in self._summand_valuations]
         else:
-            solved = {rel: self._summand(rel)._preimage_torsion(f).hrows for rel in dict.fromkeys(self._summands)}
+            n = self.block
+            circulant = _circulant(f, self.level)
+            solved: dict[tuple[int, ...], list[list[int]]] = {}
+            for i, rel in enumerate(self._summands):
+                if rel not in solved:
+                    rows = [r[i * n : (i + 1) * n] for r in self.rel_rows]
+                    solved[rel] = linalg.preimage_span(circulant, rows, n, p, k)
             parts = [solved[rel] for rel in self._summands]
-        n = self.block
-        return Submodule(self, [[0] * (i * n) + r + [0] * (self.dim - (i + 1) * n) for i, part in enumerate(parts) for r in part])
-
-    def _preimage_torsion(self, f: GroupRingElem) -> "Submodule":
-        """The f-torsion of the whole module: the preimage of the relation
-        span under the action matrix of f."""
-        A = self.action_matrix(f)
-        gens = linalg.preimage_span(A, self.rel_rows or [[0] * self.dim], self.dim, self.spec.p, self.spec.k)
-        return self.submodule(gens)
+        return Submodule(self, [self._place(i, r) for i, part in enumerate(parts) for r in part])
 
     def _ideal_rows(self, a: int) -> list[list[int]]:
         """Howell basis, at k = 1 and width n = p^N, of the ideal T^a Lambda_N;
@@ -299,14 +305,6 @@ class FiniteLevelModule:
                 i = support[0]
                 out[i] = tuple(rel[i * n : (i + 1) * n])
         return out
-
-    def _summand(self, rel: tuple[int, ...]) -> "FiniteLevelModule":
-        """Lambda_N/(rel) (Lambda_N for ()), built once per module."""
-        mod = self._summand_modules.get(rel)
-        if mod is None:
-            relations = [[GroupRingElem(self.spec, self.level, rel)]] if rel else []
-            mod = self._summand_modules[rel] = FiniteLevelModule(self.spec, self.level, 1, relations, self.enum_cap)
-        return mod
 
     # -- the J-adic machinery ---------------------------------------------
     def j_torsion(self, r: int) -> "Submodule":
@@ -391,7 +389,7 @@ class Submodule:
         order = math.prod(counts)
         cap = self.module.enum_cap
         if order > cap:
-            raise EnumerationCapError(f"submodule order {order} above cap {cap}")
+            raise EnumerationCapError(f"submodule has {order} elements, above the cap {cap}")
         m = self.module.spec.modulus
         combos = [self.module.zero()]
         for r, count in zip(self.hrows, counts):

@@ -139,21 +139,6 @@ def span_contains(v: Sequence[int], hrows: Sequence[Sequence[int]], p: int, k: i
     return not any(reduce_vector(v, hrows, p, k))
 
 
-def right_kernel(mat: Sequence[Sequence[int]], ncols: int, p: int, k: int) -> list[list[int]]:
-    """Generators of {u in (Z/p^k)^ncols : mat . u = 0}."""
-    nrows = len(mat)
-    aug = []
-    for j in range(ncols):
-        row = [mat[i][j] for i in range(nrows)]
-        row.extend(1 if t == j else 0 for t in range(ncols))
-        aug.append(row)
-    gens = []
-    for r in howell(aug, p, k):
-        if not any(r[:nrows]):
-            gens.append(r[nrows:])
-    return gens
-
-
 def solve_combination(
     rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]], p: int, k: int
 ) -> list[Optional[list[int]]]:
@@ -184,10 +169,16 @@ def preimage_span(
     p: int,
     k: int,
 ) -> list[list[int]]:
-    """Generators of {x : mat . x in span(span_rows)} (mat maps columns)."""
-    m = p**k
+    """Howell basis of {x : mat . x in span(span_rows)} (mat maps columns);
+    with no span rows, of the right kernel {x : mat . x = 0}.
+
+    The rows [mat . e_j | e_j], one per column j, and [s | 0], one per span
+    row s, span the pairs (mat . x + s, x) with s in the span.  By the
+    Howell property the rows of their Howell form that vanish on the first
+    len(mat) columns span the pairs (0, x), and their tails are already the
+    Howell basis of those x.
+    """
     nout = len(mat)
-    rs = len(span_rows)
-    stacked = [list(mat[i]) + [(-span_rows[j][i]) % m for j in range(rs)] for i in range(nout)]
-    gens = [u[:ncols] for u in right_kernel(stacked, ncols + rs, p, k)]
-    return howell([g for g in gens if any(g)], p, k)
+    aug = [[row[j] for row in mat] + [int(t == j) for t in range(ncols)] for j in range(ncols)]
+    aug += [list(s) + [0] * ncols for s in span_rows]
+    return [r[nout:] for r in howell(aug, p, k) if not any(r[:nout])]

@@ -112,6 +112,14 @@ def closure_elements(S: Submodule) -> list[Vec]:
     return sorted(seen)
 
 
+def whole_module_torsion(M: FiniteLevelModule, f: GroupRingElem) -> Submodule:
+    """The f-torsion of M solved on the whole module: the preimage of the
+    relation span under the action matrix of f.  The oracle of both split
+    paths of `FiniteLevelModule.torsion`."""
+    gens = linalg.preimage_span(M.action_matrix(f), M.rel_rows, M.dim, M.spec.p, M.spec.k)
+    return M.submodule(gens)
+
+
 def span_intersection(rows_a, rows_b, p: int, k: int) -> list[list[int]]:
     """Howell basis of span(rows_a) & span(rows_b): the images of the
     combinations of rows_a that land in span(rows_b)."""

@@ -395,9 +395,30 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--max-size: must be at least 1" in capsys.readouterr().err
 
-    def test_missing_input_is_two(self):
-        code, _, _ = run_cli("heights")
-        assert code == 2
+    def test_missing_input_is_two(self, capsys):
+        for cmd in ("invariants", "heights", "oracle"):
+            assert main([cmd]) == 2
+            assert capsys.readouterr() == ("", "invalid input: --input PATH is required for this command\n")
+
+    def test_max_r_not_an_int_is_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["heights", "--input", str(ROOT / "instances" / "single_block_f3.json"), "--max-r", "abc"])
+        assert exc.value.code == 2
+        assert "argument --max-r: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cmd, name, message",
+        [
+            ("oracle", "single_block_f3.json", "module has 27 elements, above the cap 5"),
+            ("oracle", "swapped_pair_f3.json", "pairing module has 729 elements, above the cap 5"),
+            ("heights", "swapped_pair_f3.json", "submodule has 9 elements, above the cap 5"),
+        ],
+        ids=["module", "pairing-module", "submodule"],
+    )
+    def test_enumeration_cap_message(self, cmd, name, message, capsys):
+        # every refusal to enumerate names what, its size and the cap alike
+        assert main([cmd, "--input", str(ROOT / "instances" / name), "--max-size", "5"]) == 3
+        assert capsys.readouterr() == ("", f"resource cap: {message}\n")
 
     def test_unreadable_input_file_is_two(self, tmp_path, capsys):
         code = main(["heights", "--input", str(tmp_path / "missing.json")])
@@ -827,14 +848,16 @@ class TestLevelLadder:
     # sha256 of the stdout of `lfun-check ... --format json` on the two
     # level-4 builder rungs (dual modules of O-rank 162 and 250), recorded
     # with the general kernel solver before J-power torsion at k = 1 had a
-    # closed form
+    # closed form, and on a k = 2 rung, recorded while each summand at
+    # k > 1 was still solved as a one-generator module
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--ord", "30"], "26386ee83d71403996a78d6cac3dae3a6fbfbc137ba73bbeeee3ed93ba9efc2f"),
             (["--p", "5", "--ord", "30"], "8767bb78f470092963e2a8e3e225ccc333f44c6d3b7c4fdeefcd3ca41ed921b9"),
+            (["--k", "2", "--ord", "30"], "be9889f9b26a6959e21e8c1a4f074b9c0b58402e12155fe451c7b50966625ffc"),
         ],
-        ids=["p3-ord30", "p5-ord30"],
+        ids=["p3-ord30", "p5-ord30", "k2-ord30"],
     )
     def test_level4_rung_reports_are_pinned(self, argv, digest, capsys):
         assert main(["lfun-check", *argv, "--format", "json"]) == 0

@@ -67,6 +67,14 @@ PINS = {
         "1ee703f9a1280b26558b0568b297a779ad9a9d61aab591bdab46c0fae02db1d0",
         "131b7d7cb49eab0d0dc53ef4d4f4142fcac620e7740d3ca8dfd259b81a3b9a7d",
     ),
+    ("mixed_module_f3.json", "invariants"): (
+        "5f306ef5b38299d297f5b6fe6e5e4d4a6900fd6549db87bbb526df59ce5044e5",
+        "115ee19efc8a3d7cc457f18195653de1b3aaf38046a0f60e70c5a34bf4d937fa",
+    ),
+    ("mixed_module_f3.json", "oracle"): (
+        "b46c9be3f7d57cd141570cb406ef784cc2d4ed8a5f8f1c7bd02863ce5a71cb6f",
+        "78b471b8bfad748f9207b2724fc4fc328ef902beb6619e3e900ed2a05bc3d8b2",
+    ),
     ("shape_demo.json", "invariants"): (
         "14c1e990a7d49eca1c677000aa9548b2b9c30a1f79ceb2d699ffbdede8698703",
         "757dd55ce4caa35c6d364b375f65e81a5e6914563e98cc53697cdf456cda2ab5",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iwaheights import linalg
 from iwaheights.errors import EnumerationCapError
 from iwaheights.heights import BlockPairing, BlockSpec, HeightPairing, block_module
 from iwaheights.instancefile import parse_instance
@@ -26,7 +27,14 @@ from iwaheights.lambdamod import (
     shape_dims,
     t_valuation,
 )
-from tests.conftest import closure_elements, from_components, matvec, module_from_shape, norm_image_intersection
+from tests.conftest import (
+    closure_elements,
+    from_components,
+    matvec,
+    module_from_shape,
+    norm_image_intersection,
+    whole_module_torsion,
+)
 from tests.test_perfbench_reports import load_workloads
 
 
@@ -481,10 +489,25 @@ def direct_sums(draw):
     return M
 
 
+def spy_preimage_span(monkeypatch):
+    """The widths (ncols) `linalg.preimage_span` is called with, in call
+    order."""
+    widths = []
+    general = linalg.preimage_span
+
+    def spy(mat, span_rows, ncols, p, k):
+        widths.append(ncols)
+        return general(mat, span_rows, ncols, p, k)
+
+    monkeypatch.setattr(linalg, "preimage_span", spy)
+    return widths
+
+
 class TestTorsionPerSummand:
-    """torsion(f) on a direct sum solves each distinct summand once at
-    k > 1 and takes the closed form at k = 1; the oracle is the
-    preimage_span path on the whole module, which mixed relations keep."""
+    """torsion(f) on a direct sum solves each distinct summand once on its
+    own block at k > 1 and takes the closed form at k = 1; the oracle is
+    `whole_module_torsion`, the preimage_span path on the whole module,
+    which mixed relations keep."""
 
     @given(direct_sums(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -499,7 +522,7 @@ class TestTorsionPerSummand:
         else:
             # gamma + 1 has augmentation 2, a unit: it is prime to J
             f = M.gamma_class() + GroupRingElem.one(spec, level)
-        assert M.torsion(f).hrows == M._preimage_torsion(f).hrows
+        assert M.torsion(f).hrows == whole_module_torsion(M, f).hrows
 
     @pytest.mark.parametrize(
         "relations",
@@ -514,32 +537,17 @@ class TestTorsionPerSummand:
     def test_other_relations_take_the_preimage_path(self, spec31, relations, monkeypatch):
         M = FiniteLevelModule(spec31, 2, 2, relations)
         assert M._summands is None
-        seen = []
-        general = FiniteLevelModule._preimage_torsion
-
-        def spy(self, f):
-            seen.append(self)
-            return general(self, f)
-
-        monkeypatch.setattr(FiniteLevelModule, "_preimage_torsion", spy)
+        widths = spy_preimage_span(monkeypatch)
         M.torsion(M.T_class() ** 2)
-        assert seen == [M]
+        assert widths == [M.dim]
 
     def test_direct_sum_solves_each_distinct_summand_once(self, spec32, monkeypatch):
         # blocks at levels 0, 1, 1, 2 at level 2 over Z/9 (k = 1 takes the
         # closed form): summands omega_0, omega_1 and the free one
         M = block_module(spec32, [BlockSpec(0), BlockSpec(1), BlockSpec(1), BlockSpec(2)])
-        seen = []
-        general = FiniteLevelModule._preimage_torsion
-
-        def spy(self, f):
-            seen.append(self)
-            return general(self, f)
-
-        monkeypatch.setattr(FiniteLevelModule, "_preimage_torsion", spy)
+        widths = spy_preimage_span(monkeypatch)
         M.torsion(M.T_class() ** 3)
-        assert len(seen) == 3 and M not in seen
-        assert all(s.ngens == 1 and s.level == 2 for s in seen)
+        assert widths == [M.block] * 3
 
 
 @st.composite
@@ -583,34 +591,23 @@ def k1_elements(M):
     )
 
 
-def spy_preimage_torsion(monkeypatch):
-    """The modules `_preimage_torsion` is called on, in call order."""
-    seen = []
-    general = FiniteLevelModule._preimage_torsion
-
-    def spy(self, f):
-        seen.append(self)
-        return general(self, f)
-
-    monkeypatch.setattr(FiniteLevelModule, "_preimage_torsion", spy)
-    return seen
-
-
 class TestTorsionClosedFormK1:
     """At k = 1 Lambda_N = F_p[T]/(T^(p^N)), so torsion(f) on a split module
     is read off the T-valuations of f and of each relation, with no action
-    matrix and no kernel solve; the oracle is `_preimage_torsion` on the
-    whole module.  k > 1 and mixed relations keep the solver."""
+    matrix and no kernel solve; the oracle is `whole_module_torsion`.  k > 1
+    and mixed relations keep the solver."""
 
     @given(split_k1_modules(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_closed_form_matches_preimage_path(self, M, data):
         assert M._summands is not None
         f = data.draw(k1_elements(M), label="f")
-        with mock.patch.object(FiniteLevelModule, "action_matrix", side_effect=AssertionError("solver used")):
+        with (
+            mock.patch.object(FiniteLevelModule, "action_matrix", side_effect=AssertionError("action matrix built")),
+            mock.patch.object(linalg, "preimage_span", side_effect=AssertionError("solver used")),
+        ):
             fast = M.torsion(f)
-        assert fast.hrows == M._preimage_torsion(f).hrows
-        assert M._summand_modules == {}
+        assert fast.hrows == whole_module_torsion(M, f).hrows
 
     @pytest.mark.parametrize("name", ["shape-f3-level2", "shape-z9-level1", "mixed-f3-level2", "mixed-f5-level1"])
     def test_benchmark_modules_take_their_path(self, name, monkeypatch):
@@ -618,22 +615,22 @@ class TestTorsionClosedFormK1:
         for i in range(8):
             inst = parse_instance(json.dumps(templates[name](i)))
             M = FiniteLevelModule(inst.ring, inst.level, inst.module["generators"], inst.module["relations"])
-            seen = spy_preimage_torsion(monkeypatch)
+            widths = spy_preimage_span(monkeypatch)
             M.torsion(M.T_class() ** 2)
             if name.startswith("mixed-"):
-                assert seen == [M]
+                assert widths == [M.dim]
             elif inst.ring.k == 1:
-                assert seen == []
+                assert widths == []
             else:
-                assert seen and all(s.ngens == 1 for s in seen) and M not in seen
+                assert widths == [M.block] * len(set(M._summands))
 
     def test_one_generator_at_k2_takes_the_solver(self, spec32, monkeypatch):
         one = GroupRingElem.one(spec32, 1)
         M = FiniteLevelModule(spec32, 1, 1, [[GroupRingElem.gamma(spec32, 1) - one]])
         assert M._summands is not None
-        seen = spy_preimage_torsion(monkeypatch)
+        widths = spy_preimage_span(monkeypatch)
         M.torsion(M.T_class())
-        assert seen == [M]
+        assert widths == [M.block]
 
     def test_t_valuation(self, spec31):
         T = GroupRingElem.gamma(spec31, 2) - GroupRingElem.one(spec31, 2)
@@ -688,7 +685,8 @@ class TestCosetEnumeration:
     """`Submodule.elements` lists the combinations of its Howell rows that
     the module's `col_sizes` allow, and `order()` multiplies their counts;
     the oracle is the closure search `closure_elements`.  Split modules at
-    k = 1 and k = 2 and mixed ones take the three paths of `torsion`."""
+    k = 1 and k = 2 and mixed ones take the closed form, the per-block
+    solve and the whole-module solve of `torsion`."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("kind", ["split", "mixed", "block"])

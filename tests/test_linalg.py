@@ -168,7 +168,7 @@ def test_right_kernel_against_enumeration():
     rng = random.Random(4)
     for _ in range(40):
         mat = [[rng.randrange(9) for _ in range(3)] for _ in range(2)]
-        gens = linalg.right_kernel(mat, 3, 3, 2)
+        gens = linalg.preimage_span(mat, [], 3, 3, 2)
         kernel_true = {
             u
             for u in itertools.product(range(9), repeat=3)
