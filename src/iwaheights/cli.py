@@ -29,6 +29,7 @@ from iwaheights.lambdamod import (
     MAX_R,
     ElementaryShape,
     FiniteLevelModule,
+    check_enum_cap,
     infer_invariants,
     log_p,
     odd_even_multiplicities,
@@ -304,7 +305,7 @@ def cmd_oracle(args) -> Report:
         els = M.elements()
         tcl = M.T_class()
         fast = set(M.torsion(tcl).elements())
-        brute = {v for v in els if not any(M.act(tcl, v))}
+        brute = {v for v, image in zip(els, M.images(tcl)) if not any(image)}
         rep.add("torsion vs enumeration", ANCHOR_ORACLE, fast == brute, {"order": len(brute)})
 
         norms_fast = set(M.universal_norms().elements())
@@ -313,9 +314,7 @@ def cmd_oracle(args) -> Report:
         zero = {M.zero()}
         n = 1
         while n <= M.level + M.spec.k + 2 and inter != zero:
-            nu = norm_class(M.spec, n, M.level)
-            img = {M.act(nu, v) for v in els}
-            inter &= img
+            inter &= set(M.images(norm_class(M.spec, n, M.level)))
             n += 1
         rep.add(
             "universal norms vs enumeration",
@@ -326,10 +325,7 @@ def cmd_oracle(args) -> Report:
 
     if inst.pairing is not None:
         pairing = _build_pairing(inst, args.max_size)
-        if pairing.module.size > args.max_size:
-            raise EnumerationCapError(
-                f"pairing module has {pairing.module.size} elements, above the cap {args.max_size}"
-            )
+        check_enum_cap("pairing module", pairing.module.size, args.max_size)
         pairing.validate()
         h = HeightPairing(pairing, u=1)
         for r in range(1, args.max_r + 1):

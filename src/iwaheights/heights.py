@@ -35,7 +35,7 @@ from iwaheights.iwalg import (
     fold_coeffs,
     iota_coeffs,
 )
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank, combinations
 from iwaheights.poles import JGradedValue, PoleElem, phi, pole_involution, pole_sum
 
 Vec = Sequence[int]
@@ -420,24 +420,36 @@ class DerivedHeightPairing:
             if not self.stage.contains(y):
                 raise IwaheightsError(f"right argument is not in the stage-{self.r} filtration")
 
-    @functools.cached_property
-    def _stage_elements(self) -> list[Vec]:
-        """The stage's elements, enumerated once for both kernels."""
-        return self.stage.elements()
-
     def left_kernel_elements(self) -> set:
-        """{x in the stage : h^(r)(x, g) = 0 for every stage generator g}."""
-        els = self._stage_elements
-        rows = self.matrix(els, self.stage.gens())
-        return {x for x, row in zip(els, rows) if not any(row)}
+        """{x in the stage : h^(r)(x, g) = 0 for every stage generator g}.
+
+        h^(r) is O-linear in x, so one `matrix` call gives the values of the
+        stage's spanning rows (`Submodule.spanning_rows`) against the
+        generators, and `_zeros` enumerates the stage from those rows."""
+        rows, counts = self.stage.spanning_rows()
+        gens = self.stage.gens()
+        return self._zeros(rows, counts, list(self.matrix(rows, gens)), len(gens))
 
     def right_kernel_elements(self) -> set:
-        """{y in the stage : h^(r)(g, y) = 0 for every stage generator g}."""
-        els = self._stage_elements
-        hit = [False] * len(els)
-        for row in self.matrix(self.stage.gens(), els):
-            hit = [a or b != 0 for a, b in zip(hit, row)]
-        return {y for y, nonzero in zip(els, hit) if not nonzero}
+        """{y in the stage : h^(r)(g, y) = 0 for every stage generator g},
+        from the column of values of each spanning row, as in
+        `left_kernel_elements`."""
+        rows, counts = self.stage.spanning_rows()
+        gens = self.stage.gens()
+        by_gen = list(self.matrix(gens, rows))
+        values = [[row[i] for row in by_gen] for i in range(len(rows))]
+        return self._zeros(rows, counts, values, len(gens))
+
+    def _zeros(self, rows, counts, values, nvalues: int) -> set:
+        """The canonical forms of the elements sum a_i rows_i (0 <= a_i <
+        counts_i) whose value sum a_i values_i is zero mod p^k: the
+        `combinations` of the rows extended by their values, with `canon`
+        applied only to the kept ones."""
+        M = self.h.module
+        n = M.dim
+        extended = [list(r) + v for r, v in zip(rows, values)]
+        combos = combinations(extended, counts, self.spec.modulus, n + nvalues)
+        return {M.canon(v[:n]) for v in combos if not any(v[n:])}
 
 
 def _vec_times_matrix(w: Vec, G: Sequence[Vec]) -> list[int]:

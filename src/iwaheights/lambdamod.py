@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import EnumerationCapError
@@ -110,6 +110,29 @@ def t_valuation(x: GroupRingElem) -> int:
     return next((j for j, c in enumerate(x.to_poly_coeffs()) if c), len(x.coeffs))
 
 
+def check_enum_cap(what: str, count: int, cap: int) -> None:
+    """Raise EnumerationCapError when enumerating `count` elements of `what`
+    would pass the element cap."""
+    if count > cap:
+        raise EnumerationCapError(f"{what} has {count} elements, above the cap {cap}")
+
+
+def combinations(rows: Sequence[Sequence[int]], counts: Sequence[int], m: int, width: int) -> Iterator[list[int]]:
+    """Every sum a_i * rows_i mod m with 0 <= a_i < counts_i, in the order
+    of `itertools.product(*map(range, counts))`; rows are `width` long.
+
+    Each row's multiples are taken once, and every combination is one
+    earlier combination plus one multiple.  The combinations of all but
+    the last row are built as a list; the full ones are generated from it
+    one at a time, so a caller that keeps few of them holds little."""
+    multiples = [[[a * y % m for y in row] for a in range(count)] for row, count in zip(rows, counts) if count > 1]
+    last = multiples.pop() if multiples else [[0] * width]
+    combos = [[0] * width]
+    for mults in multiples:
+        combos = [[(x + y) % m for x, y in zip(v, w)] for v in combos for w in mults]
+    return ([(x + y) % m for x, y in zip(v, w)] for v in combos for w in last)
+
+
 def _circulant(x: GroupRingElem, level: int) -> list[list[int]]:
     """The matrix of multiplication by x on Lambda_level: row a, column j
     is x[(a - j) mod p^level], after `at_level` brings x to that level."""
@@ -191,12 +214,24 @@ class FiniteLevelModule:
         )
 
     def elements(self) -> list[Vec]:
-        """All canonical representatives; refuses above the element cap."""
-        if self.size > self.enum_cap:
-            raise EnumerationCapError(
-                f"module has {self.size} elements, above the cap {self.enum_cap}"
-            )
+        """All canonical representatives, the box of residues `col_sizes`
+        in `itertools.product` order; refuses above the element cap."""
+        check_enum_cap("module", self.size, self.enum_cap)
         return list(itertools.product(*map(range, self.col_sizes)))
+
+    def images(self, x: GroupRingElem) -> Iterator[Vec]:
+        """x * v for every v of `elements()`, in the same order, generated
+        one at a time.
+
+        Multiplication by x is O-linear, so x * v = sum v_j (x * e_j): `act`
+        runs once per basis vector e_j whose `col_sizes[j]` is above 1, and
+        each combination of those images is reduced by `canon`.  Refuses
+        above the element cap like `elements()`, when called."""
+        check_enum_cap("module", self.size, self.enum_cap)
+        cols = [j for j, size in enumerate(self.col_sizes) if size > 1]
+        rows = [self.act(x, [int(c == j) for c in range(self.dim)]) for j in cols]
+        counts = [self.col_sizes[j] for j in cols]
+        return map(self.canon, combinations(rows, counts, self.spec.modulus, self.dim))
 
     # -- group-ring action ----------------------------------------------
     def action_matrix(self, x: GroupRingElem) -> list[list[int]]:
@@ -212,7 +247,9 @@ class FiniteLevelModule:
 
     def act(self, x: GroupRingElem, vec: Sequence[int]) -> Vec:
         """x * vec, as a cyclic convolution of x with each generator's block
-        (the product action_matrix(x) . vec without building the matrix)."""
+        (the product action_matrix(x) . vec without building the matrix).
+        `images` applies x to a whole module through one call per basis
+        vector."""
         xs = x.at_level(self.level).coeffs
         n = self.block
         m = self.spec.modulus
@@ -376,26 +413,28 @@ class Submodule:
                 out.append(c)
         return out
 
+    def spanning_rows(self) -> tuple[list[list[int]], list[int]]:
+        """The Howell rows that take more than one multiple in `elements`,
+        with their counts p^(w-v) (`_counts`); refuses above the element
+        cap.  The combinations sum a_i * row_i, 0 <= a_i < count_i, are the
+        elements, one per coset (`elements`)."""
+        counts = self._counts()
+        check_enum_cap("submodule", math.prod(counts), self.module.enum_cap)
+        live = [i for i, count in enumerate(counts) if count > 1]
+        return [self.hrows[i] for i in live], [counts[i] for i in live]
+
     def elements(self) -> list[Vec]:
         """All elements, as sorted canonical quotient representatives: the
-        combinations sum a_i * hrows_i, 0 <= a_i < p^(w-v) (`_counts`).
+        `combinations` of `spanning_rows`.
 
         They hit each coset of the relation span R once: there are `order()`
         of them, and two differing by an element of R would differ at their
         first differing pivot column by an entry of valuation below w, which
         R's Howell property forbids.  This needs R inside the submodule,
         which every constructor ensures."""
-        counts = self._counts()
-        order = math.prod(counts)
-        cap = self.module.enum_cap
-        if order > cap:
-            raise EnumerationCapError(f"submodule has {order} elements, above the cap {cap}")
-        m = self.module.spec.modulus
-        combos = [self.module.zero()]
-        for r, count in zip(self.hrows, counts):
-            if count > 1:
-                combos = [[(x + a * y) % m for x, y in zip(v, r)] for v in combos for a in range(count)]
-        return sorted(self.module.canon(v) for v in combos)
+        M = self.module
+        rows, counts = self.spanning_rows()
+        return sorted(M.canon(v) for v in combinations(rows, counts, M.spec.modulus, M.dim))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Submodule):

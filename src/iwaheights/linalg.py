@@ -37,12 +37,17 @@ def _pivot_col(row: Sequence[int]) -> int:
     return -1
 
 
-def howell(rows: Sequence[Sequence[int]], p: int, k: int) -> list[list[int]]:
+def howell(rows: Sequence[Sequence[int]], p: int, k: int, keep_from: int = 0) -> list[list[int]]:
     """Canonical Howell normal form of the row span, sorted by pivot column.
 
     Pivot entries are exact powers of p; entries above each pivot are reduced
     into [0, pivot).  Two row sets span the same module iff their Howell
     forms are identical.
+
+    Rows whose pivot lies in a column before `keep_from` skip the upward
+    reduction, so only the rows pivoting at or after it are canonical (for
+    a caller that keeps just those: the upward pass reduces a row only
+    against later rows, so theirs is unchanged).
     """
     m = p**k
     work = []
@@ -90,6 +95,8 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int) -> list[list[int]]:
     # upward reduction for canonical form: reduce each row against every
     # later pivot row, in pivot-column order, exactly like reduce_vector
     for j in range(len(pivots)):
+        if cols[j] < keep_from:
+            continue
         row = pivots[j]
         for i in range(j + 1, len(pivots)):
             c = cols[i]
@@ -176,9 +183,11 @@ def preimage_span(
     row s, span the pairs (mat . x + s, x) with s in the span.  By the
     Howell property the rows of their Howell form that vanish on the first
     len(mat) columns span the pairs (0, x), and their tails are already the
-    Howell basis of those x.
+    Howell basis of those x.  Those kept rows are the suffix pivoting at or
+    after column len(mat), so the other rows skip the upward reduction
+    (`keep_from`).
     """
     nout = len(mat)
     aug = [[row[j] for row in mat] + [int(t == j) for t in range(ncols)] for j in range(ncols)]
     aug += [list(s) + [0] * ncols for s in span_rows]
-    return [r[nout:] for r in howell(aug, p, k) if not any(r[:nout])]
+    return [r[nout:] for r in howell(aug, p, k, keep_from=nout) if not any(r[:nout])]

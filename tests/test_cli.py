@@ -412,8 +412,10 @@ class TestExitCodes:
             ("oracle", "single_block_f3.json", "module has 27 elements, above the cap 5"),
             ("oracle", "swapped_pair_f3.json", "pairing module has 729 elements, above the cap 5"),
             ("heights", "swapped_pair_f3.json", "submodule has 9 elements, above the cap 5"),
+            # stage 2 (3 elements) passes the cap; the kernel enumeration of stage 1 does not
+            ("heights", "two_block_mixed_f3.json", "submodule has 9 elements, above the cap 5"),
         ],
-        ids=["module", "pairing-module", "submodule"],
+        ids=["module", "pairing-module", "submodule", "kernel-stage"],
     )
     def test_enumeration_cap_message(self, cmd, name, message, capsys):
         # every refusal to enumerate names what, its size and the cap alike

@@ -24,7 +24,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "instances"
 
 def whole_stage_kernel(monkeypatch):
     # h^(r) reported degenerate on the whole stage M^(r)
-    monkeypatch.setattr(DerivedHeightPairing, "left_kernel_elements", lambda self: set(self._stage_elements))
+    monkeypatch.setattr(DerivedHeightPairing, "left_kernel_elements", lambda self: set(self.stage.elements()))
 
 
 def negated_below_diagonal(monkeypatch):
@@ -42,6 +42,13 @@ def torsion_of_square(monkeypatch):
     # the f-torsion replaced by the f^2-torsion, a larger submodule
     torsion = FiniteLevelModule.torsion
     monkeypatch.setattr(FiniteLevelModule, "torsion", lambda self, f: torsion(self, f * f))
+
+
+def images_of_square(monkeypatch):
+    # the enumerated images x * v replaced by x^2 * v: the brute-force
+    # T-torsion becomes the larger T^2-torsion
+    images = FiniteLevelModule.images
+    monkeypatch.setattr(FiniteLevelModule, "images", lambda self, x: images(self, x * x))
 
 
 def gram_without_scale(monkeypatch):
@@ -95,6 +102,7 @@ FAULTS = [
         "single_block_f3.json",
         ["torsion vs enumeration", "h^(1) kernels vs filtration", "h^(2) kernels vs filtration"],
     ),
+    ("images-oracle", images_of_square, "oracle", "single_block_f3.json", ["torsion vs enumeration"]),
     ("gram-heights", gram_without_scale, "heights", "swapped_pair_f3.json", ["generator independence"]),
     ("norms-heights", full_universal_norms, "heights", "swapped_pair_f3.json", ["global kernel"]),
     (

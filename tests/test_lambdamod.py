@@ -27,6 +27,7 @@ from iwaheights.lambdamod import (
     shape_dims,
     t_valuation,
 )
+from iwaheights.poles import norm_class
 from tests.conftest import (
     closure_elements,
     from_components,
@@ -196,13 +197,13 @@ class TestJFiltration:
 
 
 @st.composite
-def norm_modules(draw):
-    """A module at p in {3, 5}, k in {1, 2, 3}, level 0-2 and one or two
+def norm_modules(draw, ks=(1, 2, 3)):
+    """A module at p in {3, 5}, k in `ks`, level 0-2 and one or two
     generators (ambient O-rank at most 50, under MAX_RANK), with split
     relations (at most one per generator, supported on it) or mixed ones
     (up to two random rows over all generators)."""
     p = draw(st.sampled_from([3, 5]))
-    spec = RingSpec(p, draw(st.integers(1, 3)), 12)
+    spec = RingSpec(p, draw(st.sampled_from(ks)), 12)
     level = draw(st.integers(0, 2))
     ngens = draw(st.integers(1, 2))
     n = p**level
@@ -214,6 +215,40 @@ def norm_modules(draw):
     else:
         relations = draw(st.lists(st.lists(elem, min_size=ngens, max_size=ngens), max_size=2))
     return FiniteLevelModule(spec, level, ngens, relations)
+
+
+class TestImages:
+    """`images` builds x * v for every element from the images of the basis
+    vectors; the oracle is one `act` per element."""
+
+    @given(norm_modules(ks=(1, 2)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_images_match_act_per_element(self, M, data):
+        assume(M.size <= 3**7)
+        spec = M.spec
+        kind = data.draw(st.sampled_from(["T", "norm", "random"]), label="x")
+        if kind == "T":
+            x = M.T_class()
+        elif kind == "norm":
+            x = norm_class(spec, data.draw(st.integers(0, M.level + spec.k + 1), label="n"), M.level)
+        else:
+            x_level = data.draw(st.integers(0, 2), label="x_level")
+            coeffs = st.lists(st.integers(0, spec.modulus - 1), min_size=spec.p**x_level, max_size=spec.p**x_level)
+            x = GroupRingElem(spec, x_level, data.draw(coeffs, label="coeffs"))
+        assert list(M.images(x)) == [M.act(x, v) for v in M.elements()]
+
+    def test_combinations_are_canonicalised(self, spec32):
+        # Lambda_1/(3T) over Z/9 has relation pivots 3: a sum of canonical
+        # images can leave [0, 3) in a pivot column and must be reduced again
+        M = FiniteLevelModule(spec32, 1, 1, [[[0, 3, 0]]])
+        assert M.col_sizes == [3, 3, 9]
+        for x in (M.T_class(), M.gamma_class()):
+            assert list(M.images(x)) == [M.act(x, v) for v in M.elements()]
+
+    def test_cap_guard(self, spec31):
+        M = lambda_block(spec31, 1, enum_cap=10)
+        with pytest.raises(EnumerationCapError, match="module has 27 elements, above the cap 10"):
+            M.images(M.T_class())
 
 
 class TestUniversalNorms:
