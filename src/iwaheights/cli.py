@@ -119,7 +119,6 @@ def cmd_invariants(args) -> Report:
         r_max = max(args.max_r, shape.max_block() + 2)
         dims = shape_dims(shape, r_max)
         prof = infer_invariants(dims)
-        rep.add("dimension sequence", ANCHOR_DIMS, True, {"dims": dims})
         rep.add(
             "invariant extraction",
             ANCHOR_E,
@@ -128,7 +127,7 @@ def cmd_invariants(args) -> Report:
                 for i in range(1, r_max)
             )
             and prof.e_infinity == shape.e_infinity,
-            {"e": list(prof.e), "e_infinity": prof.e_infinity},
+            {"dims": dims, "e": list(prof.e), "e_infinity": prof.e_infinity},
         )
         flagged = odd_even_multiplicities([shape.multiplicity(i) for i in range(1, r_max + 1)])
         rep.add(
@@ -193,7 +192,7 @@ def cmd_heights(args) -> Report:
     for r in range(1, args.max_r + 1):
         d, left, ok = _kernel_chain(h1, r)
         gens = d.stage.gens()
-        matrix = [[d.value(x, y).coeff for y in gens] for x in gens]
+        matrix = [[d.value(x, y) for y in gens] for x in gens]
         rep.add(
             f"kernel chain r={r}",
             ANCHOR_KERNEL,

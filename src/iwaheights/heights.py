@@ -5,7 +5,8 @@ cochains; validation checks the axioms mechanically before anything
 theorem-shaped is computed.  The height pairing composes a pole-valued
 pairing with the evaluation functional phi and lands in J/J^2; the derived
 tower h^(r) pairs the filtration stage M^(r) with itself, with values in
-J^r/J^(r+1).
+J^r/J^(r+1), which is free of rank 1 over O on (gamma - 1)^r: a value of
+h^(r) is its coefficient on (gamma - 1)^r, a residue in [0, p^k).
 
 Generator bookkeeping: with the generator gamma0^u the pre-height scales
 by u^(-1) (two polar re-expressions contribute u^(-2), the evaluation
@@ -36,7 +37,7 @@ from iwaheights.iwalg import (
     iota_coeffs,
 )
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank, combinations
-from iwaheights.poles import JGradedValue, PoleElem, phi, pole_involution, pole_sum
+from iwaheights.poles import PoleElem, phi, pole_involution, pole_sum
 
 Vec = Sequence[int]
 
@@ -70,12 +71,13 @@ def _basis(dim: int) -> list[tuple[int, ...]]:
     return [tuple(int(c == a) for c in range(dim)) for a in range(dim)]
 
 
-def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int, m: int) -> list[int]:
-    """sum(coeffs_i * rows_i) mod m."""
+def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int) -> list[int]:
+    """sum(coeffs_i * rows_i), unreduced: the zero vector of length dim
+    when there are no rows."""
     w = [0] * dim
     for c, row in zip(coeffs, rows):
         if c:
-            w = [(a + c * b) % m for a, b in zip(w, row)]
+            w = [a + c * b for a, b in zip(w, row)]
     return w
 
 
@@ -348,7 +350,8 @@ class HeightPairing:
 
 
 class DerivedHeightPairing:
-    """h^(r) on the filtration stage M^(r), valued in J^r/J^(r+1).
+    """h^(r) on the filtration stage M^(r), valued in J^r/J^(r+1) and given
+    by its coefficient on (gamma - 1)^r.
 
     h^(1) is the restriction of h to the J-torsion; for r > 1 the left
     argument is pulled back through (gamma - 1)^(r-1) inside M[J^r].
@@ -378,42 +381,39 @@ class DerivedHeightPairing:
         sols = linalg.solve_combination(shifted, self.stage.hrows, self.spec.p, self.spec.k)
         if None in sols:
             raise IwaheightsError("no torsion preimage found (filtration data broken)")
-        self._stage_preimages = [_combine(sol, gens, M.dim, self.spec.modulus) for sol in sols]
+        m = self.spec.modulus
+        self._stage_preimages = [[a % m for a in _combine(sol, gens, M.dim)] for sol in sols]
 
-    def value(self, x: Vec, y: Vec) -> JGradedValue:
+    def value(self, x: Vec, y: Vec) -> int:
+        """The coefficient of h^(r)(x, y) on (gamma - 1)^r, in [0, p^k):
+        the one entry of `matrix([x], [y])`."""
         (row,) = self.matrix([x], [y])
-        return JGradedValue(self.spec, self.r, row[0])
+        return row[0]
 
     def matrix(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> Iterator[list[int]]:
-        """The coefficients of h^(r)(x, y), one row per x in xs, yielded as
-        they are computed (nothing runs before the first row is asked for).
+        """The coefficients of h^(r)(x, y) in [0, p^k), one row per x in xs,
+        yielded as they are computed (nothing runs before the first row is
+        asked for).
 
-        Each argument is checked for membership in the stage once and each
-        left preimage is solved once.  The row of x is w^T G y over ys (w
-        the preimage of x, G the Gram matrix of h), and G is contracted on
-        the shorter side: with each preimage w (w^T G) when xs is no longer
-        than ys, otherwise with each y (G y), and then the left preimages
-        are solved row by row.
+        Each argument is checked for membership in the stage once.  Each
+        left preimage w is solved and contracted with the Gram matrix G of
+        h once, to w^T G, and the row of x is that vector dotted with each
+        y.
         """
         G = self.h.gram
         m = self.spec.modulus
-        if len(xs) <= len(ys):
-            ws = [_vec_times_matrix(self._preimage(x), G) for x in xs]
-            self._check_right(ys)
-        else:
-            self._check_right(ys)
-            ws = map(self._preimage, xs)
-            # each y becomes G y, so a row is the preimage dotted with it
-            ys = [[sum(g * b for g, b in zip(row, y)) for row in G] for y in ys]
+        ws = [_combine(self._preimage(x), G, len(G)) for x in xs]
+        self._check_right(ys)
         for w in ws:
             yield [sum(a * b for a, b in zip(w, y)) % m for y in ys]
 
     def _preimage(self, x: Vec) -> list[int]:
-        """A torsion preimage of x: sum q_i w_i over the stage's Howell rows."""
+        """A torsion preimage of x: sum q_i w_i over the stage's Howell rows,
+        unreduced."""
         q = linalg.coordinates(x, self.stage.hrows, self.spec.p, self.spec.k)
         if q is None:
             raise IwaheightsError(f"left argument is not in the stage-{self.r} filtration")
-        return _combine(q, self._stage_preimages, self.h.module.dim, self.spec.modulus)
+        return _combine(q, self._stage_preimages, self.h.module.dim)
 
     def _check_right(self, ys: Sequence[Vec]) -> None:
         for y in ys:
@@ -451,11 +451,3 @@ class DerivedHeightPairing:
         combos = combinations(extended, counts, self.spec.modulus, n + nvalues)
         return {M.canon(v[:n]) for v in combos if not any(v[n:])}
 
-
-def _vec_times_matrix(w: Vec, G: Sequence[Vec]) -> list[int]:
-    """w^T G for a square matrix G, unreduced."""
-    out = [0] * len(G)
-    for a, row in zip(w, G):
-        if a:
-            out = [o + a * g for o, g in zip(out, row)]
-    return out

@@ -64,7 +64,6 @@ from iwaheights.lambdamod import (
     check_modulus,
     check_rank,
 )
-from iwaheights.poles import JGradedValue
 from iwaheights.reports import CheckRecord
 
 Vec = Sequence[int]
@@ -144,9 +143,10 @@ class TableDuality:
         return [a % m for a in f]
 
 
-def _include(D: FiniteLevelModule, c: Vec) -> tuple[int, ...]:
-    """The localization c_p: c on D's first blocks, which carry the global
-    module's relations, so it is Lambda-linear (`act` works per block)."""
+def localize(D: FiniteLevelModule, c: Vec) -> tuple[int, ...]:
+    """The localization c -> c_p of a global-module vector into the dual
+    module D: c on D's first blocks, which carry the global module's
+    relations, so it is Lambda-linear (`act` works per block)."""
     return D.canon(list(c) + [0] * (D.dim - len(c)))
 
 
@@ -166,9 +166,6 @@ class LfunInstance:
     @property
     def global_module(self) -> FiniteLevelModule:
         return self.height.module
-
-    def localize(self, c: Vec) -> tuple[int, ...]:
-        return _include(self.D_loc, c)
 
     @functools.cached_property
     def vanishing_order(self) -> Union[int, float]:
@@ -279,24 +276,24 @@ def der(inst: LfunInstance, r: int) -> tuple[IwasawaPoly, ...]:
 
 class LambdaFunctional:
     """The degree-r special value on the J-torsion of the dual module,
-    written at the generator gamma (`der`)."""
+    written at the generator gamma (`der`): lambda^(r)(c) lies in
+    J^r/J^(r+1), and a call returns its coefficient on (gamma - 1)^r, a
+    residue in [0, p^k)."""
 
     def __init__(self, inst: LfunInstance, r: int):
         self.inst = inst
-        self.r = r
         self._functional = inst.duality.functional(der(inst, r))
         self._torsion = inst.D_loc.j_torsion(1)
 
-    def __call__(self, c: Vec) -> JGradedValue:
+    def __call__(self, c: Vec) -> int:
         if not self._torsion.contains(c):
             raise InstanceInvalidError(
                 "special values are defined on the J-torsion of the dual module only"
             )
-        val = _dot(self._functional, c, self.inst.spec.modulus)
-        return JGradedValue(self.inst.spec, self.r, val)
+        return _dot(self._functional, c, self.inst.spec.modulus)
 
     def is_identically_zero(self) -> bool:
-        return all(self(list(g)).is_zero() for g in self._torsion.gens())
+        return not any(self(g) for g in self._torsion.gens())
 
 
 def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
@@ -344,7 +341,7 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
         (heights,) = d_r.matrix([inst.z0], gens)
         witness = []
         for c, height in zip(gens, heights):
-            rhs = lams[r](list(inst.localize(c))).coeff
+            rhs = lams[r](localize(inst.D_loc, c))
             witness.append({"c": list(c), "height": height, "special_value": rhs})
         ok = all(w["height"] == w["special_value"] for w in witness)
         checks.append(CheckRecord(f"(c) identity r={r}", "h^(r)(z0, c) = lambda^(r)(c_p)", ok, witness))
@@ -467,8 +464,8 @@ def build_synthetic(
         d_r = DerivedHeightPairing(height, target_ord)
         cgens = d_r.stage.gens()
         if cgens:
-            targets = [d_r.value(z0, c).coeff for c in cgens]
-            locs = [_include(D, c) for c in cgens]
+            targets = [d_r.value(z0, c) for c in cgens]
+            locs = [localize(D, c) for c in cgens]
             rows = []
             for b in range(D.dim):
                 f = duality.functional(lift([int(t == b) for t in range(D.dim)]))

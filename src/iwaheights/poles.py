@@ -13,7 +13,6 @@ the full re-expression pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from iwaheights.errors import PrecisionError
@@ -25,23 +24,6 @@ from iwaheights.iwalg import (
     required_projection_precision,
     transfer_coeffs,
 )
-
-
-@dataclass(frozen=True)
-class JGradedValue:
-    """c * (gamma-1)^r modulo J^(r+1), in canonical form."""
-
-    spec: RingSpec
-    degree: int
-    coeff: int
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        object.__setattr__(self, "coeff", self.coeff % self.spec.modulus)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
 
 def norm_class(spec: RingSpec, n: int, level: int) -> GroupRingElem:

@@ -258,14 +258,14 @@ def per_pair_left_kernel(d) -> set:
     one `DerivedHeightPairing.value` call per (element, generator) pair:
     the oracle of `left_kernel_elements`."""
     gens = d.stage.gens()
-    return {tuple(x) for x in d.stage.elements() if all(d.value(x, y).is_zero() for y in gens)}
+    return {tuple(x) for x in d.stage.elements() if all(d.value(x, y) == 0 for y in gens)}
 
 
 def per_pair_right_kernel(d) -> set:
     """{y in the stage : h^(r)(g, y) = 0 for every stage generator g}, one
     `value` call per pair: the oracle of `right_kernel_elements`."""
     gens = d.stage.gens()
-    return {tuple(y) for y in d.stage.elements() if all(d.value(x, y).is_zero() for x in gens)}
+    return {tuple(y) for y in d.stage.elements() if all(d.value(x, y) == 0 for x in gens)}
 
 
 def height_coeff(h: HeightPairing, x, y) -> int:

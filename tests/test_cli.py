@@ -947,7 +947,7 @@ class TestReports:
         dims = next(
             c["witness"]["dims"]
             for c in payload["checks"]
-            if c["name"] == "dimension sequence"
+            if c["name"] == "invariant extraction"
         )
         assert dims == [4, 3, 1, 1]
 
@@ -965,7 +965,7 @@ class TestReports:
         dims = next(
             c["witness"]["dims"]
             for c in payload["checks"]
-            if c["name"] == "dimension sequence"
+            if c["name"] == "invariant extraction"
         )
         assert all(d == 0 for d in dims)
 

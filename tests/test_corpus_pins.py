@@ -75,9 +75,11 @@ PINS = {
         "b46c9be3f7d57cd141570cb406ef784cc2d4ed8a5f8f1c7bd02863ce5a71cb6f",
         "78b471b8bfad748f9207b2724fc4fc328ef902beb6619e3e900ed2a05bc3d8b2",
     ),
+    # re-recorded when the "dimension sequence" line was folded into the
+    # witness of "invariant extraction"
     ("shape_demo.json", "invariants"): (
-        "14c1e990a7d49eca1c677000aa9548b2b9c30a1f79ceb2d699ffbdede8698703",
-        "757dd55ce4caa35c6d364b375f65e81a5e6914563e98cc53697cdf456cda2ab5",
+        "59e5f84893e96d3004f035e779fd72189985e21dae4f1b8f192cdc637857593c",
+        "aab12a8358425747a7dd74510a351dea8ecaa2748cc04430e53f4534917b6ad4",
     ),
     ("single_block_f3.json", "invariants"): (
         "5916708eb39157c6e9bafb3fdc30138975ffa46d5823827e115cadc80d5b7d25",

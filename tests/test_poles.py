@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from iwaheights import linalg
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, omega_poly_coeffs, project_to_level, transfer_coeffs
 from iwaheights.poles import (
-    JGradedValue,
     PoleElem,
     eta,
     norm_class,
@@ -263,9 +262,3 @@ class TestScalingLaws:
 
 def x_level_cap(spec):
     return 2
-
-
-class TestJGradedValue:
-    def test_canonical_form(self, spec31):
-        v = JGradedValue(spec31, 2, 5)
-        assert v.coeff == 2

@@ -10,8 +10,13 @@ table.  A function or method that no run calls is reachable from the
 tests only: delete it, move it to the tests, or name it in `UNREACHED`
 with the reason it stays.  The modules are found with `pkgutil`, so a new
 module is guarded as soon as it exists.
+
+Beside it, an import guard parses every such module with `ast`: a name an
+import binds (other than `__future__`'s) that the module never reads is
+left over from deleted code, and fails the test.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -113,3 +118,21 @@ def test_every_function_is_reached(tmp_path, capsys):
     hits = {key: [code in called for name, code in functions if _exempt(name, key)] for key in UNREACHED}
     stale = [key for key, hit in hits.items() if all(hit) or (not key.startswith("__") and any(hit))]
     assert stale == []
+
+
+def _unused_imports(module):
+    """The names the module's imports bind that no `ast.Name` in it reads."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_import_is_used():
+    unused = {module.__name__: names for module in MODULES if (names := _unused_imports(module))}
+    assert unused == {}
