@@ -76,6 +76,11 @@ def _dot(f: Vec, d: Vec, m: int) -> int:
     return sum(a * b for a, b in zip(f, d)) % m
 
 
+def _times_T(f: Vec, block: int, m: int) -> list[int]:
+    """(gamma - 1) * f on each block: entry g becomes f[g - 1] - f[g]."""
+    return [(f[c - 1 if c % block else c + block - 1] - f[c]) % m for c in range(len(f))]
+
+
 class CanonicalDuality:
     """Componentwise duality: <x, d> = phi(1, x_i * iota(d_i) / omega_(n_i)).
 
@@ -94,7 +99,8 @@ class CanonicalDuality:
     group elements of the dual module's level N: the block of coordinate i
     is the transfer of xbar_i to level N.  `functional(x)` is that
     coefficient vector over the dual module's ambient basis, so a fixed x
-    is projected once and each pairing is a dot product.
+    is projected once and each pairing is a dot product.  It is symmetric on
+    lifted classes: <lift(v), d> = sum_i fold(v_i) . fold(d_i) at level n_i.
     """
 
     def __init__(self, levels: Sequence[int], module: FiniteLevelModule):
@@ -110,11 +116,18 @@ class CanonicalDuality:
             out.extend(transfer_coeffs(project_to_level(x[i], n).coeffs, self.module.block))
         return out
 
+    def monomial_rows(self, i: int) -> list[list[int]]:
+        """The functionals of T^0..T^3 in coordinate i."""
+        spec = self.module.spec
+        x = [IwasawaPoly.zero(spec)] * self.module.ngens
+        return [self.functional(x[:i] + [IwasawaPoly(spec, [0] * j + [1])] + x[i + 1 :]) for j in range(4)]
+
 
 class TableDuality:
     """Duality given by an explicit table: row (i, j) is the functional of
     the monomial T^j in coordinate i on the dual module's ambient basis;
-    one coordinate per dual-module component, rows of the ambient rank."""
+    one coordinate per dual-module component, rows of the ambient rank;
+    `validate` checks every row, `functional` refuses a class past them."""
 
     def __init__(self, table: Sequence[Sequence[Sequence[int]]], module: FiniteLevelModule):
         self.table = [[list(row) for row in coord] for coord in table]
@@ -141,6 +154,9 @@ class TableDuality:
                 for t, a in enumerate(rows[j]):
                     f[t] += c * a
         return [a % m for a in f]
+
+    def monomial_rows(self, i: int) -> list[list[int]]:
+        return self.table[i]
 
 
 def localize(D: FiniteLevelModule, c: Vec) -> tuple[int, ...]:
@@ -182,8 +198,7 @@ class LfunInstance:
         ord2: Union[int, float] = 0
         for r in range(1, bound + 1):
             tor = D.j_torsion(r)
-            killed = all(_dot(f, g, m) == 0 for g in tor.gens())
-            if not killed:
+            if any(_dot(f, g, m) for g in tor.gens()):
                 ord2 = r - 1
                 break
             if tor.order() == D.size:
@@ -198,6 +213,11 @@ class LfunInstance:
         return ord1
 
     def validate(self) -> None:
+        """The duality's rows (`monomial_rows`) must kill the relations and
+        satisfy <T x, d> = <x, iota(T) d> for all d, i.e. f_(T x) = T f_x on
+        each block (sum_g a[g] (b c)[g] = sum_g (iota(b) a)[g] c[g]): row
+        j + 1 is T times row j.  The relation span is Lambda-stable, so row
+        0 killing it suffices."""
         spec = self.spec
         m = spec.modulus
         M = self.global_module
@@ -207,32 +227,13 @@ class LfunInstance:
         for x in self.L_z:
             if x.precision != spec.cap:
                 raise InstanceInvalidError("L_z coordinates must carry full precision")
-        # the functionals of the monomials T^j (j <= 3) in each coordinate
-        mono = []
         for i in range(D.ngens):
-            row = []
-            for j in range(4):
-                x = [IwasawaPoly.zero(spec)] * D.ngens
-                x[i] = IwasawaPoly(spec, [0] * j + [1])
-                row.append(self.duality.functional(x))
-            mono.append(row)
-        # adjunction <T x, d> = <x, iota(T) d> on monomial/basis spanning
-        # sets: f_(T x)[b] = f_x . (iota(T) e_b)
-        tD_iota = D.T_class().involution()
-        shifted = [D.act(tD_iota, [int(c == b) for c in range(D.dim)]) for b in range(D.dim)]
-        for i in range(D.ngens):
-            for j in range(0, 3):
-                f_x, f_tx = mono[i][j], mono[i][j + 1]
-                for b in range(D.dim):
-                    if f_tx[b] % m != _dot(f_x, shifted[b], m):
-                        raise InstanceInvalidError(
-                            f"duality adjunction fails at coordinate {i}, T^{j}"
-                        )
-        # the duality must be well defined on the quotient
-        for rel in D.rel_rows:
-            for i in range(D.ngens):
-                if _dot(mono[i][0], rel, m) != 0:
-                    raise InstanceInvalidError("duality does not kill the relations")
+            rows = self.duality.monomial_rows(i)
+            if rows and any(_dot(rows[0], rel, m) for rel in D.rel_rows):
+                raise InstanceInvalidError("duality does not kill the relations")
+            for j in range(len(rows) - 1):
+                if _times_T(rows[j], D.block, m) != [a % m for a in rows[j + 1]]:
+                    raise InstanceInvalidError(f"duality adjunction fails at coordinate {i}, T^{j}")
         # z0 must be J-torsion on the global side
         if not M.j_torsion(1).contains(self.z0):
             raise InstanceInvalidError("z0 is not J-torsion")
@@ -293,7 +294,7 @@ class LambdaFunctional:
         return _dot(self._functional, c, self.inst.spec.modulus)
 
     def is_identically_zero(self) -> bool:
-        return not any(self(g) for g in self._torsion.gens())
+        return not any(_dot(self._functional, g, self.inst.spec.modulus) for g in self._torsion.gens())
 
 
 def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
@@ -311,7 +312,8 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
     M = inst.global_module
     r_top = r_max if ordv is math.inf else min(int(ordv), r_max)
     lams = [LambdaFunctional(inst, r) for r in range(r_top + 1)]
-    zero0 = lams[0].is_identically_zero()
+    zeros = [lam.is_identically_zero() for lam in lams]
+    zero0 = zeros[0]
     member = inst.strict.contains(inst.z0)
     checks.append(
         CheckRecord(
@@ -321,8 +323,7 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
             {"lambda0_zero": zero0, "z0_strict": member},
         )
     )
-    for r in range(0, r_top + 1):
-        is_zero = lams[r].is_identically_zero()
+    for r, is_zero in enumerate(zeros):
         checks.append(
             CheckRecord(
                 f"(b) r={r}",
@@ -465,11 +466,9 @@ def build_synthetic(
         cgens = d_r.stage.gens()
         if cgens:
             targets = [d_r.value(z0, c) for c in cgens]
-            locs = [localize(D, c) for c in cgens]
-            rows = []
-            for b in range(D.dim):
-                f = duality.functional(lift([int(t == b) for t in range(D.dim)]))
-                rows.append([_dot(f, lc, m) for lc in locs])
+            # <lift(e_b), c_p> = <lift(c_p), e_b> (`CanonicalDuality`)
+            cols = [duality.functional(lift(localize(D, c))) for c in cgens]
+            rows = [list(row) for row in zip(*cols)]
             sol = linalg.solve_combination(rows, [targets], spec.p, spec.k)[0]
             if sol is None:
                 raise InstanceInvalidError("no class vector matches the heights")

@@ -13,6 +13,7 @@ the full re-expression pipeline.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from iwaheights.errors import PrecisionError
@@ -122,11 +123,20 @@ def pole_involution(x: PoleElem) -> PoleElem:
     return PoleElem(x.spec, x.level, -x.numerator.involution())
 
 
+@lru_cache(maxsize=None)
+def _ratio_class(spec: RingSpec, n: int, u: int) -> GroupRingElem:
+    """The level-n class of `generator_ratio(spec, n, u)`, built once per
+    (spec, n, u) and shared: every Gram entry of a height at u reuses it."""
+    return project_to_level(generator_ratio(spec, n, u), n)
+
+
 def eta(u: int, x: PoleElem) -> GroupRingElem:
     """Polar isomorphism at the generator gamma0^u, on a level-n class.
 
     Re-expresses x with denominator (gamma0^u)^(p^n) - 1 via the exact
     generator ratio, then reads off the numerator's finite-level class.
+    The ratio's class is cached per (spec, n, u) (`_ratio_class`); the cap
+    check runs on every call.
     """
     spec = x.spec
     n = x.level
@@ -137,8 +147,7 @@ def eta(u: int, x: PoleElem) -> GroupRingElem:
         raise PrecisionError(
             f"cap {spec.cap} too small to re-express at generator exponent {u}"
         )
-    ratio = project_to_level(generator_ratio(spec, n, u), n)
-    return ratio * x.numerator
+    return _ratio_class(spec, n, u) * x.numerator
 
 
 def phi(u: int, x: PoleElem) -> int:

@@ -527,11 +527,12 @@ def edited_instance(tmp_path, name, edit):
     return path
 
 
-def faithful_table(nrows=None):
-    """The canonical duality of lfun_seed0_ord1.json as an explicit table:
-    3 coordinates of rows of width 9, the dual module's ambient rank, with
-    one row per monomial T^j below `nrows` (all cap + 1 by default)."""
-    text = (ROOT / "instances" / "lfun_seed0_ord1.json").read_text()
+def faithful_table(nrows=None, name="lfun_seed0_ord1.json"):
+    """The canonical duality of an instance file as an explicit table: for
+    lfun_seed0_ord1.json, 3 coordinates of rows of width 9, the dual
+    module's ambient rank, with one row per monomial T^j below `nrows` (all
+    cap + 1 by default)."""
+    text = (ROOT / "instances" / name).read_text()
     inst = _instance_from_file(parse_instance(text), DEFAULT_ENUM_CAP)
     return monomial_table(inst, inst.spec.cap + 1 if nrows is None else nrows)
 
@@ -575,6 +576,29 @@ class TestBadFileInputs:
         assert code == 2, out
         assert "duality table needs 3 coordinates of rows of width 9" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["lfun_seed0_ord1.json", "lfun_seed0_ord2.json"])
+    @pytest.mark.parametrize("row", [4, 5, 6, 8])
+    def test_table_tampered_past_T_cubed_is_two(self, tmp_path, capsys, name, row):
+        # every row of a table is checked against T times the row before;
+        # only T^0..T^3 were, and these files exited 0 with all checks passed
+        table = faithful_table(name=name)
+        table[0][row][0] += 1
+        path = edited_instance(tmp_path, name, set_table(table))
+        assert main(["lfun-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: duality adjunction fails at coordinate 0, T^{row - 1}\n"
+
+    def test_empty_table_coordinate_is_three(self, tmp_path):
+        # a coordinate with no rows is not indexed: the class L_z, nonzero
+        # there, is refused as a resource cap
+        table = faithful_table()
+        table[0] = []
+        path = edited_instance(tmp_path, "lfun_seed0_ord1.json", set_table(table))
+        code, out, err = run_cli("lfun-check", "--input", str(path), timeout=60)
+        assert code == 3, out
+        assert err == "resource cap: duality table too short for this class\n"
 
     def test_derivative_above_precision_is_three(self, tmp_path, capsys):
         # L_z = 0 has infinite order, so --max-r 16 asks for L_z / T^16 at

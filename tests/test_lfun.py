@@ -430,6 +430,29 @@ class TestClosedFormDuality:
             x = [random_poly(rng, inst.spec) for _ in range(inst.D_loc.ngens)]
             assert dual.functional(x) == inst.duality.functional(x)
 
+    @given(st.sampled_from(DUALITY_CASES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_on_lifted_classes(self, case, seed):
+        # <lift(v), d> = <lift(d), v>, which the builder's solve relies on
+        inst = cached_instance(case)
+        spec, D = inst.spec, inst.D_loc
+        m = spec.modulus
+        rng = random.Random(seed)
+        v = [rng.randrange(m) for _ in range(D.dim)]
+        d = [rng.randrange(m) for _ in range(D.dim)]
+
+        def pair(a, b):
+            lifted = [IwasawaPoly(spec, D.component(a, i).to_poly_coeffs()) for i in range(D.ngens)]
+            return sum(x * y for x, y in zip(inst.duality.functional(lifted), b)) % m
+
+        assert pair(v, d) == pair(d, v)
+
+
+def times_T_raw(D, v):
+    """(gamma - 1) * v on each block, unreduced by the relations."""
+    m = D.spec.modulus
+    return [sum(a * b for a, b in zip(row, v)) % m for row in D.action_matrix(D.T_class())]
+
 
 class TestValidateRejects:
     """One negative control per rejection branch of `LfunInstance.validate`,
@@ -454,19 +477,54 @@ class TestValidateRejects:
         m = inst.spec.modulus
         assert D.rel_rows
         table = monomial_table(inst, inst.spec.cap + 1)
-        # add v_j to the functional of T^j in coordinate 0, with v_0 not
-        # killing the first relation row and v_(j+1)[b] = v_j . (iota(T) e_b),
-        # so the checked adjunction cases (j <= 2) still hold
+        # add T^j v to the functional of T^j in coordinate 0, for every row,
+        # with v not killing the first relation row: the rows stay
+        # T-equivariant, so the relation check is the only one that fails
         rel = D.rel_rows[0]
         pivot = next(c for c, a in enumerate(rel) if a)
         v = [int(c == pivot) for c in range(D.dim)]
-        t_iota = D.T_class().involution()
-        shifted = [D.act(t_iota, [int(c == b) for c in range(D.dim)]) for b in range(D.dim)]
-        for j in range(4):
+        for j in range(len(table[0])):
             table[0][j] = [(a + b) % m for a, b in zip(table[0][j], v)]
-            v = [sum(a * s for a, s in zip(v, shifted[b])) % m for b in range(D.dim)]
+            v = times_T_raw(D, v)
         with pytest.raises(InstanceInvalidError, match="does not kill the relations"):
             self.with_table(inst, table).validate()
+
+    @pytest.mark.parametrize("row", [4, 5, 6, 8, None], ids=["4", "5", "6", "8", "last"])
+    def test_adjunction_failure_past_T_cubed(self, row):
+        # every row of a table is checked, not only T^0..T^3
+        inst = build_synthetic(17, target_ord=1)
+        table = monomial_table(inst, inst.spec.cap + 1)
+        row = len(table[0]) - 1 if row is None else row
+        table[0][row][0] += 1
+        with pytest.raises(InstanceInvalidError, match=rf"adjunction fails at coordinate 0, T\^{row - 1}$"):
+            self.with_table(inst, table).validate()
+
+    def test_canonical_functional_not_T_equivariant(self, monkeypatch):
+        # the canonical duality is checked through its own functional: one
+        # that adds the T^2 coefficient of coordinate 0 to entry 0 breaks
+        # <T x, d> = <x, iota(T) d> at T^1
+        inst = build_synthetic(17, target_ord=1)
+        functional = CanonicalDuality.functional
+
+        def broken(self, x):
+            f = functional(self, x)
+            f[0] = (f[0] + x[0].coeffs[2]) % self.module.spec.modulus
+            return f
+
+        monkeypatch.setattr(CanonicalDuality, "functional", broken)
+        with pytest.raises(InstanceInvalidError, match=r"adjunction fails at coordinate 0, T\^1$"):
+            inst.validate()
+
+    def test_empty_coordinate_is_too_short(self):
+        # a coordinate with no rows has nothing to check; the class L_z,
+        # nonzero there, is refused as a resource cap
+        inst = build_synthetic(17, target_ord=1)
+        table = monomial_table(inst, inst.spec.cap + 1)
+        table[0] = []
+        broken = self.with_table(inst, table)
+        broken.validate()
+        with pytest.raises(PrecisionError, match="too short"):
+            main_theorem_check(broken, 1)
 
 
 # builder instances of every desk class: (p, k, order, seed)
