@@ -117,24 +117,18 @@ def cmd_invariants(args) -> Report:
                 )
         shape = ElementaryShape(sh["e_infinity"], sh["j_blocks"], sh["coprime"])
         r_max = max(args.max_r, shape.max_block() + 2)
-        dims = shape_dims(shape, r_max)
-        prof = infer_invariants(dims)
-        rep.add(
-            "invariant extraction",
-            ANCHOR_E,
-            all(
-                prof.multiplicity(i) == shape.multiplicity(i)
-                for i in range(1, r_max)
-            )
-            and prof.e_infinity == shape.e_infinity,
-            {"dims": dims, "e": list(prof.e), "e_infinity": prof.e_infinity},
-        )
-        flagged = odd_even_multiplicities([shape.multiplicity(i) for i in range(1, r_max + 1)])
+        e = [shape.multiplicity(i) for i in range(1, r_max)]
+        flagged = odd_even_multiplicities(e)
         rep.add(
             "parity of even multiplicities",
             ANCHOR_PARITY,
             not flagged,
-            {"flagged": list(flagged)},
+            {
+                "dims": shape_dims(shape, r_max),
+                "e": e,
+                "e_infinity": shape.e_infinity,
+                "flagged": list(flagged),
+            },
         )
     if inst.module is not None:
         M = _build_module(inst, args.max_size)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import IwaheightsError
@@ -65,10 +65,6 @@ class BlockSpec:
     @property
     def ncomponents(self) -> int:
         return 2 if self.swapped else 1
-
-
-def _basis(dim: int) -> list[tuple[int, ...]]:
-    return [tuple(int(c == a) for c in range(dim)) for a in range(dim)]
 
 
 def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int) -> list[int]:
@@ -275,7 +271,11 @@ def validate_pole_pairing(pairing) -> None:
     semilinearity is gamma-equivariance of `pairing.table`: [gamma e_a,
     e_b] = gamma [e_a, e_b] = [e_a, gamma^(-1) e_b].  Given that, the
     relation span is killed once each presentation row (`rel_gens`) is,
-    and the symmetry holds once it holds on each generator's first row.
+    and a row is killed once it pairs to zero, on both sides, with the
+    first basis vector e_g of each generator: [rel, gamma^j e_g] =
+    gamma^(-j) [rel, e_g] and [gamma^j e_g, rel] = gamma^j [e_g, rel].
+    That is 2 * len(rel_gens) * ngens `value` calls.  The symmetry holds
+    once it holds on each generator's first row.
     """
     M = pairing.module
     table = pairing.table
@@ -288,9 +288,9 @@ def validate_pole_pairing(pairing) -> None:
             g = _gamma_times(v)
             if table[up[a]][b] != g or row[down[b]] != g:
                 raise IwaheightsError("pairing is not semilinear")
-    basis = _basis(M.dim)
+    firsts = [[int(c == s) for c in range(M.dim)] for s in starts]
     for i, rel in enumerate(M.rel_gens):
-        for e in basis:
+        for e in firsts:
             if not (pairing.value(rel, e).is_zero() and pairing.value(e, rel).is_zero()):
                 raise IwaheightsError(f"pairing does not vanish on relation {i}")
     sym = pairing.declared_symmetry()
@@ -390,10 +390,8 @@ class DerivedHeightPairing:
         (row,) = self.matrix([x], [y])
         return row[0]
 
-    def matrix(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> Iterator[list[int]]:
-        """The coefficients of h^(r)(x, y) in [0, p^k), one row per x in xs,
-        yielded as they are computed (nothing runs before the first row is
-        asked for).
+    def matrix(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> list[list[int]]:
+        """The coefficients of h^(r)(x, y) in [0, p^k), one row per x in xs.
 
         Each argument is checked for membership in the stage once.  Each
         left preimage w is solved and contracted with the Gram matrix G of
@@ -404,8 +402,7 @@ class DerivedHeightPairing:
         m = self.spec.modulus
         ws = [_combine(self._preimage(x), G, len(G)) for x in xs]
         self._check_right(ys)
-        for w in ws:
-            yield [sum(a * b for a, b in zip(w, y)) % m for y in ys]
+        return [[sum(a * b for a, b in zip(w, y)) % m for y in ys] for w in ws]
 
     def _preimage(self, x: Vec) -> list[int]:
         """A torsion preimage of x: sum q_i w_i over the stage's Howell rows,
@@ -428,7 +425,7 @@ class DerivedHeightPairing:
         generators, and `_zeros` enumerates the stage from those rows."""
         rows, counts = self.stage.spanning_rows()
         gens = self.stage.gens()
-        return self._zeros(rows, counts, list(self.matrix(rows, gens)), len(gens))
+        return self._zeros(rows, counts, self.matrix(rows, gens), len(gens))
 
     def right_kernel_elements(self) -> set:
         """{y in the stage : h^(r)(g, y) = 0 for every stage generator g},
@@ -436,7 +433,7 @@ class DerivedHeightPairing:
         `left_kernel_elements`."""
         rows, counts = self.stage.spanning_rows()
         gens = self.stage.gens()
-        by_gen = list(self.matrix(gens, rows))
+        by_gen = self.matrix(gens, rows)
         values = [[row[i] for row in by_gen] for i in range(len(rows))]
         return self._zeros(rows, counts, values, len(gens))
 

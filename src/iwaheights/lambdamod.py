@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
@@ -141,6 +141,21 @@ def _circulant(x: GroupRingElem, level: int) -> list[list[int]]:
     return [[xs[(a - j) % n] for j in range(n)] for a in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _ideal_rows(p: int, level: int, a: int) -> list[list[int]]:
+    """Howell basis, at k = 1 and width n = p^level, of the ideal T^a Lambda_level.
+
+    The ideal depends only on (p, level, a), so its rows are built once per
+    triple and shared by every module at that level (a module and its dual
+    among them): callers must not mutate them.  There are n + 1 triples per
+    ring, and `check_rank` keeps n at most MAX_RANK.  The generators
+    gamma^j T^a, j < n - a, are T^a shifted j places without wrapping, so
+    they come already in echelon form, with pivot (-1)^a in column j."""
+    n = p**level
+    t_a = list(_T_to_gamma_matrix(n, p)[a]) if a < n else []
+    return linalg.howell([[0] * j + t_a[: n - j] for j in range(n - a)], p, 1)
+
+
 class FiniteLevelModule:
     """Lambda_N^g / (relation rows), as an explicit O-module quotient.
 
@@ -190,7 +205,6 @@ class FiniteLevelModule:
             self.col_sizes[c] = r[c]
         self.size = math.prod(self.col_sizes)
         self._summands = self._split()
-        self._ideals: dict[int, list[list[int]]] = {}
         self._j_torsion: dict[int, Submodule] = {}
         self._stages: dict[int, Submodule] = {}
 
@@ -298,7 +312,7 @@ class FiniteLevelModule:
             return Submodule(self, linalg.preimage_span(self.action_matrix(f), self.rel_rows, self.dim, p, k))
         if k == 1:
             w = t_valuation(f)
-            parts = [self._ideal_rows(max(v - w, 0)) for v in self._summand_valuations]
+            parts = [_ideal_rows(p, self.level, max(v - w, 0)) for v in self._summand_valuations]
         else:
             n = self.block
             circulant = _circulant(f, self.level)
@@ -309,18 +323,6 @@ class FiniteLevelModule:
                     solved[rel] = linalg.preimage_span(circulant, rows, n, p, k)
             parts = [solved[rel] for rel in self._summands]
         return Submodule(self, [self._place(i, r) for i, part in enumerate(parts) for r in part])
-
-    def _ideal_rows(self, a: int) -> list[list[int]]:
-        """Howell basis, at k = 1 and width n = p^N, of the ideal T^a Lambda_N;
-        built once per a.  Its generators gamma^j T^a, j < n - a, are T^a
-        shifted j places without wrapping, so they come already in echelon
-        form, with pivot (-1)^a in column j."""
-        rows = self._ideals.get(a)
-        if rows is None:
-            n = self.block
-            t_a = list(_T_to_gamma_matrix(n, self.spec.modulus)[a]) if a < n else []
-            rows = self._ideals[a] = linalg.howell([[0] * j + t_a[: n - j] for j in range(n - a)], self.spec.p, 1)
-        return rows
 
     @cached_property
     def _summand_valuations(self) -> list[int]:
@@ -483,9 +485,6 @@ def shape_dims(shape: ElementaryShape, r_max: int) -> list[int]:
 class InvariantProfile:
     e: tuple[int, ...]
     e_infinity: int
-
-    def multiplicity(self, r: int) -> int:
-        return self.e[r - 1] if r <= len(self.e) else 0
 
 
 def infer_invariants(dims: Sequence[int]) -> InvariantProfile:

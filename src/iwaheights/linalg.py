@@ -44,10 +44,11 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int, keep_from: int = 0) ->
     into [0, pivot).  Two row sets span the same module iff their Howell
     forms are identical.
 
-    Rows whose pivot lies in a column before `keep_from` skip the upward
-    reduction, so only the rows pivoting at or after it are canonical (for
-    a caller that keeps just those: the upward pass reduces a row only
-    against later rows, so theirs is unchanged).
+    The upward pass reduces each row against the later rows with `_reduce`.
+    Rows whose pivot lies in a column before `keep_from` skip it, so only
+    the rows pivoting at or after it are canonical (for a caller that keeps
+    just those: a row is reduced only against later rows, so theirs is
+    unchanged).
     """
     m = p**k
     work = []
@@ -92,18 +93,9 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int, keep_from: int = 0) ->
                 work.append(shadow)
         pivots.append(row)
         cols.append(c)
-    # upward reduction for canonical form: reduce each row against every
-    # later pivot row, in pivot-column order, exactly like reduce_vector
     for j in range(len(pivots)):
-        if cols[j] < keep_from:
-            continue
-        row = pivots[j]
-        for i in range(j + 1, len(pivots)):
-            c = cols[i]
-            q = row[c] // pivots[i][c]
-            if q:
-                row = [(x - q * y) % m for x, y in zip(row, pivots[i])]
-        pivots[j] = row
+        if cols[j] >= keep_from:
+            pivots[j] = _reduce(pivots[j], pivots[j + 1 :], m)[0]
     return pivots
 
 
@@ -114,7 +106,8 @@ def _reduce(v: Sequence[int], hrows: Sequence[Sequence[int]], m: int) -> tuple[l
     pivot columns strictly increase: each pivot is searched for from the
     column after the previous one.  Every caller passes one: a module's
     `rel_rows`, a `Submodule`'s `hrows` (a derived height's left stage
-    among them) and the filtered Howell form in `solve_combination`.
+    among them), the filtered Howell form in `solve_combination` and the
+    later echelon rows in `howell`'s upward pass.
     """
     out = [x % m for x in v]
     qs = []

@@ -11,10 +11,15 @@ import pytest
 
 from iwaheights import linalg
 from iwaheights.errors import IwaheightsError
-from iwaheights.heights import HeightPairing, _basis
+from iwaheights.heights import HeightPairing
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, _geometric_sum, project_to_level
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, Submodule, Vec, check_rank
 from iwaheights.poles import PoleElem, norm_class
+
+
+def _basis(dim: int) -> list[tuple[int, ...]]:
+    """The standard basis vectors of O^dim, as tuples."""
+    return [tuple(int(c == a) for c in range(dim)) for a in range(dim)]
 
 
 @pytest.fixture

@@ -220,9 +220,8 @@ def test_criterion_8_invariant_calculus():
             blocks = tuple((i + 1, e) for i, e in enumerate(mults) if e)
             shape = ElementaryShape(e_inf, blocks)
             prof = infer_invariants(shape_dims(shape, 6))
+            assert prof.e == mults + (0,)
             assert prof.e_infinity == e_inf
-            for i in range(1, 5):
-                assert prof.multiplicity(i) == shape.multiplicity(i)
             count += 1
     for seq in itertools.product(range(4), repeat=4):
         flags = odd_even_multiplicities(seq)

@@ -971,7 +971,7 @@ class TestReports:
         dims = next(
             c["witness"]["dims"]
             for c in payload["checks"]
-            if c["name"] == "invariant extraction"
+            if c["name"] == "parity of even multiplicities"
         )
         assert dims == [4, 3, 1, 1]
 
@@ -989,7 +989,7 @@ class TestReports:
         dims = next(
             c["witness"]["dims"]
             for c in payload["checks"]
-            if c["name"] == "invariant extraction"
+            if c["name"] == "parity of even multiplicities"
         )
         assert all(d == 0 for d in dims)
 

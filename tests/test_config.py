@@ -1,8 +1,13 @@
-"""The pytest configuration in pyproject.toml, run on a throwaway test file."""
+"""The configuration in pyproject.toml: the pytest settings, run on a
+throwaway test file, and the console script with the package it finds."""
 
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from iwaheights import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +39,21 @@ def test_hypothesis_failure_keeps_the_session(tmp_path):
     assert "FAILED test_two.py::test_fails_under_hypothesis" in proc.stdout
     assert "FAILED test_two.py::test_plain_failure" in proc.stdout
     assert "2 failed" in proc.stdout
+
+
+def toml_section(name: str) -> dict:
+    """The `key = "value"` and `key = ["value"]` lines of one table of
+    pyproject.toml (tomllib is not in Python 3.10)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    body = text.split(f"\n[{name}]\n", 1)[1].split("\n[", 1)[0]
+    return {m[1]: m[2] for m in re.finditer(r'^([\w.-]+)\s*=\s*\[?"([^"]*)"\]?\s*$', body, re.M)}
+
+
+def test_console_script_resolves_to_cli_main():
+    # `pip install .` puts an `iwaheights` command on PATH that calls this
+    # entry point; the tests call cli.main in-process, so a wrong target
+    # would pass everything else
+    module, _, attr = toml_section("project.scripts")["iwaheights"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+    where = toml_section("tool.setuptools.packages.find")["where"]
+    assert (ROOT / where / module.split(".")[0] / "__init__.py").is_file()

@@ -75,11 +75,11 @@ PINS = {
         "b46c9be3f7d57cd141570cb406ef784cc2d4ed8a5f8f1c7bd02863ce5a71cb6f",
         "78b471b8bfad748f9207b2724fc4fc328ef902beb6619e3e900ed2a05bc3d8b2",
     ),
-    # re-recorded when the "dimension sequence" line was folded into the
-    # witness of "invariant extraction"
+    # re-recorded when "invariant extraction", which restated the record,
+    # was folded into the witness of "parity of even multiplicities"
     ("shape_demo.json", "invariants"): (
-        "59e5f84893e96d3004f035e779fd72189985e21dae4f1b8f192cdc637857593c",
-        "aab12a8358425747a7dd74510a351dea8ecaa2748cc04430e53f4534917b6ad4",
+        "f8e75e7406097a2f8e6380fababaaf80d98c8f0e1c8a4455fc17298365b0d8fa",
+        "cab16deb894cba6f760040c7ae6a07bd581825c125859fbe35c11ebab23c8116",
     ),
     ("single_block_f3.json", "invariants"): (
         "5916708eb39157c6e9bafb3fdc30138975ffa46d5823827e115cadc80d5b7d25",

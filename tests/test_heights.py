@@ -7,12 +7,14 @@ and the kernel chain is span{T^2}, span{T^2}, span{T^2}, 0.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwaheights import linalg, poles
+from iwaheights.cli import _build_pairing
 from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.heights import (
     BlockPairing,
@@ -20,15 +22,16 @@ from iwaheights.heights import (
     DerivedHeightPairing,
     HeightPairing,
     TablePairing,
-    _basis,
     _monomial_poles,
     block_module,
     validate_pole_pairing,
 )
+from iwaheights.instancefile import parse_instance
 from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, transfer_coeffs
-from iwaheights.lambdamod import FiniteLevelModule, log_p
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, log_p
 from iwaheights.poles import PoleElem, phi, pole_involution
 from tests.conftest import (
+    _basis,
     act_group,
     derived_well_defined,
     from_components,
@@ -578,7 +581,7 @@ class TestGramMatrix:
         with pytest.raises(PrecisionError, match=msg):
             height_coeff(h, gens[0], gens[0])
         with pytest.raises(PrecisionError, match=msg):
-            list(d.matrix(gens, gens))
+            d.matrix(gens, gens)
 
     def test_ratio_class_built_once_per_level(self, spec31, monkeypatch):
         # eta re-expresses every basis value at u = 2 through the level-n
@@ -622,9 +625,9 @@ class TestDerivedMatrix:
         for xs, ys in ((short, long), (long, short)):
             if fails:
                 with pytest.raises(PrecisionError):
-                    list(d.matrix(xs, ys))
+                    d.matrix(xs, ys)
             else:
-                rows = list(d.matrix(xs, ys))
+                rows = d.matrix(xs, ys)
                 assert rows == [[uncached_derived_value(d, x, y) for y in ys] for x in xs]
 
     def test_membership_errors_match_value(self, spec31):
@@ -636,10 +639,10 @@ class TestDerivedMatrix:
         # xs no longer than ys, and xs longer
         for xs, ys in (([one], [t2, t2]), ([t2, one], [t2])):
             with pytest.raises(IwaheightsError, match="left argument is not in the stage-2"):
-                list(d2.matrix(xs, ys))
+                d2.matrix(xs, ys)
         for xs, ys in (([t2], [t2, one]), ([t2, t2], [one])):
             with pytest.raises(IwaheightsError, match="right argument is not in the stage-2"):
-                list(d2.matrix(xs, ys))
+                d2.matrix(xs, ys)
 
     @given(block_pairings(dead=st.booleans()), st.integers(1, 3), st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
@@ -921,3 +924,21 @@ class TestEquivarianceValidation:
             assert got == "pairing is not semilinear"
         if mutation == "relation":
             assert got is not None and got.startswith("pairing does not vanish on relation")
+
+    def test_relation_check_reads_generator_rows(self, monkeypatch):
+        # given gamma-equivariance, each relation row is checked against the
+        # first basis vector of each generator only, on both sides
+        text = (Path(__file__).resolve().parent.parent / "instances" / "two_block_mixed_f3.json").read_text()
+        pairing = _build_pairing(parse_instance(text), DEFAULT_ENUM_CAP)
+        M = pairing.module
+        value = BlockPairing.value
+        calls = []
+
+        def spy(self, x, y):
+            calls.append((tuple(x), tuple(y)))
+            return value(self, x, y)
+
+        monkeypatch.setattr(BlockPairing, "value", spy)
+        pairing.validate()
+        assert M.rel_gens and M.ngens < M.dim
+        assert len(calls) == 2 * len(M.rel_gens) * M.ngens

@@ -164,6 +164,26 @@ def test_pivot_walk_matches_scanning_reduction(pk, data):
         assert linalg.coordinates(v, H, p, k) == (None if any(rem) else qs)
 
 
+@given(st.sampled_from([(3, 1), (3, 2), (5, 1), (2, 3)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_keep_from_rows_match_full_form(pk, data):
+    # the upward pass reduces a row only against later rows, so skipping it
+    # for rows pivoting before keep_from leaves every later row canonical
+    p, k = pk
+    m = p**k
+    width = data.draw(st.integers(1, 6), label="width")
+    rows = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=width, max_size=width), max_size=6), label="rows")
+    keep_from = data.draw(st.integers(0, width), label="keep_from")
+    full = linalg.howell(rows, p, k)
+    kept = linalg.howell(rows, p, k, keep_from=keep_from)
+    assert len(kept) == len(full)
+    for a, b in zip(kept, full):
+        c = linalg._pivot_col(b)
+        assert linalg._pivot_col(a) == c and a[c] == b[c]
+        if c >= keep_from:
+            assert a == b
+
+
 def test_right_kernel_against_enumeration():
     rng = random.Random(4)
     for _ in range(40):
