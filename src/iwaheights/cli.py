@@ -296,9 +296,8 @@ def cmd_oracle(args) -> Report:
     if inst.module is not None:
         M = _build_module(inst, args.max_size)
         els = M.elements()
-        tcl = M.T_class()
-        fast = set(M.torsion(tcl).elements())
-        brute = {v for v, image in zip(els, M.images(tcl)) if not any(image)}
+        fast = set(M.j_torsion(1).elements())
+        brute = {v for v, image in zip(els, M.images(M.T_class())) if not any(image)}
         rep.add("torsion vs enumeration", ANCHOR_ORACLE, fast == brute, {"order": len(brute)})
 
         norms_fast = set(M.universal_norms().elements())

@@ -192,7 +192,7 @@ def render_generated(inst) -> str:
             "duality": "canonical",
             "local_levels": [meta["local_level"]],
             "z0": list(inst.z0),
-            "strict": "zero" if meta["target_ord"] == 0 else "all",
+            "strict": inst.strict,
         },
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -287,41 +287,9 @@ class FiniteLevelModule:
     def zero_submodule(self) -> "Submodule":
         return Submodule(self, [list(r) for r in self.rel_rows])
 
-    def full_submodule(self) -> "Submodule":
-        return self.submodule([[int(c == i) for c in range(self.dim)] for i in range(self.dim)])
-
-    def torsion(self, f: GroupRingElem) -> "Submodule":
-        """Kernel of multiplication by f: the f-torsion submodule.
-
-        On a direct sum of summands Lambda_N/(f_i) (`_summands`) it is the
-        direct sum of the summands' kernels, each found once per distinct
-        summand at width p^N and placed at its generator's offset.  Rows of
-        different generators share no column, so the placed Howell rows are
-        already the Howell form of the sum.
-        - k = 1: Lambda_N = F_p[T]/(T^(p^N)), so f is T^w times a unit and
-          the summand is Lambda_N/(T^(v_i)); its kernel is the ideal
-          T^(max(v_i - w, 0)) Lambda_N (`_ideal_rows`), with no solve.
-        - k > 1: the kernel is `linalg.preimage_span` of the summand's
-          relation rows (the module's `rel_rows` on that block, already its
-          Howell basis) under the circulant of f.
-        Mixed relations take `preimage_span` of `rel_rows` under the action
-        matrix of f on the whole module.
-        """
-        p, k = self.spec.p, self.spec.k
-        if self._summands is None:
-            return Submodule(self, linalg.preimage_span(self.action_matrix(f), self.rel_rows, self.dim, p, k))
-        if k == 1:
-            w = t_valuation(f)
-            parts = [_ideal_rows(p, self.level, max(v - w, 0)) for v in self._summand_valuations]
-        else:
-            n = self.block
-            circulant = _circulant(f, self.level)
-            solved: dict[tuple[int, ...], list[list[int]]] = {}
-            for i, rel in enumerate(self._summands):
-                if rel not in solved:
-                    rows = [r[i * n : (i + 1) * n] for r in self.rel_rows]
-                    solved[rel] = linalg.preimage_span(circulant, rows, n, p, k)
-            parts = [solved[rel] for rel in self._summands]
+    def _direct_sum(self, parts: Iterable[list[list[int]]]) -> "Submodule":
+        """Howell rows parts[i] placed on generator i's block: rows of
+        different generators share no column, so this is the sum's form."""
         return Submodule(self, [self._place(i, r) for i, part in enumerate(parts) for r in part])
 
     @cached_property
@@ -347,25 +315,63 @@ class FiniteLevelModule:
 
     # -- the J-adic machinery ---------------------------------------------
     def j_torsion(self, r: int) -> "Submodule":
-        """M[J^r], the (gamma - 1)^r-torsion; computed once per r and shared."""
-        tor = self._j_torsion.get(r)
-        if tor is None:
-            tor = self._j_torsion[r] = self.torsion(self.T_class() ** r)
+        """M[J^r], the (gamma - 1)^r-torsion; computed once per r and shared.
+
+        On a direct sum of summands Lambda_N/(f_i) (`_summands`) it is the
+        direct sum of the summands' kernels, each found once per distinct
+        summand at width p^N (`_direct_sum`).
+        - k = 1: Lambda_N = F_p[T]/(T^(p^N)), the summand is
+          Lambda_N/(T^(v_i)) and its kernel is the ideal
+          T^(max(v_i - r, 0)) Lambda_N (`_ideal_rows`), with no solve.
+        - k > 1: the kernel is `linalg.preimage_span` of the summand's
+          relation rows (the module's `rel_rows` on that block, already its
+          Howell basis) under the circulant of (gamma - 1)^r.
+        Mixed relations take `preimage_span` of `rel_rows` under the action
+        matrix of (gamma - 1)^r on the whole module.
+        """
+        if r in self._j_torsion:
+            return self._j_torsion[r]
+        p, k, n = self.spec.p, self.spec.k, self.block
+        if self._summands is None:
+            matrix = self.action_matrix(self.T_class() ** r)
+            tor = Submodule(self, linalg.preimage_span(matrix, self.rel_rows, self.dim, p, k))
+        elif k == 1:
+            tor = self._direct_sum(_ideal_rows(p, self.level, max(v - r, 0)) for v in self._summand_valuations)
+        else:
+            circulant = _circulant(self.T_class() ** r, self.level)
+            solved: dict[tuple[int, ...], list[list[int]]] = {}
+            for i, rel in enumerate(self._summands):
+                if rel not in solved:
+                    rows = [row[i * n : (i + 1) * n] for row in self.rel_rows]
+                    solved[rel] = linalg.preimage_span(circulant, rows, n, p, k)
+            tor = self._direct_sum(solved[rel] for rel in self._summands)
+        self._j_torsion[r] = tor
         return tor
 
     def filtration_stage(self, r: int) -> "Submodule":
-        """M^(r): the image of M[J^r] under (gamma - 1)^(r-1), applied to
-        each torsion generator with `act`; computed once per r, and the
-        returned submodule is shared.
+        """M^(r): the image of M[J^r] under (gamma - 1)^(r-1); computed once
+        per r, and the returned submodule is shared.
+
+        On a split k = 1 module it is the ideal T^(v_i - 1) Lambda_N on each
+        summand Lambda_N/(T^(v_i)) with v_i >= r and zero (T^(v_i) Lambda_N)
+        on the others, placed like `j_torsion`'s rows.  Elsewhere `act`
+        applies (gamma - 1)^(r-1) to each torsion generator.
 
         The stage does not depend on the generator: gamma^u - 1 = (gamma -
         1)(1 + gamma + ... + gamma^(u-1)) for a unit u, and the second
         factor has augmentation u, so it is a unit of the local ring
         Lambda_N and (gamma^u - 1)^(r-1) M[J^r] is the same image."""
-        stage = self._stages.get(r)
-        if stage is None:
+        if r in self._stages:
+            return self._stages[r]
+        if r < 1:
+            raise ValueError("the filtration starts at r = 1")
+        if self._summands is not None and self.spec.k == 1:
+            p, vals = self.spec.p, self._summand_valuations
+            stage = self._direct_sum(_ideal_rows(p, self.level, v - 1 if v >= r else v) for v in vals)
+        else:
             x = self.T_class() ** (r - 1)
-            stage = self._stages[r] = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
+            stage = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
+        self._stages[r] = stage
         return stage
 
     def universal_norms(self) -> "Submodule":

@@ -60,7 +60,6 @@ from iwaheights.lambdamod import (
     MAX_CAP,
     MAX_RANK,
     FiniteLevelModule,
-    Submodule,
     check_modulus,
     check_rank,
 )
@@ -176,7 +175,7 @@ class LfunInstance:
     duality: Union[CanonicalDuality, TableDuality]
     height: HeightPairing
     z0: tuple[int, ...]
-    strict: Submodule
+    strict: str  # the strict submodule: "all" (M) or "zero" ({0})
     meta: dict
 
     @property
@@ -314,7 +313,7 @@ def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:
     lams = [LambdaFunctional(inst, r) for r in range(r_top + 1)]
     zeros = [lam.is_identically_zero() for lam in lams]
     zero0 = zeros[0]
-    member = inst.strict.contains(inst.z0)
+    member = inst.strict == "all" or not any(M.canon(inst.z0))
     checks.append(
         CheckRecord(
             "(a) strict membership",
@@ -447,7 +446,6 @@ def build_synthetic(
         tor = M.j_torsion(1)
         candidates = sorted(v for v in tor.elements() if any(v))
         z0 = candidates[rng.randrange(len(candidates))]
-        strict = M.zero_submodule()
     else:
         stage = M.filtration_stage(target_ord)
         nxt = M.filtration_stage(target_ord + 1)
@@ -457,7 +455,6 @@ def build_synthetic(
                 stage.elements()
             )
         z0 = pool[rng.randrange(len(pool))]
-        strict = M.full_submodule()
 
     # solve for the class vector of L_z / T^ord
     vbar = [0] * D.dim
@@ -491,7 +488,7 @@ def build_synthetic(
         duality=duality,
         height=height,
         z0=tuple(z0),
-        strict=strict,
+        strict="zero" if target_ord == 0 else "all",
         meta={
             "seed": seed,
             "p": p,
@@ -541,11 +538,7 @@ def instance_from_data(
     L_z = tuple(IwasawaPoly(spec, cs) for cs in l_z_coeffs)
     if len(z0) != M.dim:
         raise InstanceInvalidError(f"z0 needs {M.dim} coordinates, got {len(z0)}")
-    if strict == "all":
-        strict_sub = M.full_submodule()
-    elif strict == "zero":
-        strict_sub = M.zero_submodule()
-    else:
+    if strict not in ("all", "zero"):
         raise InstanceInvalidError("strict marker must be 'all' or 'zero'")
     return LfunInstance(
         spec=spec,
@@ -554,6 +547,6 @@ def instance_from_data(
         duality=duality,
         height=height,
         z0=tuple(x % spec.modulus for x in z0),
-        strict=strict_sub,
+        strict=strict,
         meta={"source": "file", "local_levels": list(local_levels)},
     )

@@ -118,11 +118,17 @@ def closure_elements(S: Submodule) -> list[Vec]:
 
 
 def whole_module_torsion(M: FiniteLevelModule, f: GroupRingElem) -> Submodule:
-    """The f-torsion of M solved on the whole module: the preimage of the
-    relation span under the action matrix of f.  The oracle of both split
-    paths of `FiniteLevelModule.torsion`."""
+    """The f-torsion of M, for any group-ring element f, solved on the
+    whole module: the preimage of the relation span under the action matrix
+    of f.  At f = (gamma - 1)^r it is the oracle of both split paths of
+    `FiniteLevelModule.j_torsion`."""
     gens = linalg.preimage_span(M.action_matrix(f), M.rel_rows, M.dim, M.spec.p, M.spec.k)
     return M.submodule(gens)
+
+
+def full_submodule(M: FiniteLevelModule) -> Submodule:
+    """All of M: the Howell form of the identity rows and the relations."""
+    return M.submodule(_basis(M.dim))
 
 
 def span_intersection(rows_a, rows_b, p: int, k: int) -> list[list[int]]:
@@ -245,7 +251,7 @@ def norm_image_intersection(M: FiniteLevelModule) -> Submodule:
     spanned by the columns of the action matrix of nu_n, run until it is
     stable past the module's level or n passes level + k + 2: the oracle
     of `FiniteLevelModule.universal_norms`."""
-    current = M.full_submodule()
+    current = full_submodule(M)
     n = 1
     while n <= M.level + M.spec.k + 2:
         A = M.action_matrix(norm_class(M.spec, n, M.level))
@@ -288,7 +294,7 @@ def derived_well_defined(d) -> bool:
     stage element differ by ker((gamma-1)^(r-1)) inside M[J^r], so it
     suffices that h kills that kernel against the stage generators."""
     M = d.h.module
-    ambiguity = intersect(M.torsion(M.T_class() ** (d.r - 1)), M.j_torsion(d.r))
+    ambiguity = intersect(M.j_torsion(d.r - 1), M.j_torsion(d.r))
     gens = d.stage.gens()
     return all(height_coeff(d.h, t, y) == 0 for t in ambiguity.gens() for y in gens)
 
@@ -312,8 +318,8 @@ def restricted_kernel_check(
     l0iota = l0.involution()
     l1iota = l1.involution()
 
-    left_els = M.torsion(l0).elements()
-    right_els = M.torsion(l1).elements()
+    left_els = whole_module_torsion(M, l0).elements()
+    right_els = whole_module_torsion(M, l1).elements()
 
     brute_left = {
         tuple(x) for x in left_els if all(height_coeff(h, x, y) == 0 for y in right_els)
@@ -322,9 +328,9 @@ def restricted_kernel_check(
         tuple(y) for y in right_els if all(height_coeff(h, x, y) == 0 for x in left_els)
     }
 
-    tor_prod_left = M.torsion(l0 * l1iota)
+    tor_prod_left = whole_module_torsion(M, l0 * l1iota)
     pred_left = M.submodule([M.act(l1iota, g) for g in tor_prod_left.gens()] or [M.zero()])
-    tor_prod_right = M.torsion(l0iota * l1)
+    tor_prod_right = whole_module_torsion(M, l0iota * l1)
     pred_right = M.submodule([M.act(l0iota, g) for g in tor_prod_right.gens()] or [M.zero()])
 
     return {

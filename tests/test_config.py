@@ -1,7 +1,9 @@
 """The configuration in pyproject.toml: the pytest settings, run on a
-throwaway test file, and the console script with the package it finds."""
+throwaway test file, and the console script with the package it finds;
+and the CI workflow's token permissions."""
 
 import importlib
+import itertools
 import re
 import subprocess
 import sys
@@ -57,3 +59,13 @@ def test_console_script_resolves_to_cli_main():
     assert getattr(importlib.import_module(module), attr) is cli.main
     where = toml_section("tool.setuptools.packages.find")["where"]
     assert (ROOT / where / module.split(".")[0] / "__init__.py").is_file()
+
+
+def test_workflow_token_reads_only():
+    # a workflow with no top-level `permissions:` key gets the repository's
+    # default token; CI installs no YAML parser, so the lines are read as text
+    lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    assert "permissions:" in lines  # unindented: a job-level key would not match
+    start = lines.index("permissions:") + 1
+    block = [line.strip() for line in itertools.takewhile(lambda line: line[:1].isspace(), lines[start:])]
+    assert block == ["contents: read"]

@@ -16,8 +16,9 @@ import pytest
 from iwaheights import lfun
 from iwaheights.cli import main
 from iwaheights.heights import DerivedHeightPairing, HeightPairing
-from iwaheights.lambdamod import FiniteLevelModule
+from iwaheights.lambdamod import FiniteLevelModule, _ideal_rows
 from iwaheights.poles import phi
+from tests.conftest import full_submodule
 
 CORPUS = Path(__file__).resolve().parent.parent / "instances"
 
@@ -38,10 +39,11 @@ def negated_below_diagonal(monkeypatch):
     monkeypatch.setattr(DerivedHeightPairing, "value", wrong)
 
 
-def torsion_of_square(monkeypatch):
-    # the f-torsion replaced by the f^2-torsion, a larger submodule
-    torsion = FiniteLevelModule.torsion
-    monkeypatch.setattr(FiniteLevelModule, "torsion", lambda self, f: torsion(self, f * f))
+def torsion_of_double_degree(monkeypatch):
+    # M[J^r] replaced by the larger M[J^(2r)]; at k = 1 the split stages
+    # no longer read j_torsion, so only k > 1 and mixed stages see it
+    j_torsion = FiniteLevelModule.j_torsion
+    monkeypatch.setattr(FiniteLevelModule, "j_torsion", lambda self, r: j_torsion(self, 2 * r))
 
 
 def images_of_square(monkeypatch):
@@ -63,13 +65,25 @@ def gram_without_scale(monkeypatch):
 
 def full_universal_norms(monkeypatch):
     # the universal norms reported as the whole module instead of {0}
-    monkeypatch.setattr(FiniteLevelModule, "universal_norms", lambda self: self.full_submodule())
+    monkeypatch.setattr(FiniteLevelModule, "universal_norms", full_submodule)
 
 
 def stage_one_up(monkeypatch):
     # filtration_stage(r) answering with the smaller stage r + 1
     stage = FiniteLevelModule.filtration_stage
     monkeypatch.setattr(FiniteLevelModule, "filtration_stage", lambda self, r: stage(self, r + 1))
+
+
+def zero_k1_stage(monkeypatch):
+    # every k = 1 stage exponent set to v_i: each split k = 1 stage is {0}
+    stage = FiniteLevelModule.filtration_stage
+
+    def wrong(self, r):
+        if self._summands is None or self.spec.k > 1:
+            return stage(self, r)
+        return self._direct_sum(_ideal_rows(self.spec.p, self.level, v) for v in self._summand_valuations)
+
+    monkeypatch.setattr(FiniteLevelModule, "filtration_stage", wrong)
 
 
 def der_ignores_degree(monkeypatch):
@@ -95,12 +109,13 @@ FAULTS = [
         ["h^(1) kernels vs filtration", "h^(3) kernels vs filtration"],
     ),
     ("sign-heights", negated_below_diagonal, "heights", "swapped_pair_f3.json", ["sign law r=3"]),
+    ("torsion-oracle", torsion_of_double_degree, "oracle", "single_block_f3.json", ["torsion vs enumeration"]),
     (
-        "torsion-oracle",
-        torsion_of_square,
+        "torsion-oracle-k2",
+        torsion_of_double_degree,
         "oracle",
-        "single_block_f3.json",
-        ["torsion vs enumeration", "h^(1) kernels vs filtration", "h^(2) kernels vs filtration"],
+        "single_block_mod9.json",
+        ["torsion vs enumeration"] + [f"h^({r}) kernels vs filtration" for r in range(1, 5)],
     ),
     ("images-oracle", images_of_square, "oracle", "single_block_f3.json", ["torsion vs enumeration"]),
     ("gram-heights", gram_without_scale, "heights", "swapped_pair_f3.json", ["generator independence"]),
@@ -113,6 +128,7 @@ FAULTS = [
         ["universal norms vs enumeration", "global kernel vs universal norms"],
     ),
     ("stage-lfun", stage_one_up, "lfun-check", "lfun_seed0_ord1.json", ["(c) membership r=1"]),
+    ("zero-stage-lfun", zero_k1_stage, "lfun-check", "lfun_seed0_ord1.json", ["(c) membership r=1"]),
     ("der-lfun", der_ignores_degree, "lfun-check", "lfun_seed0_ord2.json", ["(b) r=2"]),
 ]
 

@@ -43,6 +43,7 @@ from tests.conftest import (
     restricted_kernel_check,
     scale_elem,
     twist_equivariance_check,
+    whole_module_torsion,
 )
 
 
@@ -344,7 +345,7 @@ def uncached_derived_value(d, x, y):
     tr = GroupRingElem.one(spec, M.level)
     for _ in range(r):
         tr = tr * t
-    gens = M.torsion(tr).hrows
+    gens = whole_module_torsion(M, tr).hrows
     tu = GroupRingElem.gamma(spec, M.level, h.u) - GroupRingElem.one(spec, M.level)
     shift = GroupRingElem.one(spec, M.level)
     for _ in range(r - 1):

@@ -16,7 +16,7 @@ from iwaheights import linalg
 from iwaheights.errors import EnumerationCapError
 from iwaheights.heights import BlockPairing, BlockSpec, HeightPairing, block_module
 from iwaheights.instancefile import parse_instance
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level
+from iwaheights.iwalg import GroupRingElem, RingSpec
 from iwaheights.lambdamod import (
     MAX_RANK,
     ElementaryShape,
@@ -33,6 +33,7 @@ from iwaheights.poles import norm_class
 from tests.conftest import (
     closure_elements,
     from_components,
+    full_submodule,
     matvec,
     module_from_shape,
     norm_image_intersection,
@@ -117,29 +118,31 @@ class TestTorsion:
     def test_T_torsion_of_level1_block(self, spec31):
         # Lambda_1 over F_3 is F_3[T]/(T^3); the T-torsion is spanned by T^2
         M = lambda_block(spec31, 1)
-        tor = M.torsion(project_to_level(IwasawaPoly.T(spec31), M.level))
+        tor = M.j_torsion(1)
         t2 = from_components(M, [GroupRingElem.from_poly_coeffs(spec31, 1, [0, 0, 1])])
         assert tor.order() == 3
         assert tor.contains(t2)
 
     def test_unit_torsion_trivial(self, spec31):
         M = lambda_block(spec31, 1)
-        assert M.torsion(project_to_level(IwasawaPoly(spec31, [1]), M.level)).order() == 1
+        assert M.j_torsion(0).order() == 1
 
     def test_omega_torsion_everything(self, spec31):
         M = lambda_block(spec31, 1)
-        om = IwasawaPoly(spec31, [0, 0, 0, 1])  # omega_1 mod 3
-        assert M.torsion(project_to_level(om, M.level)).order() == M.size
+        # omega_1 = (1 + T)^3 - 1 = T^3 mod 3
+        assert M.j_torsion(3).order() == M.size
 
     def test_torsion_against_enumeration(self, spec31, spec32):
         rng = random.Random(3)
         for spec in (spec31, spec32):
             M = lambda_block(spec, 1)
+            for r in range(6):
+                fast = M.j_torsion(r)
+                assert {tuple(v) for v in fast.elements()} == brute_torsion(M, M.T_class() ** r)
+            # the oracle of j_torsion, at elements that are not powers of T
             for _ in range(6):
                 f = GroupRingElem(spec, 1, [rng.randrange(spec.modulus) for _ in range(3)])
-                fast = M.torsion(f)
-                brute = brute_torsion(M, f)
-                assert {tuple(v) for v in fast.elements()} == brute
+                assert {tuple(v) for v in whole_module_torsion(M, f).elements()} == brute_torsion(M, f)
 
 
 class TestJFiltration:
@@ -183,6 +186,12 @@ class TestJFiltration:
             imgs = {M.act(y, v) for v in tor}
             stage = checked_stages(M, r)[-1]
             assert {tuple(v) for v in stage.elements()} == imgs
+
+    def test_stages_start_at_one(self, spec31, spec32):
+        # the k = 1 closed form reads no power of gamma - 1 that would refuse r < 1
+        for spec in (spec31, spec32):
+            with pytest.raises(ValueError, match="starts at r = 1"):
+                lambda_block(spec, 1).filtration_stage(0)
 
     def test_generator_independence_enforced(self, spec31, spec32):
         for spec in (spec31, spec32):
@@ -444,9 +453,9 @@ def group_ring_elems(draw):
 class TestFastPathsAgainstOracles:
     """act() convolves each generator's block with x; the oracle is the
     explicit action matrix.  j_torsion(r) is cached per r; the oracle is
-    a fresh torsion computation.  filtration_stage applies a power of
-    (gamma - 1) with act(); the oracle builds the power of (gamma^u - 1),
-    for any unit u, by repeated products and applies its action matrix."""
+    the whole-module solve `whole_module_torsion`.  filtration_stage is
+    compared with the power of (gamma^u - 1), for any unit u, built by
+    repeated products and applied by its action matrix."""
 
     @given(modules(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -470,7 +479,7 @@ class TestFastPathsAgainstOracles:
         for _ in range(r):
             x = x * t
         first = M.j_torsion(r)
-        assert first == M.torsion(x)
+        assert first == whole_module_torsion(M, x)
         assert M.j_torsion(r) is first
 
     @given(modules(), st.integers(1, 3), st.data())
@@ -539,53 +548,6 @@ def spy_preimage_span(monkeypatch):
     return widths
 
 
-class TestTorsionPerSummand:
-    """torsion(f) on a direct sum solves each distinct summand once on its
-    own block at k > 1 and takes the closed form at k = 1; the oracle is
-    `whole_module_torsion`, the preimage_span path on the whole module,
-    which mixed relations keep."""
-
-    @given(direct_sums(), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_split_torsion_matches_preimage_path(self, M, data):
-        assert M._summands is not None
-        spec, level = M.spec, M.level
-        kind = data.draw(st.sampled_from(["J^r", "omega_n", "coprime"]), label="f")
-        if kind == "J^r":
-            f = M.T_class() ** data.draw(st.integers(1, 5), label="r")
-        elif kind == "omega_n":
-            f = GroupRingElem.gamma(spec, level, spec.p ** data.draw(st.integers(0, level), label="n")) - GroupRingElem.one(spec, level)
-        else:
-            # gamma + 1 has augmentation 2, a unit: it is prime to J
-            f = M.gamma_class() + GroupRingElem.one(spec, level)
-        assert M.torsion(f).hrows == whole_module_torsion(M, f).hrows
-
-    @pytest.mark.parametrize(
-        "relations",
-        [
-            # the mixed-f3-level2 shape: [T^a, c T^b], [0, T^d]
-            [[[0, 1], [0, 0, 2]], [[0], [0, 0, 0, 0, 1]]],
-            # two relations on one generator
-            [[[0, 0, 1], [0]], [[1, 1], [0]]],
-        ],
-        ids=["mixed", "two-on-one"],
-    )
-    def test_other_relations_take_the_preimage_path(self, spec31, relations, monkeypatch):
-        M = FiniteLevelModule(spec31, 2, 2, relations)
-        assert M._summands is None
-        widths = spy_preimage_span(monkeypatch)
-        M.torsion(M.T_class() ** 2)
-        assert widths == [M.dim]
-
-    def test_direct_sum_solves_each_distinct_summand_once(self, spec32, monkeypatch):
-        # blocks at levels 0, 1, 1, 2 at level 2 over Z/9 (k = 1 takes the
-        # closed form): summands omega_0, omega_1 and the free one
-        M = block_module(spec32, [BlockSpec(0), BlockSpec(1), BlockSpec(1), BlockSpec(2)])
-        widths = spy_preimage_span(monkeypatch)
-        M.torsion(M.T_class() ** 3)
-        assert widths == [M.block] * 3
-
-
 @st.composite
 def split_k1_modules(draw):
     """A k = 1 module with at most one relation per generator, each
@@ -611,39 +573,98 @@ def split_k1_modules(draw):
     return FiniteLevelModule(spec, level, ngens, relations)
 
 
-def k1_elements(M):
-    """Elements f of the module's group ring: T^r (r = 0 is the unit 1),
-    omega_n, random elements, 0, and units (augmentation prime to p)."""
-    spec, level = M.spec, M.level
-    n = spec.p**level
-    coeffs = st.lists(st.integers(0, spec.p - 1), min_size=n, max_size=n)
-    one = GroupRingElem.one(spec, level)
-    return st.one_of(
-        st.integers(0, n + 1).map(lambda r: M.T_class() ** r),
-        st.integers(0, level).map(lambda e: GroupRingElem.gamma(spec, level, spec.p**e) - one),
-        coeffs.map(lambda cs: GroupRingElem(spec, level, cs)),
-        st.just(GroupRingElem.zero(spec, level)),
-        coeffs.map(lambda cs: GroupRingElem(spec, level, cs)).filter(lambda x: sum(x.coeffs) % spec.p),
+@st.composite
+def mixed_modules(draw):
+    """A module with mixed relations: two generators and one or two random
+    relation rows, the first with a nonzero entry on each generator, at
+    (p,k) in {(3,1),(3,2),(5,1)} and level 0-2 (ambient O-rank <= 18)."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+    spec = RingSpec(p, k, 16)
+    level = draw(st.integers(0, 2 if p == 3 else 1))
+    elem = st.lists(st.integers(0, spec.modulus - 1), min_size=p**level, max_size=p**level)
+    mixed = draw(st.lists(elem.filter(any), min_size=2, max_size=2), label="mixed relation")
+    relations = draw(st.lists(st.lists(elem, min_size=2, max_size=2), max_size=1))
+    M = FiniteLevelModule(spec, level, 2, [mixed] + relations)
+    assert M._summands is None
+    return M
+
+
+class TestTorsionPerSummand:
+    """j_torsion(r) on a direct sum solves each distinct summand once on its
+    own block at k > 1 and takes the closed form at k = 1; the oracle is
+    `whole_module_torsion`, the preimage_span path on the whole module,
+    which mixed relations keep."""
+
+    @given(st.one_of(direct_sums(), mixed_modules()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_j_torsion_matches_whole_module_solve(self, M, data):
+        # direct_sums() are split at k = 1 and at k > 1
+        r = data.draw(st.integers(0, M.block + 1), label="r")
+        assert M.j_torsion(r).hrows == whole_module_torsion(M, M.T_class() ** r).hrows
+
+    @pytest.mark.parametrize(
+        "relations",
+        [
+            # the mixed-f3-level2 shape: [T^a, c T^b], [0, T^d]
+            [[[0, 1], [0, 0, 2]], [[0], [0, 0, 0, 0, 1]]],
+            # two relations on one generator
+            [[[0, 0, 1], [0]], [[1, 1], [0]]],
+        ],
+        ids=["mixed", "two-on-one"],
     )
+    def test_other_relations_take_the_preimage_path(self, spec31, relations, monkeypatch):
+        M = FiniteLevelModule(spec31, 2, 2, relations)
+        assert M._summands is None
+        widths = spy_preimage_span(monkeypatch)
+        M.j_torsion(2)
+        assert widths == [M.dim]
+
+    def test_direct_sum_solves_each_distinct_summand_once(self, spec32, monkeypatch):
+        # blocks at levels 0, 1, 1, 2 at level 2 over Z/9 (k = 1 takes the
+        # closed form): summands omega_0, omega_1 and the free one
+        M = block_module(spec32, [BlockSpec(0), BlockSpec(1), BlockSpec(1), BlockSpec(2)])
+        widths = spy_preimage_span(monkeypatch)
+        M.j_torsion(3)
+        assert widths == [M.block] * 3
 
 
 class TestTorsionClosedFormK1:
-    """At k = 1 Lambda_N = F_p[T]/(T^(p^N)), so torsion(f) on a split module
-    is read off the T-valuations of f and of each relation, with no action
-    matrix and no kernel solve; the oracle is `whole_module_torsion`.  k > 1
-    and mixed relations keep the solver."""
+    """At k = 1 Lambda_N = F_p[T]/(T^(p^N)), so on a split module
+    j_torsion(r) and filtration_stage(r) are read off r and the
+    T-valuation of each relation, with no power of T, no action and no
+    kernel solve; the oracles are `whole_module_torsion` and the
+    act-and-Howell image of the torsion, which k > 1 and mixed relations
+    keep."""
 
     @given(split_k1_modules(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_closed_form_matches_preimage_path(self, M, data):
         assert M._summands is not None
-        f = data.draw(k1_elements(M), label="f")
+        r = data.draw(st.integers(0, M.block + 1), label="r")
+        assert M.j_torsion(r).hrows == whole_module_torsion(M, M.T_class() ** r).hrows
+
+    @given(split_k1_modules(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_stage_matches_act_image(self, M, data):
+        r = data.draw(st.integers(1, M.block + 2), label="r")
+        x = M.T_class() ** (r - 1)
+        oracle = M.submodule(M.act(x, g) for g in M.j_torsion(r).hrows)
+        assert M.filtration_stage(r).hrows == oracle.hrows
+
+    @given(split_k1_modules())
+    @settings(max_examples=60, deadline=None)
+    def test_tower_takes_no_action_and_no_solve(self, M):
+        def refuse(name):
+            return mock.Mock(side_effect=AssertionError(f"{name} called"))
+
         with (
-            mock.patch.object(FiniteLevelModule, "action_matrix", side_effect=AssertionError("action matrix built")),
-            mock.patch.object(linalg, "preimage_span", side_effect=AssertionError("solver used")),
+            mock.patch.multiple(FiniteLevelModule, act=refuse("act"), action_matrix=refuse("action_matrix")),
+            mock.patch.object(linalg, "preimage_span", refuse("preimage_span")),
+            mock.patch.object(GroupRingElem, "__pow__", refuse("__pow__")),
         ):
-            fast = M.torsion(f)
-        assert fast.hrows == whole_module_torsion(M, f).hrows
+            for r in range(1, M.block + 3):
+                M.j_torsion(r)
+                M.filtration_stage(r)
 
     @pytest.mark.parametrize("name", ["shape-f3-level2", "shape-z9-level1", "mixed-f3-level2", "mixed-f5-level1"])
     def test_benchmark_modules_take_their_path(self, name, monkeypatch):
@@ -652,7 +673,7 @@ class TestTorsionClosedFormK1:
             inst = parse_instance(json.dumps(templates[name](i)))
             M = FiniteLevelModule(inst.ring, inst.level, inst.module["generators"], inst.module["relations"])
             widths = spy_preimage_span(monkeypatch)
-            M.torsion(M.T_class() ** 2)
+            M.j_torsion(2)
             if name.startswith("mixed-"):
                 assert widths == [M.dim]
             elif inst.ring.k == 1:
@@ -665,7 +686,7 @@ class TestTorsionClosedFormK1:
         M = FiniteLevelModule(spec32, 1, 1, [[GroupRingElem.gamma(spec32, 1) - one]])
         assert M._summands is not None
         widths = spy_preimage_span(monkeypatch)
-        M.torsion(M.T_class())
+        M.j_torsion(1)
         assert widths == [M.block]
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -720,15 +741,11 @@ def coset_cases(draw, kind, k):
         M = FiniteLevelModule(spec, level, ngens, relations)
     assume(M.size <= 3**6)
     vec = st.lists(st.integers(0, spec.modulus - 1), min_size=M.dim, max_size=M.dim)
-    f = st.one_of(
-        st.integers(0, n + 1).map(lambda r: M.T_class() ** r),
-        elem.map(lambda cs: GroupRingElem(spec, level, cs)),
-    )
     constructors = {
         "submodule": lambda: M.submodule(draw(st.lists(vec, max_size=3), label="vectors")),
         "zero": M.zero_submodule,
-        "full": M.full_submodule,
-        "torsion": lambda: M.torsion(draw(f, label="f")),
+        "full": lambda: full_submodule(M),
+        "torsion": lambda: M.j_torsion(draw(st.integers(0, n + 1), label="r")),
         "stage": lambda: M.filtration_stage(draw(st.integers(1, 4), label="r")),
     }
     if h is not None:
@@ -741,7 +758,7 @@ class TestCosetEnumeration:
     the module's `col_sizes` allow, and `order()` multiplies their counts;
     the oracle is the closure search `closure_elements`.  Split modules at
     k = 1 and k = 2 and mixed ones take the closed form, the per-block
-    solve and the whole-module solve of `torsion`."""
+    solve and the whole-module solve of `j_torsion`."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("kind", ["split", "mixed", "block"])
