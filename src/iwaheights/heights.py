@@ -36,7 +36,7 @@ from iwaheights.iwalg import (
     fold_coeffs,
     iota_coeffs,
 )
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, check_rank, combinations
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule, Submodule, _combine, check_rank, combinations
 from iwaheights.poles import PoleElem, phi, pole_involution, pole_sum
 
 Vec = Sequence[int]
@@ -65,16 +65,6 @@ class BlockSpec:
     @property
     def ncomponents(self) -> int:
         return 2 if self.swapped else 1
-
-
-def _combine(coeffs: Vec, rows: Sequence[Vec], dim: int) -> list[int]:
-    """sum(coeffs_i * rows_i), unreduced: the zero vector of length dim
-    when there are no rows."""
-    w = [0] * dim
-    for c, row in zip(coeffs, rows):
-        if c:
-            w = [a + c * b for a, b in zip(w, row)]
-    return w
 
 
 def block_module(
@@ -355,10 +345,13 @@ class DerivedHeightPairing:
 
     h^(1) is the restriction of h to the J-torsion; for r > 1 the left
     argument is pulled back through (gamma - 1)^(r-1) inside M[J^r].
-    The preimage problem is factored once, here: one batched
-    `solve_combination` against the shifted torsion rows (each torsion
-    generator times the shift, by `act`, plus the relation rows) gives a
-    torsion preimage w_i of every Howell row s_i of the stage.  A left
+    The preimage problem is factored once, here: the module gives a
+    torsion preimage w_i of every Howell row s_i of the stage
+    (`FiniteLevelModule.stage_preimages`).  On a split k = 1 module (every
+    block module over F_p) w_i is 0 on a relation row and r - 1 prefix
+    sums (divisions by gamma - 1) on its summand otherwise, with no solve;
+    at k > 1 and with mixed relations it comes from one batched
+    `linalg.solve_combination` against the shifted torsion rows.  A left
     argument x = sum q_i s_i (the quotients of its reduction against the
     stage, `linalg.coordinates`) then has the preimage sum q_i w_i, and
     h^(r)(x, y) is one evaluation of h.  That preimage may differ from
@@ -373,16 +366,8 @@ class DerivedHeightPairing:
         self.h = h
         self.r = r
         self.spec = h.spec
-        M = h.module
-        self.stage = M.filtration_stage(r)
-        shift = M.T_class() ** (r - 1)
-        gens = M.j_torsion(r).hrows
-        shifted = [list(M.act(shift, g)) for g in gens] + [list(rel) for rel in M.rel_rows]
-        sols = linalg.solve_combination(shifted, self.stage.hrows, self.spec.p, self.spec.k)
-        if None in sols:
-            raise IwaheightsError("no torsion preimage found (filtration data broken)")
-        m = self.spec.modulus
-        self._stage_preimages = [[a % m for a in _combine(sol, gens, M.dim)] for sol in sols]
+        self.stage = h.module.filtration_stage(r)
+        self._stage_preimages = h.module.stage_preimages(r)
 
     def value(self, x: Vec, y: Vec) -> int:
         """The coefficient of h^(r)(x, y) on (gamma - 1)^r, in [0, p^k):

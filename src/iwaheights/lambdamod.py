@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
-from iwaheights.errors import EnumerationCapError
+from iwaheights.errors import EnumerationCapError, IwaheightsError
 from iwaheights.iwalg import GroupRingElem, RingSpec, _T_to_gamma_matrix
 
 DEFAULT_ENUM_CAP = 3**10
@@ -139,6 +139,31 @@ def _circulant(x: GroupRingElem, level: int) -> list[list[int]]:
     xs = x.at_level(level).coeffs
     n = len(xs)
     return [[xs[(a - j) % n] for j in range(n)] for a in range(n)]
+
+
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], dim: int) -> list[int]:
+    """sum(coeffs_i * rows_i), unreduced: the zero vector of length dim
+    when there are no rows."""
+    w = [0] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            w = [a + c * b for a, b in zip(w, row)]
+    return w
+
+
+def _divide_by_T(s: list[int], e: int, m: int) -> list[int]:
+    """A w with (gamma - 1)^e w = s in Lambda_level over Z/m, s given in the
+    gamma basis; raises when no such w exists.
+
+    (gamma - 1) w = s reads w[g-1] - w[g] = s[g] around the cycle, so
+    w[g] = -(s[0] + ... + s[g]) solves it exactly when the total s[0] +
+    ... + s[n-1] is zero: one division is one prefix sum."""
+    for _ in range(e):
+        sums = list(itertools.accumulate(s))
+        if sums[-1] % m:
+            raise IwaheightsError("no torsion preimage found (filtration data broken)")
+        s = [-x % m for x in sums]
+    return s
 
 
 @lru_cache(maxsize=None)
@@ -373,6 +398,40 @@ class FiniteLevelModule:
             stage = self.submodule(self.act(x, g) for g in self.j_torsion(r).hrows)
         self._stages[r] = stage
         return stage
+
+    def stage_preimages(self, r: int) -> list[list[int]]:
+        """A preimage w_i in M[J^r] of each Howell row s_i of
+        `filtration_stage(r)` under (gamma - 1)^(r-1), in the same order,
+        with entries in [0, p^k).  Raises when some s_i has none.
+
+        On a split k = 1 module each s_i lies on one summand
+        Lambda_N/(T^(v_i)).  With v_i < r it is a relation row, and w_i = 0.
+        With v_i >= r it lies in T^(v_i - 1) Lambda_N, so (gamma - 1)^(r-1)
+        divides it in Lambda_N, and w_i is r - 1 prefix sums on its block
+        (`_divide_by_T`); then (gamma - 1)^r w_i = (gamma - 1) s_i is a
+        relation, so w_i is r-torsion.  Elsewhere one batched
+        `linalg.solve_combination` writes every s_i as a combination of the
+        shifted torsion rows ((gamma - 1)^(r-1) times each row of
+        `j_torsion(r)`, by `act`) and the relation rows, and w_i is the same
+        combination of the torsion rows."""
+        stage = self.filtration_stage(r)
+        p, k, n, m = self.spec.p, self.spec.k, self.block, self.spec.modulus
+        if self._summands is not None and k == 1:
+            out = []
+            for s in stage.hrows:
+                i = linalg._pivot_col(s) // n
+                w = [0] * self.dim
+                if self._summand_valuations[i] >= r:
+                    w[i * n : (i + 1) * n] = _divide_by_T(s[i * n : (i + 1) * n], r - 1, m)
+                out.append(w)
+            return out
+        shift = self.T_class() ** (r - 1)
+        gens = self.j_torsion(r).hrows
+        shifted = [list(self.act(shift, g)) for g in gens] + [list(rel) for rel in self.rel_rows]
+        sols = linalg.solve_combination(shifted, stage.hrows, p, k)
+        if None in sols:
+            raise IwaheightsError("no torsion preimage found (filtration data broken)")
+        return [[a % m for a in _combine(sol, gens, self.dim)] for sol in sols]
 
     def universal_norms(self) -> "Submodule":
         """The intersection of the images nu_n M over all n, which is {0}.

@@ -190,26 +190,52 @@ class LfunInstance:
         nothing, so a broken instance raises on every call.
         """
         ord1: Union[int, float] = min(j_valuation(x) for x in self.L_z)
-        D = self.D_loc
-        m = self.spec.modulus
-        f = self.duality.functional(self.L_z)
-        bound = self.spec.k * self.spec.p**D.level + 1
-        ord2: Union[int, float] = 0
-        for r in range(1, bound + 1):
-            tor = D.j_torsion(r)
-            if any(_dot(f, g, m) for g in tor.gens()):
-                ord2 = r - 1
-                break
-            if tor.order() == D.size:
-                ord2 = math.inf
-                break
-        else:
-            ord2 = math.inf
+        ord2 = self._annihilator_order()
         if ord1 != ord2:
             raise InstanceInvalidError(
                 f"order characterizations disagree: valuation {ord1}, annihilator {ord2}"
             )
         return ord1
+
+    def _annihilator_order(self) -> Union[int, float]:
+        """max{r : L_z kills D[J^r]} under the duality, or inf when L_z
+        kills all of D or every r up to k * p^level + 1.
+
+        The stopping rule at r, "L_z does not kill D[J^r], or D[J^r] = D",
+        is monotone in r, since D[J^r] grows with r.  So r doubles from 1
+        until the rule holds, then the last step is bisected: about
+        2 log2(ord) torsion modules where a walk over r = 1, 2, ... takes
+        ord + 1.  Each r is asked once (`stop` keeps its answers)."""
+        D = self.D_loc
+        m = self.spec.modulus
+        f = self.duality.functional(self.L_z)
+        bound = self.spec.k * self.spec.p**D.level + 1
+        answers: dict[int, Union[int, float, None]] = {}
+
+        def stop(r: int) -> Union[int, float, None]:
+            # r - 1 when L_z does not kill D[J^r], inf when D[J^r] = D, else None
+            if r not in answers:
+                tor = D.j_torsion(r)
+                if any(_dot(f, g, m) for g in tor.gens()):
+                    answers[r] = r - 1
+                elif tor.order() == D.size:
+                    answers[r] = math.inf
+                else:
+                    answers[r] = None
+            return answers[r]
+
+        lo, hi = 0, 1  # the rule fails at lo (or lo = 0) and is asked at hi
+        while stop(hi) is None:
+            if hi == bound:
+                return math.inf
+            lo, hi = hi, min(2 * hi, bound)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if stop(mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        return answers[hi]
 
     def validate(self) -> None:
         """The duality's rows (`monomial_rows`) must kill the relations and

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import resource
@@ -145,6 +146,23 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     """The intersection of two submodules of the same module."""
     M = a.module
     return M.submodule(span_intersection(a.hrows, b.hrows, M.spec.p, M.spec.k))
+
+
+def linear_annihilator_order(inst) -> Union[int, float]:
+    """max{r : L_z kills D[J^r]} under the instance's duality, by the walk
+    r = 1, 2, ..., k * p^level + 1: the first r where L_z does not kill
+    D[J^r] gives r - 1, and D[J^r] = D first gives inf.  The oracle of
+    the gallop in `LfunInstance._annihilator_order`."""
+    D = inst.D_loc
+    m = inst.spec.modulus
+    f = inst.duality.functional(inst.L_z)
+    for r in range(1, inst.spec.k * inst.spec.p**D.level + 2):
+        tor = D.j_torsion(r)
+        if any(sum(a * b for a, b in zip(f, g)) % m for g in tor.gens()):
+            return r - 1
+        if tor.order() == D.size:
+            return math.inf
+    return math.inf
 
 
 def monomial_table(inst, nrows):

@@ -874,16 +874,18 @@ class TestLevelLadder:
     # sha256 of the stdout of `lfun-check ... --format json` on the two
     # level-4 builder rungs (dual modules of O-rank 162 and 250), recorded
     # with the general kernel solver before J-power torsion at k = 1 had a
-    # closed form, and on a k = 2 rung, recorded while each summand at
-    # k > 1 was still solved as a one-generator module
+    # closed form; on a k = 2 rung, recorded while each summand at k > 1
+    # was still solved as a one-generator module; and on a k = 2 rung of
+    # order 53, recorded while the order of vanishing walked r = 1, 2, ...
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--ord", "30"], "26386ee83d71403996a78d6cac3dae3a6fbfbc137ba73bbeeee3ed93ba9efc2f"),
             (["--p", "5", "--ord", "30"], "8767bb78f470092963e2a8e3e225ccc333f44c6d3b7c4fdeefcd3ca41ed921b9"),
             (["--k", "2", "--ord", "30"], "be9889f9b26a6959e21e8c1a4f074b9c0b58402e12155fe451c7b50966625ffc"),
+            (["--k", "2", "--ord", "53"], "9bb2b44dd790434b405a02d16cdbb08f7ad7d7591580ce2789105008b1788584"),
         ],
-        ids=["p3-ord30", "p5-ord30", "k2-ord30"],
+        ids=["p3-ord30", "p5-ord30", "k2-ord30", "k2-ord53"],
     )
     def test_level4_rung_reports_are_pinned(self, argv, digest, capsys):
         assert main(["lfun-check", *argv, "--format", "json"]) == 0

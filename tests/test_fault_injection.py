@@ -15,7 +15,9 @@ import pytest
 
 from iwaheights import lfun
 from iwaheights.cli import main
-from iwaheights.heights import DerivedHeightPairing, HeightPairing
+from iwaheights.errors import IwaheightsError
+from iwaheights.heights import BlockPairing, BlockSpec, DerivedHeightPairing, HeightPairing
+from iwaheights.iwalg import RingSpec
 from iwaheights.lambdamod import FiniteLevelModule, _ideal_rows
 from iwaheights.poles import phi
 from tests.conftest import full_submodule
@@ -86,6 +88,22 @@ def zero_k1_stage(monkeypatch):
     monkeypatch.setattr(FiniteLevelModule, "filtration_stage", wrong)
 
 
+def indivisible_stage_row(monkeypatch):
+    # filtration_stage(r), r >= 2, enlarged by gamma^0 of the first summand
+    # with v_i >= r: every other row there lies in J, so the Howell row of
+    # gamma^0 has block total 1, and gamma - 1 does not divide it
+    stage = FiniteLevelModule.filtration_stage
+
+    def wrong(self, r):
+        good = stage(self, r)
+        if r < 2:
+            return good
+        i = next(i for i, v in enumerate(self._summand_valuations) if v >= r)
+        return self.submodule([self._place(i, [1] + [0] * (self.block - 1))] + good.hrows)
+
+    monkeypatch.setattr(FiniteLevelModule, "filtration_stage", wrong)
+
+
 def der_ignores_degree(monkeypatch):
     # every special value read off L_z itself, as if r were 0
     der = lfun.der
@@ -140,3 +158,15 @@ def test_fault_fails_named_checks(monkeypatch, capsys, fault, cmd, name, failed)
     out = capsys.readouterr().out
     assert re.findall(r"^\[FAIL\] (.+?) \|", out, re.M) == failed
     assert "FAILURES PRESENT" in out
+
+
+def test_indivisible_stage_row_is_refused(monkeypatch, capsys):
+    # the split k = 1 preimages check each division by gamma - 1: a stage
+    # row with a nonzero block total has no preimage, at construction and
+    # in lfun-check (exit 2)
+    indivisible_stage_row(monkeypatch)
+    h = HeightPairing(BlockPairing(RingSpec(3, 1, 16), [BlockSpec(1)]))
+    with pytest.raises(IwaheightsError, match="no torsion preimage found"):
+        DerivedHeightPairing(h, 2)
+    assert main(["lfun-check", "--input", str(CORPUS / "lfun_seed0_ord2.json")]) == 2
+    assert "no torsion preimage found" in capsys.readouterr().err

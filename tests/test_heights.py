@@ -8,6 +8,7 @@ and the kernel chain is span{T^2}, span{T^2}, span{T^2}, 0.
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -540,6 +541,34 @@ class TestMemoisedDerivedValue:
             d2.value(t2, one)
         with pytest.raises(IwaheightsError, match="left argument"):
             d2.value(one, t2)
+
+
+class TestSplitK1Preimages:
+    """On a split k = 1 module (every block module over F_p) the stage
+    preimages are prefix sums: no solve and no action.  The values must
+    still be those of a fresh solve (`uncached_derived_value`)."""
+
+    @given(block_pairings().filter(lambda bp: bp.spec.k == 1), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_matches_uncached_solve(self, pairing, r, data):
+        d = DerivedHeightPairing(HeightPairing(pairing), r)
+        els = d.stage.elements()
+        assume(len(els) <= 243)
+        xs = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3), label="xs")
+        ys = d.stage.gens() or [d.h.module.zero()]
+        assert d.matrix(xs, ys) == [[uncached_derived_value(d, x, y) for y in ys] for x in xs]
+
+    @given(block_pairings().filter(lambda bp: bp.spec.k == 1), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_construction_takes_no_solve_and_no_action(self, pairing, r):
+        h = HeightPairing(pairing)
+        refuse = mock.Mock(side_effect=AssertionError("solve or act called"))
+        with (
+            mock.patch.object(linalg, "solve_combination", refuse),
+            mock.patch.object(FiniteLevelModule, "act", refuse),
+        ):
+            DerivedHeightPairing(h, r)
+        assert refuse.call_count == 0
 
 
 class TestGramMatrix:

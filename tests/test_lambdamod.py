@@ -589,6 +589,43 @@ def mixed_modules(draw):
     return M
 
 
+class TestStagePreimages:
+    """stage_preimages(r) pulls each Howell row of the stage back through
+    (gamma - 1)^(r-1) inside M[J^r]: by prefix sums on a split k = 1
+    module, by one batched solve at k > 1 and with mixed relations.  A row
+    and its preimage are checked against the definition, by `act` and by
+    membership in `j_torsion(r)`."""
+
+    @given(st.one_of(split_k1_modules(), direct_sums(), mixed_modules()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_preimage_is_torsion_and_maps_to_its_row(self, M, data):
+        # r up to p^N + 1 passes every summand's exponent v_i, so relation
+        # rows (v_i < r) and free summands both appear
+        r = data.draw(st.integers(1, M.block + 1), label="r")
+        shift = M.T_class() ** (r - 1)
+        rows, tor = M.filtration_stage(r).hrows, M.j_torsion(r)
+        preimages = M.stage_preimages(r)
+        assert len(preimages) == len(rows)
+        for s, w in zip(rows, preimages):
+            assert all(0 <= a < M.spec.modulus for a in w)
+            assert M.act(shift, w) == M.canon(s)
+            assert tor.contains(w)
+
+    def test_relation_rows_pull_back_to_zero(self, spec31):
+        # level-0 and level-1 blocks and a free block at level 2: at r = 3
+        # the first two summands (v = 1 and 3) give relation rows only
+        M = block_module(spec31, [BlockSpec(0), BlockSpec(1), BlockSpec(2)])
+        assert M._summand_valuations == [1, 3, 9]
+        rows, preimages = M.filtration_stage(4).hrows, M.stage_preimages(4)
+        n = M.block
+        for s, w in zip(rows, preimages):
+            if linalg._pivot_col(s) < 2 * n:
+                assert not any(w)
+            else:
+                assert any(w) and not any(w[: 2 * n])
+        assert any(linalg._pivot_col(s) < 2 * n for s in rows)
+
+
 class TestTorsionPerSummand:
     """j_torsion(r) on a direct sum solves each distinct summand once on its
     own block at k > 1 and takes the closed form at k = 1; the oracle is

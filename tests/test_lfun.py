@@ -21,7 +21,7 @@ from iwaheights.errors import (
 from iwaheights.heights import BlockSpec, block_module
 from iwaheights.instancefile import parse_instance, render_generated
 from iwaheights.iwalg import IwasawaPoly, RingSpec, project_to_level, weierstrass_divide
-from iwaheights.lambdamod import DEFAULT_ENUM_CAP
+from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule
 from iwaheights.lfun import (
     CanonicalDuality,
     LambdaFunctional,
@@ -35,7 +35,14 @@ from iwaheights.lfun import (
     order_of_vanishing,
 )
 from iwaheights.poles import PoleElem, phi
-from tests.conftest import gamma_power, monomial_table, poly_add, random_poly, truncate
+from tests.conftest import (
+    gamma_power,
+    linear_annihilator_order,
+    monomial_table,
+    poly_add,
+    random_poly,
+    truncate,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -567,3 +574,39 @@ class TestLocalizationIsInclusion:
             assert localize(D, M.act(gM, e)) == D.act(gD, loc)
         for rel in M.rel_rows:
             assert not any(localize(D, rel))
+
+
+class TestAnnihilatorGallop:
+    """The annihilator side of the order of vanishing gallops over r and
+    bisects; the walk r = 1, 2, ... (`linear_annihilator_order`) is its
+    oracle, on builder instances, on the shipped lfun files, and with L_z
+    replaced by T^e times a random class, zero among them."""
+
+    @pytest.mark.parametrize("case", DESK_CASES + LFUN_FILES, ids=str)
+    def test_matches_linear_walk(self, case):
+        inst = desk_or_file_instance(case)
+        assert inst._annihilator_order() == linear_annihilator_order(inst) == order_of_vanishing(inst)
+
+    @given(st.sampled_from(DESK_CASES + LFUN_FILES), st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linear_walk_for_any_class(self, case, seed, data):
+        inst = desk_or_file_instance(case)
+        bound = inst.spec.k * inst.spec.p**inst.D_loc.level + 1
+        e = data.draw(st.integers(0, min(bound + 1, inst.spec.cap)), label="e")
+        rng = random.Random(seed)
+        zero = data.draw(st.booleans(), label="zero class")
+        L_z = tuple(
+            IwasawaPoly.zero(inst.spec) if zero else random_poly(rng, inst.spec).times_T_power(e) for _ in inst.L_z
+        )
+        other = dataclasses.replace(inst, L_z=L_z)
+        assert other._annihilator_order() == linear_annihilator_order(other)
+
+    def test_each_degree_asked_once(self, monkeypatch):
+        # order 20: r = 1, 2, 4, ..., 16, then 28 (the bound), then bisected,
+        # against 21 degrees on the walk
+        inst = build_synthetic(0, target_ord=20)
+        asked = []
+        j_torsion = FiniteLevelModule.j_torsion
+        monkeypatch.setattr(FiniteLevelModule, "j_torsion", lambda self, r: asked.append(r) or j_torsion(self, r))
+        assert inst._annihilator_order() == 20
+        assert len(asked) == len(set(asked)) < 12
