@@ -612,7 +612,7 @@ class TestStagePreimages:
             assert tor.contains(w)
 
     def test_relation_rows_pull_back_to_zero(self, spec31):
-        # level-0 and level-1 blocks and a free block at level 2: at r = 3
+        # level-0 and level-1 blocks and a free block at level 2: at r = 4
         # the first two summands (v = 1 and 3) give relation rows only
         M = block_module(spec31, [BlockSpec(0), BlockSpec(1), BlockSpec(2)])
         assert M._summand_valuations == [1, 3, 9]
