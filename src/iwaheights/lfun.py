@@ -205,7 +205,10 @@ class LfunInstance:
         is monotone in r, since D[J^r] grows with r.  So r doubles from 1
         until the rule holds, then the last step is bisected: about
         2 log2(ord) torsion modules where a walk over r = 1, 2, ... takes
-        ord + 1.  Each r is asked once (`stop` keeps its answers)."""
+        ord + 1.  Each r is asked once (`stop` keeps its answers).  L_z is
+        dotted with the raw Howell rows of D[J^r]: they differ from its
+        canonical generators by relations, which a duality that passes
+        `validate` kills."""
         D = self.D_loc
         m = self.spec.modulus
         f = self.duality.functional(self.L_z)
@@ -216,7 +219,7 @@ class LfunInstance:
             # r - 1 when L_z does not kill D[J^r], inf when D[J^r] = D, else None
             if r not in answers:
                 tor = D.j_torsion(r)
-                if any(_dot(f, g, m) for g in tor.gens()):
+                if any(_dot(f, g, m) for g in tor.hrows):
                     answers[r] = r - 1
                 elif tor.order() == D.size:
                     answers[r] = math.inf
@@ -319,7 +322,9 @@ class LambdaFunctional:
         return _dot(self._functional, c, self.inst.spec.modulus)
 
     def is_identically_zero(self) -> bool:
-        return not any(_dot(self._functional, g, self.inst.spec.modulus) for g in self._torsion.gens())
+        """Whether the functional kills D[J]: it is dotted with the raw
+        Howell rows, as in `LfunInstance._annihilator_order`."""
+        return not any(_dot(self._functional, g, self.inst.spec.modulus) for g in self._torsion.hrows)
 
 
 def main_theorem_check(inst: LfunInstance, r_max: int) -> list[CheckRecord]:

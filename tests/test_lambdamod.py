@@ -807,3 +807,53 @@ class TestCosetEnumeration:
         assert els == closure_elements(S)
         assert S.order() == len(els)
         assert M.size == len(M.elements())
+
+    def test_non_unit_pivots_reduce_each_combination(self, spec32):
+        # Lambda_1/(3T) over Z/9 has relation pivots 3: 2 * (1, 2, 0) =
+        # (2, 4, 0) leaves 4 >= 3 in a pivot column, so a sum of canonical
+        # rows is not canonical there and each element is reduced again
+        M = FiniteLevelModule(spec32, 1, 1, [[[0, 3, 0]]])
+        assert M.col_sizes == [3, 3, 9]
+        S = M.submodule([[1, 2, 0]])
+        assert S.elements() == closure_elements(S)
+
+
+class TestUnitPivotEnumeration:
+    """When every relation pivot is a unit, `canonical_combinations`
+    reduces each row once and no element: `images` and
+    `Submodule.elements` call `canon` at most once per row they combine.
+    The modules are a mixed-relation one at k = 1 and a Z/9 block-pairing
+    one, whose `col_sizes` are 1 and 9."""
+
+    @pytest.fixture(params=["mixed-k1", "block-z9"])
+    def M(self, request, spec31, spec32):
+        if request.param == "mixed-k1":
+            M = FiniteLevelModule(spec31, 2, 2, [[[0, 1], [0, 2]], [[0], [0, 0, 1]]])
+        else:
+            M = block_module(spec32, [BlockSpec(0), BlockSpec(1)])
+            assert set(M.col_sizes) == {1, 9}
+        return M
+
+    @staticmethod
+    def spy_canon(monkeypatch) -> list:
+        calls = []
+        canon = FiniteLevelModule.canon
+        monkeypatch.setattr(FiniteLevelModule, "canon", lambda self, vec: calls.append(vec) or canon(self, vec))
+        return calls
+
+    def test_images_reduce_once_per_row(self, M, monkeypatch):
+        expected = [M.act(M.T_class(), v) for v in M.elements()]
+        calls = self.spy_canon(monkeypatch)
+        images = list(M.images(M.T_class()))
+        assert images == expected
+        assert len(calls) <= sum(size > 1 for size in M.col_sizes) < len(images)
+
+    def test_elements_reduce_once_per_row(self, M, monkeypatch):
+        for S in (full_submodule(M), M.j_torsion(1)):
+            expected = closure_elements(S)
+            rows, _ = S.spanning_rows()
+            calls = self.spy_canon(monkeypatch)
+            els = S.elements()
+            assert els == expected
+            assert len(calls) <= len(rows) < len(els)
+            monkeypatch.undo()

@@ -610,3 +610,28 @@ class TestAnnihilatorGallop:
         monkeypatch.setattr(FiniteLevelModule, "j_torsion", lambda self, r: asked.append(r) or j_torsion(self, r))
         assert inst._annihilator_order() == 20
         assert len(asked) == len(set(asked)) < 12
+
+
+class TestZeroTestsOnRawRows:
+    """The annihilator search's stop rule and
+    `LambdaFunctional.is_identically_zero` dot a functional with the raw
+    Howell rows of a torsion module.  A validated duality kills the
+    relation span, so the canonical generators (`gens()`) give the same
+    truth value; the functionals are those of L_z and of der(L_z, r)."""
+
+    @pytest.mark.parametrize("case", LFUN_FILES + [(3, 1, o, s) for s in range(10) for o in range(4)], ids=str)
+    def test_raw_rows_and_canonical_gens_agree(self, case):
+        inst = desk_or_file_instance(case)
+        inst.validate()
+        D, m = inst.D_loc, inst.spec.modulus
+        degrees = range(min(order_of_vanishing(inst), 3) + 1)
+        functionals = [inst.duality.functional(der(inst, r)) for r in degrees]
+        for r in range(1, inst.spec.k * inst.spec.p**D.level + 2):
+            tor = D.j_torsion(r)
+            for f in functionals:
+                raw = any(sum(a * b for a, b in zip(f, g)) % m for g in tor.hrows)
+                assert raw == any(sum(a * b for a, b in zip(f, g)) % m for g in tor.gens())
+        for r in degrees:
+            lam = LambdaFunctional(inst, r)
+            zero = not any(lam(g) for g in D.j_torsion(1).gens())
+            assert lam.is_identically_zero() == zero
