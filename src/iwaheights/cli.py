@@ -263,6 +263,9 @@ def cmd_lfun_check(args) -> Report:
         built = _instance_from_file(inst_file, args.max_size)
     else:
         built = _build_from_flags(args)
+    # main_theorem_check validates first: the order of vanishing dots L_z
+    # with raw Howell rows, which is sound for a validated duality only
+    checks = main_theorem_check(built, args.max_r)
     ordv = order_of_vanishing(built)
     rep = Report(
         "lfun-check",
@@ -271,7 +274,7 @@ def cmd_lfun_check(args) -> Report:
             "params": {k: v for k, v in sorted(built.meta.items())},
         },
     )
-    rep.checks += main_theorem_check(built, args.max_r)
+    rep.checks += checks
     return rep
 
 

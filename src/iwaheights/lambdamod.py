@@ -262,31 +262,34 @@ class FiniteLevelModule:
         """x * v for every v of `elements()`, in the same order, generated
         one at a time.
 
-        Multiplication by x is O-linear, so x * v = sum v_j (x * e_j): x is
-        applied once per basis vector e_j whose `col_sizes[j]` is above 1,
-        and `canonical_combinations` brings the combinations of those
-        images to canonical form.  Refuses above the element cap like
+        Multiplication by x is O-linear, so x * v = sum v_j (x * e_j): `act`
+        runs once per basis vector e_j whose `col_sizes[j]` is above 1, and
+        `canonical_combinations` brings the combinations of those images
+        to canonical form.  Refuses above the element cap like
         `elements()`, when called."""
         check_enum_cap("module", self.size, self.enum_cap)
         cols = [j for j, size in enumerate(self.col_sizes) if size > 1]
-        rows = [self._product(x, [int(c == j) for c in range(self.dim)]) for j in cols]
+        rows = [self.act(x, [int(c == j) for c in range(self.dim)]) for j in cols]
         return self.canonical_combinations(rows, [self.col_sizes[j] for j in cols])
 
-    def canonical_combinations(self, rows: Sequence[Sequence[int]], counts: Sequence[int]) -> Iterator[Vec]:
-        """The canonical forms of the `combinations` of rows with counts, in
-        their order, generated one at a time.
+    def canonical_combinations(self, rows: Sequence[Vec], counts: Sequence[int]) -> Iterator[Vec]:
+        """The canonical forms of the `combinations` of canonical rows with
+        counts, in their order, generated one at a time.
 
         When every relation pivot is a unit (every `col_sizes` entry is 1
         or p^k, as at k = 1), the Howell rows `rel_rows` are fully reduced
         with pivot 1, so `canon` is the linear map v -> v - sum_i v[c_i]
         rel_rows_i, c_i the pivot column of row i.  A sum mod p^k of
-        canonical vectors is then canonical, and each row is reduced once.
+        canonical vectors is then canonical, and no combination is reduced.
         At a pivot p^w with 0 < w < k a sum can leave [0, p^w) in the pivot
-        column, so there every combination is reduced by `canon`."""
+        column, so there every combination is reduced by `canon`; the
+        canonical rows still leave every unit pivot column of a sum at 0,
+        so each reduction skips those relation rows."""
         m = self.spec.modulus
+        combos = combinations(rows, counts, m, self.dim)
         if all(size in (1, m) for size in self.col_sizes):
-            return map(tuple, combinations([self.canon(r) for r in rows], counts, m, self.dim))
-        return map(self.canon, combinations(rows, counts, m, self.dim))
+            return map(tuple, combos)
+        return map(self.canon, combos)
 
     # -- group-ring action ----------------------------------------------
     def action_matrix(self, x: GroupRingElem) -> list[list[int]]:
@@ -301,20 +304,17 @@ class FiniteLevelModule:
         return [0] * (i * n) + row + [0] * (self.dim - (i + 1) * n)
 
     def act(self, x: GroupRingElem, vec: Sequence[int]) -> Vec:
-        """x * vec in canonical form (`_product`, then `canon`)."""
-        return self.canon(self._product(x, vec))
-
-    def _product(self, x: GroupRingElem, vec: Sequence[int]) -> list[int]:
-        """x * vec, unreduced: a cyclic convolution of x with each
-        generator's block (the product action_matrix(x) . vec without
-        building the matrix)."""
+        """x * vec, as a cyclic convolution of x with each generator's block
+        (the product action_matrix(x) . vec without building the matrix).
+        `images` applies x to a whole module through one call per basis
+        vector."""
         xs = x.at_level(self.level).coeffs
         n = self.block
         m = self.spec.modulus
         out: list[int] = []
         for i in range(self.ngens):
             out.extend(kernels.cyclic_mul(xs, vec[i * n : (i + 1) * n], m))
-        return out
+        return self.canon(out)
 
     def gamma_class(self) -> GroupRingElem:
         return GroupRingElem.gamma(self.spec, self.level)
@@ -511,14 +511,17 @@ class Submodule:
 
     def elements(self) -> list[Vec]:
         """All elements, as sorted canonical quotient representatives: the
-        `combinations` of `spanning_rows`, in canonical form
-        (`FiniteLevelModule.canonical_combinations`).
+        `combinations` of `spanning_rows`, brought to canonical form by
+        `FiniteLevelModule.canonical_combinations`.
 
         They hit each coset of the relation span R once: there are `order()`
         of them, and two differing by an element of R would differ at their
         first differing pivot column by an entry of valuation below w, which
         R's Howell property forbids.  This needs R inside the submodule,
-        which every constructor ensures."""
+        which every constructor ensures.  The rows are canonical already:
+        at each pivot column of R the submodule has a row whose pivot
+        divides R's, and the Howell form reduces every other row's entry
+        there below it."""
         return sorted(self.module.canonical_combinations(*self.spanning_rows()))
 
     def __eq__(self, other: object) -> bool:

@@ -590,6 +590,29 @@ class TestBadFileInputs:
         assert captured.out == ""
         assert captured.err == f"invalid input: duality adjunction fails at coordinate 0, T^{row - 1}\n"
 
+    @pytest.mark.parametrize("name", ["lfun_seed0_ord1.json", "lfun_seed0_ord2.json"])
+    def test_table_not_killing_the_relations_is_two(self, tmp_path, capsys, name):
+        # add T^j v to the functional of T^j in coordinate 0, v not killing
+        # the first relation row: the table stays T-equivariant, so only the
+        # relation check fails.  The order of vanishing dots L_z with raw
+        # Howell rows, which is sound for a validated duality only, so
+        # validation must come first and name the fault
+        text = (ROOT / "instances" / name).read_text()
+        D = _instance_from_file(parse_instance(text), DEFAULT_ENUM_CAP).D_loc
+        m = D.spec.modulus
+        T = D.action_matrix(D.T_class())
+        pivot = next(c for c, a in enumerate(D.rel_rows[0]) if a)
+        v = [int(c == pivot) for c in range(D.dim)]
+        table = faithful_table(name=name)
+        for j in range(len(table[0])):
+            table[0][j] = [(a + b) % m for a, b in zip(table[0][j], v)]
+            v = [sum(a * b for a, b in zip(row, v)) % m for row in T]
+        path = edited_instance(tmp_path, name, set_table(table))
+        assert main(["lfun-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: duality does not kill the relations\n"
+
     def test_empty_table_coordinate_is_three(self, tmp_path):
         # a coordinate with no rows is not indexed: the class L_z, nonzero
         # there, is refused as a resource cap
