@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from iwaheights import kernels
@@ -232,56 +231,22 @@ def weierstrass_divide(g: IwasawaPoly, f: IwasawaPoly) -> tuple[IwasawaPoly, Iwa
     return IwasawaPoly(spec, q, out_prec), r
 
 
-def _geometric_sum(spec: RingSpec, step: int, count: int) -> IwasawaPoly:
-    """sum_(j < count) (1+T)^(j*step), exactly, as a polynomial of degree
-    (count-1)*step; refused before anything is built when that is above the cap."""
-    deg = (count - 1) * step
-    if spec.cap < deg:
-        raise PrecisionError(f"cap too small: need cap >= {deg}")
-    coeffs = [0] * (deg + 1)
-    for j in range(count):
-        e = j * step
-        for t in range(e + 1):
-            coeffs[t] += math.comb(e, t)
-    return IwasawaPoly(spec, coeffs)
+def times_T_coeffs(cs: Sequence[int], m: int) -> list[int]:
+    """(gamma - 1) times a group-ring coefficient list, mod m: the
+    coefficient of gamma^g becomes cs[g - 1] - cs[g], around the cycle."""
+    return [(cs[g - 1] - cs[g]) % m for g in range(len(cs))]
 
 
-def generator_ratio(spec: RingSpec, n: int, u: int) -> IwasawaPoly:
-    """The exact quotient (gamma^(u*p^n) - 1) / (gamma^(p^n) - 1).
-
-    u must be a unit mod p^k (taken as a positive integer exponent); the
-    reduction of the result modulo (1+T)^(p^n) - 1 is the constant u.
-    """
-    if u < 1 or not spec.is_unit(u):
-        raise ValueError(f"u = {u} is not a positive unit exponent mod p^{spec.k}")
-    return _geometric_sum(spec, spec.p**n, u)
-
-
-def omega_poly_coeffs(spec: RingSpec, n: int) -> list[int]:
-    """(1+T)^(p^n) - 1 as an exact coefficient list (degree p^n, monic)."""
-    q = spec.p**n
-    m = spec.modulus
-    return [0] + [math.comb(q, i) % m for i in range(1, q + 1)]
-
-
-@lru_cache(maxsize=None)
-def _gamma_to_T_matrix(size: int, m: int) -> tuple[tuple[int, ...], ...]:
-    # row i = coefficients of (1+T)^i in the T basis
-    return tuple(
-        tuple(math.comb(i, j) % m for j in range(size)) for i in range(size)
-    )
-
-
-@lru_cache(maxsize=None)
-def _T_to_gamma_matrix(size: int, m: int) -> tuple[tuple[int, ...], ...]:
-    # row j = coefficients of T^j = (gamma - 1)^j in the group basis
-    return tuple(
-        tuple(
-            (math.comb(j, i) * (-1) ** (j - i)) % m if i <= j else 0
-            for i in range(size)
-        )
-        for j in range(size)
-    )
+def _T_to_gamma(poly: Sequence[int], size: int, m: int) -> list[int]:
+    """sum_j poly[j] * T^j in the basis of the group of order `size`, by
+    Horner's rule in T = gamma - 1.  Each step works in the finite-level
+    ring, so a `poly` of any length comes out reduced mod gamma^size - 1."""
+    top = max((j + 1 for j, c in enumerate(poly) if c % m), default=0)
+    out = [0] * size
+    for c in reversed(poly[:top]):
+        out = times_T_coeffs(out, m)
+        out[0] = (out[0] + c) % m
+    return out
 
 
 def fold_coeffs(cs: Sequence[int], size: int) -> list[int]:
@@ -341,30 +306,21 @@ class GroupRingElem:
     def from_poly_coeffs(cls, spec: RingSpec, level: int, poly: Sequence[int]) -> "GroupRingElem":
         """Convert T-basis coefficients (degree < p^level) to the group basis."""
         size = spec.p**level
-        m = spec.modulus
         if len(poly) > size:
             raise ValueError("polynomial degree too large for this level")
-        mat = _T_to_gamma_matrix(size, m)
-        out = [0] * size
-        for j, c in enumerate(poly):
-            if c % m:
-                row = mat[j]
-                for i in range(size):
-                    out[i] = (out[i] + c * row[i]) % m
-        return cls(spec, level, out)
+        return cls(spec, level, _T_to_gamma(poly, size, spec.modulus))
 
     def to_poly_coeffs(self) -> list[int]:
-        """T-basis coefficients (length p^level) of this element."""
-        size = self.spec.p**self.level
+        """T-basis coefficients (length p^level) of this element, by
+        Horner's rule in gamma = 1 + T: out <- (1 + T) * out + c adds each
+        coefficient to the one above it and c to the lowest, and the list
+        grows by one."""
         m = self.spec.modulus
-        mat = _gamma_to_T_matrix(size, m)
-        out = [0] * size
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = mat[i]
-                for j in range(size):
-                    out[j] = (out[j] + c * row[j]) % m
-        return out
+        top = max((i + 1 for i, c in enumerate(self.coeffs) if c), default=0)
+        out: list[int] = []
+        for c in reversed(self.coeffs[:top]):
+            out = [(a + b) % m for a, b in zip(out + [0], [c] + out)]
+        return out + [0] * (len(self.coeffs) - top)
 
     def _check(self, other: "GroupRingElem") -> None:
         if self.spec != other.spec or self.level != other.level:
@@ -445,21 +401,12 @@ def required_projection_precision(spec: RingSpec, n: int) -> int:
 
 
 def project_to_level(lam: IwasawaPoly, n: int) -> GroupRingElem:
-    """Exact class of lam in the level-n group ring (a ring homomorphism)."""
+    """Exact class of lam in the level-n group ring (a ring homomorphism):
+    the known coefficients summed in the level-n ring by `_T_to_gamma`."""
     spec = lam.spec
     need = required_projection_precision(spec, n)
     if lam.precision < need:
         raise PrecisionError(
             f"projection to level {n} needs precision >= {need}, have {lam.precision}"
         )
-    m = spec.modulus
-    q = spec.p**n
-    omega = omega_poly_coeffs(spec, n)
-    rem = list(lam.coeffs)
-    # plain long division by the monic polynomial omega
-    for i in range(len(rem) - 1, q - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(q + 1):
-                rem[i - q + j] = (rem[i - q + j] - c * omega[j]) % m
-    return GroupRingElem.from_poly_coeffs(spec, n, rem[:q])
+    return GroupRingElem(spec, n, _T_to_gamma(lam.coeffs, spec.p**n, spec.modulus))

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from iwaheights import kernels, linalg
 from iwaheights.errors import EnumerationCapError, IwaheightsError
-from iwaheights.iwalg import GroupRingElem, RingSpec, _T_to_gamma_matrix
+from iwaheights.iwalg import GroupRingElem, RingSpec, _T_to_gamma
 
 DEFAULT_ENUM_CAP = 3**10
 
@@ -177,7 +177,7 @@ def _ideal_rows(p: int, level: int, a: int) -> list[list[int]]:
     gamma^j T^a, j < n - a, are T^a shifted j places without wrapping, so
     they come already in echelon form, with pivot (-1)^a in column j."""
     n = p**level
-    t_a = list(_T_to_gamma_matrix(n, p)[a]) if a < n else []
+    t_a = _T_to_gamma([0] * a + [1], n, p) if a < n else []
     return linalg.howell([[0] * j + t_a[: n - j] for j in range(n - a)], p, 1)
 
 

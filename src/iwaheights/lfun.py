@@ -52,6 +52,7 @@ from iwaheights.iwalg import (
     RingSpec,
     j_valuation,
     project_to_level,
+    times_T_coeffs,
     transfer_coeffs,
     weierstrass_divide,
 )
@@ -76,8 +77,8 @@ def _dot(f: Vec, d: Vec, m: int) -> int:
 
 
 def _times_T(f: Vec, block: int, m: int) -> list[int]:
-    """(gamma - 1) * f on each block: entry g becomes f[g - 1] - f[g]."""
-    return [(f[c - 1 if c % block else c + block - 1] - f[c]) % m for c in range(len(f))]
+    """(gamma - 1) * f on each block."""
+    return [c for i in range(0, len(f), block) for c in times_T_coeffs(f[i : i + block], m)]
 
 
 class CanonicalDuality:

@@ -6,22 +6,21 @@ normalised so the level is minimal and the zero class sits at level 0.
 
 eta re-expresses a class relative to the generator gamma0^u and returns the
 numerator's finite-level class; phi extracts the identity-group-element
-coefficient afterwards.  Both satisfy the scaling laws eta_{gamma^u} =
-u*eta_gamma and phi_{gamma^u} = u*phi_gamma, which the tests check through
-the full re-expression pipeline.
+coefficient afterwards.  The generator ratio (gamma0^(u*p^n) - 1) /
+(gamma0^(p^n) - 1) is the constant u at level n, so eta_{gamma^u} =
+u*eta_gamma and phi_{gamma^u} = u*phi_gamma hold in closed form; the
+tests compare eta with the series re-expression (the ratio built as a
+power series and projected to level n).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from iwaheights.errors import PrecisionError
 from iwaheights.iwalg import (
     GroupRingElem,
     RingSpec,
-    generator_ratio,
-    project_to_level,
     required_projection_precision,
     transfer_coeffs,
 )
@@ -123,20 +122,20 @@ def pole_involution(x: PoleElem) -> PoleElem:
     return PoleElem(x.spec, x.level, -x.numerator.involution())
 
 
-@lru_cache(maxsize=None)
-def _ratio_class(spec: RingSpec, n: int, u: int) -> GroupRingElem:
-    """The level-n class of `generator_ratio(spec, n, u)`, built once per
-    (spec, n, u) and shared: every Gram entry of a height at u reuses it."""
-    return project_to_level(generator_ratio(spec, n, u), n)
-
-
 def eta(u: int, x: PoleElem) -> GroupRingElem:
     """Polar isomorphism at the generator gamma0^u, on a level-n class.
 
-    Re-expresses x with denominator (gamma0^u)^(p^n) - 1 via the exact
-    generator ratio, then reads off the numerator's finite-level class.
-    The ratio's class is cached per (spec, n, u) (`_ratio_class`); the cap
-    check runs on every call.
+    Re-expressing x with denominator (gamma0^u)^(p^n) - 1 multiplies its
+    numerator by (gamma0^(u*p^n) - 1)/(gamma0^(p^n) - 1) = sum_(j < u)
+    gamma0^(j*p^n), whose level-n class is the constant u; so the result
+    is u times the numerator's class.  u is a unit (`HeightPairing` checks).
+
+    The cap check is what the series form needed (the ratio's degree
+    (u-1)*p^n and the projection's precision).  It stays because the
+    `heights` report reads it: a level-2 pairing under cap 16 exits 3 at
+    u = 2, as `test_pairing_without_gram_matrix_is_three` (test_cli) and
+    `test_precision_boundary_raises` (test_heights) pin.  Dropping it would
+    change reports (ROADMAP item 15).
     """
     spec = x.spec
     n = x.level
@@ -147,7 +146,7 @@ def eta(u: int, x: PoleElem) -> GroupRingElem:
         raise PrecisionError(
             f"cap {spec.cap} too small to re-express at generator exponent {u}"
         )
-    return _ratio_class(spec, n, u) * x.numerator
+    return GroupRingElem(spec, n, [u * c for c in x.numerator.coeffs])
 
 
 def phi(u: int, x: PoleElem) -> int:

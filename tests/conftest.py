@@ -11,9 +11,9 @@ from typing import Sequence, Union
 import pytest
 
 from iwaheights import linalg
-from iwaheights.errors import IwaheightsError
+from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.heights import HeightPairing
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, _geometric_sum, project_to_level
+from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, project_to_level, required_projection_precision
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, ElementaryShape, FiniteLevelModule, Submodule, Vec, check_rank
 from iwaheights.poles import PoleElem, norm_class
 
@@ -77,6 +77,90 @@ def norm_element(spec: RingSpec, n: int) -> IwasawaPoly:
     if n < 1:
         raise ValueError("level must be >= 1")
     return _geometric_sum(spec, 1, spec.p**n)
+
+
+# -- the basis changes and the generator ratio as binomial tables and series --
+# `GroupRingElem.from_poly_coeffs`, `to_poly_coeffs`, `project_to_level` and
+# `poles.eta` compute these in closed form (Horner's rule, the constant u);
+# the forms they replaced stay here as their oracles.
+def _geometric_sum(spec: RingSpec, step: int, count: int) -> IwasawaPoly:
+    """sum_(j < count) (1+T)^(j*step), exactly, as a polynomial of degree
+    (count-1)*step; refused before anything is built when that is above the cap."""
+    deg = (count - 1) * step
+    if spec.cap < deg:
+        raise PrecisionError(f"cap too small: need cap >= {deg}")
+    coeffs = [0] * (deg + 1)
+    for j in range(count):
+        e = j * step
+        for t in range(e + 1):
+            coeffs[t] += math.comb(e, t)
+    return IwasawaPoly(spec, coeffs)
+
+
+def generator_ratio(spec: RingSpec, n: int, u: int) -> IwasawaPoly:
+    """The exact quotient (gamma^(u*p^n) - 1) / (gamma^(p^n) - 1).
+
+    u must be a unit mod p^k (taken as a positive integer exponent); the
+    reduction of the result modulo (1+T)^(p^n) - 1 is the constant u.
+    """
+    if u < 1 or not spec.is_unit(u):
+        raise ValueError(f"u = {u} is not a positive unit exponent mod p^{spec.k}")
+    return _geometric_sum(spec, spec.p**n, u)
+
+
+def omega_poly_coeffs(spec: RingSpec, n: int) -> list[int]:
+    """(1+T)^(p^n) - 1 as an exact coefficient list (degree p^n, monic)."""
+    q = spec.p**n
+    m = spec.modulus
+    return [0] + [math.comb(q, i) % m for i in range(1, q + 1)]
+
+
+def gamma_to_T_matrix(size: int, m: int) -> list[list[int]]:
+    """Row i: the coefficients of (1+T)^i in the T basis."""
+    return [[math.comb(i, j) % m for j in range(size)] for i in range(size)]
+
+
+def T_to_gamma_matrix(size: int, m: int) -> list[list[int]]:
+    """Row j: the coefficients of T^j = (gamma - 1)^j in the group basis."""
+    return [
+        [(math.comb(j, i) * (-1) ** (j - i)) % m if i <= j else 0 for i in range(size)]
+        for j in range(size)
+    ]
+
+
+def table_from_poly_coeffs(spec: RingSpec, level: int, poly: Sequence[int]) -> GroupRingElem:
+    """T-basis coefficients (at most p^level) to the group basis, row by
+    row of `T_to_gamma_matrix`."""
+    size, m = spec.p**level, spec.modulus
+    if len(poly) > size:
+        raise ValueError("polynomial degree too large for this level")
+    mat = T_to_gamma_matrix(size, m)
+    return GroupRingElem(spec, level, [sum(c * mat[j][i] for j, c in enumerate(poly)) for i in range(size)])
+
+
+def table_to_poly_coeffs(x: GroupRingElem) -> list[int]:
+    """The T-basis coefficients of x, row by row of `gamma_to_T_matrix`."""
+    size, m = len(x.coeffs), x.spec.modulus
+    mat = gamma_to_T_matrix(size, m)
+    return [sum(c * mat[i][j] for i, c in enumerate(x.coeffs)) % m for j in range(size)]
+
+
+def division_project_to_level(lam: IwasawaPoly, n: int) -> GroupRingElem:
+    """The class of lam in the level-n group ring: the remainder of plain
+    long division by the monic omega_n, then `table_from_poly_coeffs`."""
+    spec = lam.spec
+    need = required_projection_precision(spec, n)
+    if lam.precision < need:
+        raise PrecisionError(f"projection to level {n} needs precision >= {need}, have {lam.precision}")
+    m, q = spec.modulus, spec.p**n
+    omega = omega_poly_coeffs(spec, n)
+    rem = list(lam.coeffs)
+    for i in range(len(rem) - 1, q - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(q + 1):
+                rem[i - q + j] = (rem[i - q + j] - c * omega[j]) % m
+    return table_from_poly_coeffs(spec, n, rem[:q])
 
 
 def scale_elem(x: GroupRingElem, c: int) -> GroupRingElem:

@@ -613,6 +613,21 @@ class TestBadFileInputs:
         assert captured.out == ""
         assert captured.err == "invalid input: duality does not kill the relations\n"
 
+    @pytest.mark.parametrize("cmd", ["invariants", "oracle"])
+    def test_relation_longer_than_the_group_is_two(self, tmp_path, capsys, cmd):
+        # a level-1 F_3 relation entry with four T-coefficients: the
+        # projection to Lambda_1 would accept it, so from_poly_coeffs' length
+        # check is what refuses it
+        path = tmp_path / "long_relation.json"
+        path.write_text(
+            '{"version": 1, "ring": {"p": 3, "k": 1, "cap": 8, "level": 1},'
+            ' "module": {"generators": 1, "relations": [[[0, 0, 0, 1]]]}}'
+        )
+        assert main([cmd, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: polynomial degree too large for this level\n"
+
     def test_empty_table_coordinate_is_three(self, tmp_path):
         # a coordinate with no rows is not indexed: the class L_z, nonzero
         # there, is refused as a resource cap

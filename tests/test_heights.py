@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iwaheights import linalg, poles
+from iwaheights import linalg
 from iwaheights.cli import _build_pairing
 from iwaheights.errors import IwaheightsError, PrecisionError
 from iwaheights.heights import (
@@ -612,25 +612,6 @@ class TestGramMatrix:
             height_coeff(h, gens[0], gens[0])
         with pytest.raises(PrecisionError, match=msg):
             d.matrix(gens, gens)
-
-    def test_ratio_class_built_once_per_level(self, spec31, monkeypatch):
-        # eta re-expresses every basis value at u = 2 through the level-n
-        # class of the generator ratio, which is built once per (n, u)
-        ratio = poles.generator_ratio
-        calls = []
-
-        def spy(spec, n, u):
-            calls.append((n, u))
-            return ratio(spec, n, u)
-
-        monkeypatch.setattr(poles, "generator_ratio", spy)
-        poles._ratio_class.cache_clear()
-        pairing = BlockPairing(spec31, [BlockSpec(0), BlockSpec(1)])
-        gram = HeightPairing(pairing, u=2).gram
-        levels = {v.level for row in pairing.table for v in row}
-        assert levels == {0, 1}
-        assert sorted(calls) == [(0, 2), (1, 2)]
-        assert gram == HeightPairing(pairing, u=1).gram
 
 
 class TestDerivedMatrix:

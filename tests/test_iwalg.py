@@ -21,14 +21,21 @@ from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
     RingSpec,
-    generator_ratio,
     j_valuation,
-    omega_poly_coeffs,
     project_to_level,
     weierstrass_degree,
     weierstrass_divide,
 )
-from tests.conftest import gamma_power, involution, norm_element, poly_add, random_poly, truncate
+from tests.conftest import (
+    gamma_power,
+    generator_ratio,
+    involution,
+    norm_element,
+    omega_poly_coeffs,
+    poly_add,
+    random_poly,
+    truncate,
+)
 
 
 class TestDistinguished:

@@ -4,11 +4,19 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwaheights import linalg
-from iwaheights.iwalg import GroupRingElem, IwasawaPoly, RingSpec, omega_poly_coeffs, project_to_level, transfer_coeffs
+from iwaheights.errors import PrecisionError
+from iwaheights.iwalg import (
+    GroupRingElem,
+    IwasawaPoly,
+    RingSpec,
+    project_to_level,
+    required_projection_precision,
+    transfer_coeffs,
+)
 from iwaheights.poles import (
     PoleElem,
     eta,
@@ -17,7 +25,15 @@ from iwaheights.poles import (
     pole_involution,
     pole_sum,
 )
-from tests.conftest import norm_element, poly_add, random_poly, scale_elem
+from tests.conftest import (
+    division_project_to_level,
+    generator_ratio,
+    norm_element,
+    omega_poly_coeffs,
+    poly_add,
+    random_poly,
+    scale_elem,
+)
 
 
 def pole_reduce(lam, n):
@@ -211,6 +227,26 @@ class TestScalingLaws:
 
     def test_eta_zero_class(self, spec31):
         assert eta(2, PoleElem.zero(spec31)).is_zero()
+
+    @given(st.sampled_from([3, 5]), st.integers(1, 3), st.integers(0, 2), st.integers(2, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_eta_matches_series_reexpression(self, p, k, n, u, data):
+        # eta's closed form against the re-expression it replaced: the
+        # generator ratio as a power series, projected to the class's level
+        # by long division and multiplied in; both refuse the same caps
+        probe = RingSpec(p, k, 1)
+        assume(probe.is_unit(u))
+        need = max((u - 1) * p**n, required_projection_precision(probe, n))
+        spec = RingSpec(p, k, data.draw(st.integers(max(need - 2, 1), need + 2)))
+        cs = data.draw(st.lists(st.integers(0, spec.modulus - 1), min_size=p**n, max_size=p**n))
+        x = PoleElem(spec, n, GroupRingElem(spec, n, cs))
+        try:
+            expected = division_project_to_level(generator_ratio(spec, x.level, u), x.level) * x.numerator
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                eta(u, x)
+            return
+        assert eta(u, x) == expected
 
     def test_eta_phi_scaling_exhaustive(self):
         # all units u, v mod p^k, all level <= 1 classes, k <= 2

@@ -1,11 +1,14 @@
 """The group-ring structure maps on coefficient lists, against the loops
 they replaced.
 
-`fold_coeffs`, `transfer_coeffs` and `iota_coeffs` (and `at_level` and
-the geometric sum behind `generator_ratio`, and the tests' `norm_element`)
-each have one implementation in the package.  Each test here keeps the
+`fold_coeffs`, `transfer_coeffs` and `iota_coeffs` (and `at_level`) each
+have one implementation in the package, and the tests' geometric sums
+(`generator_ratio` and `norm_element`) one in conftest.  Each test here keeps the
 hand-written version that one of them replaced as its oracle and compares
-the two over (p, k) in {(3,1), (3,2), (5,1)} and levels 0-2.
+the two over (p, k) in {(3,1), (3,2), (5,1)} and levels 0-2.  The changes
+of basis between T and gamma (Horner's rule in the package) are compared
+with the binomial tables and the long division they replaced over p in
+{3, 5}, k <= 3 and levels 0-2.
 """
 
 import math
@@ -20,11 +23,19 @@ from iwaheights.iwalg import (
     IwasawaPoly,
     RingSpec,
     fold_coeffs,
-    generator_ratio,
     iota_coeffs,
+    project_to_level,
+    required_projection_precision,
     transfer_coeffs,
 )
-from tests.conftest import norm_element, scale_elem
+from tests.conftest import (
+    division_project_to_level,
+    generator_ratio,
+    norm_element,
+    scale_elem,
+    table_from_poly_coeffs,
+    table_to_poly_coeffs,
+)
 
 SPECS = st.sampled_from([(3, 1), (3, 2), (5, 1)])
 LEVELS = st.integers(0, 2)
@@ -194,3 +205,42 @@ def test_generator_ratio_matches_loop(pk, n, u, cap):
     spec = RingSpec(*pk, cap)
     assume(spec.is_unit(u))
     same_outcome(lambda: generator_ratio(spec, n, u), lambda: loop_generator_ratio(spec, n, u))
+
+
+# -- changes of basis between T and gamma ------------------------------------
+BASIS_SPECS = st.tuples(st.sampled_from([3, 5]), st.integers(1, 3))
+
+
+@given(BASIS_SPECS, LEVELS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_poly_coeffs_matches_table(pk, level, data):
+    spec = RingSpec(*pk, 8)
+    size = spec.p**level
+    # lengths up to p^level, entries not reduced mod p^k
+    poly = data.draw(st.lists(st.integers(-2 * spec.modulus, 2 * spec.modulus), max_size=size))
+    assert GroupRingElem.from_poly_coeffs(spec, level, poly) == table_from_poly_coeffs(spec, level, poly)
+
+
+@given(BASIS_SPECS, LEVELS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_to_poly_coeffs_matches_table(pk, level, data):
+    spec = RingSpec(*pk, 8)
+    x = draw_elem(data, spec, level)
+    poly = x.to_poly_coeffs()
+    assert poly == table_to_poly_coeffs(x)
+    assert GroupRingElem.from_poly_coeffs(spec, level, poly) == x
+
+
+@given(BASIS_SPECS, LEVELS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_project_to_level_matches_division(pk, n, data):
+    p, k = pk
+    q = p**n
+    need = required_projection_precision(RingSpec(p, k, 1), n)
+    # precisions from one below the bound to well past p^n, so most series
+    # are longer than p^n and the short ones raise in both
+    cap = data.draw(st.integers(max(need - 1, 1), need + 2 * q + 3))
+    spec = RingSpec(p, k, cap)
+    precision = data.draw(st.integers(max(need - 1, 0), cap))
+    lam = IwasawaPoly(spec, draw_coeffs(data, spec, precision + 1), precision)
+    same_outcome(lambda: project_to_level(lam, n), lambda: division_project_to_level(lam, n))
