@@ -400,13 +400,19 @@ def required_projection_precision(spec: RingSpec, n: int) -> int:
     return q if spec.k == 1 else spec.k * q - 1
 
 
-def project_to_level(lam: IwasawaPoly, n: int) -> GroupRingElem:
-    """Exact class of lam in the level-n group ring (a ring homomorphism):
-    the known coefficients summed in the level-n ring by `_T_to_gamma`."""
-    spec = lam.spec
-    need = required_projection_precision(spec, n)
+def check_projection_precision(lam: IwasawaPoly, n: int) -> None:
+    """Raise PrecisionError when lam is known to less than the precision
+    `required_projection_precision` asks of a projection to level n."""
+    need = required_projection_precision(lam.spec, n)
     if lam.precision < need:
         raise PrecisionError(
             f"projection to level {n} needs precision >= {need}, have {lam.precision}"
         )
+
+
+def project_to_level(lam: IwasawaPoly, n: int) -> GroupRingElem:
+    """Exact class of lam in the level-n group ring (a ring homomorphism):
+    the known coefficients summed in the level-n ring by `_T_to_gamma`."""
+    check_projection_precision(lam, n)
+    spec = lam.spec
     return GroupRingElem(spec, n, _T_to_gamma(lam.coeffs, spec.p**n, spec.modulus))

@@ -117,20 +117,55 @@ def check_enum_cap(what: str, count: int, cap: int) -> None:
         raise EnumerationCapError(f"{what} has {count} elements, above the cap {cap}")
 
 
-def combinations(rows: Sequence[Sequence[int]], counts: Sequence[int], m: int, width: int) -> Iterator[list[int]]:
-    """Every sum a_i * rows_i mod m with 0 <= a_i < counts_i, in the order
-    of `itertools.product(*map(range, counts))`; rows are `width` long.
+def combinations(rows: Sequence[Sequence[int]], counts: Sequence[int], m: int, width: int) -> Iterator[Vec]:
+    """Every sum a_i * rows_i mod m with 0 <= a_i < counts_i, as a tuple,
+    in the order of `itertools.product(*map(range, counts))`; rows are
+    `width` long and their entries may be any ints.
 
-    Each row's multiples are taken once, and every combination is one
-    earlier combination plus one multiple.  The combinations of all but
-    the last row are built as a list; the full ones are generated from it
-    one at a time, so a caller that keeps few of them holds little."""
-    multiples = [[[a * y % m for y in row] for a in range(count)] for row, count in zip(rows, counts) if count > 1]
-    last = multiples.pop() if multiples else [[0] * width]
-    combos = [[0] * width]
-    for mults in multiples:
-        combos = [[(x + y) % m for x, y in zip(v, w)] for v in combos for w in mults]
-    return ([(x + y) % m for x, y in zip(v, w)] for v in combos for w in last)
+    Each vector is packed into one int: entry j sits in the field of b bits
+    at bit b*j, b the least multiple of 8 with m < 2^(b-1).  The sum s of
+    two packed vectors with entries in [0, m) has every field below
+    2m - 1 < 2^b, so no carry crosses a field.  Adding K, which holds
+    2^(b-1) - m in every field, sets a field's top (guard) bit exactly
+    where that field of s is m or more, so
+
+        s - (((s + K) & G) >> (b - 1)) * m,
+
+    G the guard bits, reduces every field at once.  Each row is packed once
+    with its entries reduced mod m, each of its multiples is the one before
+    plus the row, and every combination is an earlier combination plus one
+    multiple: one big-int add and its reduction.  A finished combination
+    is decoded once: at b = 8 its little-endian bytes are its entries, and
+    wider fields are shifted out.
+
+    The combinations of all but the last row are built as a list; the full
+    ones are generated from it one at a time, so a caller that keeps few of
+    them holds little."""
+    nbytes = (m.bit_length() + 8) // 8
+    bits = 8 * nbytes
+    shift = bits - 1
+    size = nbytes * width
+    K = int.from_bytes(((1 << shift) - m).to_bytes(nbytes, "little") * width, "little")
+    G = int.from_bytes((1 << shift).to_bytes(nbytes, "little") * width, "little")
+
+    def multiples(row: Sequence[int], count: int) -> list[int]:
+        r = int.from_bytes(b"".join((y % m).to_bytes(nbytes, "little") for y in row), "little")
+        out = [0]
+        for _ in range(count - 1):
+            s = out[-1] + r
+            out.append(s - (((s + K) & G) >> shift) * m)
+        return out
+
+    table = [multiples(row, count) for row, count in zip(rows, counts) if count > 1]
+    last = table.pop() if table else [0]
+    combos = [0]
+    for mults in table:
+        combos = [s - (((s + K) & G) >> shift) * m for v in combos for w in mults for s in [v + w]]
+    sums = (s - (((s + K) & G) >> shift) * m for v in combos for w in last for s in [v + w])
+    if nbytes == 1:
+        return (tuple(s.to_bytes(size, "little")) for s in sums)
+    mask = (1 << bits) - 1
+    return (tuple(s >> j & mask for j in range(0, bits * width, bits)) for s in sums)
 
 
 def _circulant(x: GroupRingElem, level: int) -> list[list[int]]:
@@ -274,13 +309,14 @@ class FiniteLevelModule:
 
     def canonical_combinations(self, rows: Sequence[Vec], counts: Sequence[int]) -> Iterator[Vec]:
         """The canonical forms of the `combinations` of canonical rows with
-        counts, in their order, generated one at a time.
+        counts, in their order, generated one at a time as tuples.
 
         When every relation pivot is a unit (every `col_sizes` entry is 1
         or p^k, as at k = 1), the Howell rows `rel_rows` are fully reduced
         with pivot 1, so `canon` is the linear map v -> v - sum_i v[c_i]
         rel_rows_i, c_i the pivot column of row i.  A sum mod p^k of
-        canonical vectors is then canonical, and no combination is reduced.
+        canonical vectors is then canonical, and the tuples `combinations`
+        decodes from its packed sums are returned as they are.
         At a pivot p^w with 0 < w < k a sum can leave [0, p^w) in the pivot
         column, so there every combination is reduced by `canon`; the
         canonical rows still leave every unit pivot column of a sum at 0,
@@ -288,7 +324,7 @@ class FiniteLevelModule:
         m = self.spec.modulus
         combos = combinations(rows, counts, m, self.dim)
         if all(size in (1, m) for size in self.col_sizes):
-            return map(tuple, combos)
+            return combos
         return map(self.canon, combos)
 
     # -- group-ring action ----------------------------------------------
@@ -511,7 +547,8 @@ class Submodule:
 
     def elements(self) -> list[Vec]:
         """All elements, as sorted canonical quotient representatives: the
-        `combinations` of `spanning_rows`, brought to canonical form by
+        `combinations` of `spanning_rows` (each one packed-int add and its
+        guard-bit reduction), brought to canonical form by
         `FiniteLevelModule.canonical_combinations`.
 
         They hit each coset of the relation span R once: there are `order()`

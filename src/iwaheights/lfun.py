@@ -50,6 +50,7 @@ from iwaheights.iwalg import (
     GroupRingElem,
     IwasawaPoly,
     RingSpec,
+    check_projection_precision,
     j_valuation,
     project_to_level,
     times_T_coeffs,
@@ -110,10 +111,19 @@ class CanonicalDuality:
         self.module = module
 
     def functional(self, x: Sequence[IwasawaPoly]) -> list[int]:
-        """The vector f with <x, d> = f . d mod p^k for every d."""
+        """The vector f with <x, d> = f . d mod p^k for every d.
+
+        A coordinate with no nonzero coefficient (all but one of each
+        `monomial_rows` call) gives a zero block without being projected,
+        once its precision passes the check `project_to_level` makes."""
+        block = self.module.block
         out: list[int] = []
         for i, n in enumerate(self.levels):
-            out.extend(transfer_coeffs(project_to_level(x[i], n).coeffs, self.module.block))
+            if x[i].is_zero():
+                check_projection_precision(x[i], n)
+                out.extend([0] * block)
+            else:
+                out.extend(transfer_coeffs(project_to_level(x[i], n).coeffs, block))
         return out
 
     def monomial_rows(self, i: int) -> list[list[int]]:

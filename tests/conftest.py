@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import pytest
 
@@ -200,6 +200,18 @@ def closure_elements(S: Submodule) -> list[Vec]:
                 seen.add(y)
                 frontier.append(y)
     return sorted(seen)
+
+
+def list_combinations(rows: Sequence[Sequence[int]], counts: Sequence[int], m: int, width: int) -> Iterator[list[int]]:
+    """Every sum a_i * rows_i mod m with 0 <= a_i < counts_i, in the order
+    of `itertools.product(*map(range, counts))`, one list of residues
+    per entry: the oracle of the packed `lambdamod.combinations`."""
+    multiples = [[[a * y % m for y in row] for a in range(count)] for row, count in zip(rows, counts) if count > 1]
+    last = multiples.pop() if multiples else [[0] * width]
+    combos = [[0] * width]
+    for mults in multiples:
+        combos = [[(x + y) % m for x, y in zip(v, w)] for v in combos for w in mults]
+    return ([(x + y) % m for x, y in zip(v, w)] for v in combos for w in last)
 
 
 def whole_module_torsion(M: FiniteLevelModule, f: GroupRingElem) -> Submodule:

@@ -945,6 +945,34 @@ class TestOracle:
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    # p^k = 343 takes 16-bit fields in `lambdamod.combinations`.  Lambda_1/(T)
+    # has order 343 and a unit pivot; Lambda_0^2/((0, 49)) has order 16807,
+    # and its pivot 49 sends every combination through `canon`.  The sha256
+    # of each json report was recorded with the list-based combinations.
+    @pytest.mark.parametrize(
+        "level, ngens, relations, digest",
+        [
+            (1, 1, [[[0, 1]]], "b99ecdae73f1461b8cab0ba64791af27af3d50fdacf2b5bc2f48bc9c3f1960d6"),
+            (0, 2, [[[0], [49]]], "41cb0b405dec86e79e9214dc09a423b67a7426b435ec7da9a39d6b766f879a4f"),
+        ],
+        ids=["unit-pivot-343", "pivot-49-16807"],
+    )
+    def test_wide_field_reports_are_pinned(self, tmp_path, capsys, level, ngens, relations, digest):
+        path = tmp_path / "p7k3.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "ring": {"p": 7, "k": 3, "cap": 12, "level": level},
+                    "module": {"generators": ngens, "relations": relations},
+                }
+            )
+        )
+        assert main(["oracle", "--input", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert all(check["verdict"] == "pass" for check in json.loads(out)["checks"])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestReports:
     def test_json_format_is_valid_json(self):

@@ -9,7 +9,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iwaheights import linalg
@@ -22,6 +22,7 @@ from iwaheights.lambdamod import (
     ElementaryShape,
     FiniteLevelModule,
     _ideal_rows,
+    combinations,
     infer_invariants,
     log_p,
     odd_even_multiplicities,
@@ -32,6 +33,7 @@ from iwaheights.lfun import build_synthetic
 from iwaheights.poles import norm_class
 from tests.conftest import (
     closure_elements,
+    list_combinations,
     from_components,
     full_submodule,
     matvec,
@@ -859,3 +861,39 @@ class TestUnitPivotEnumeration:
             assert els == expected
             assert calls == [] and len(els) > 1
             monkeypatch.undo()
+
+
+# p^k for p in {3, 5, 7} and k <= 3 (8- and 16-bit fields); 3^5 and 3^20,
+# whose 8 and 32 bits fill their bytes and leave the guard bit to the next
+# one; and 7^3, 9 bits
+PACKED_MODULI = sorted({p**k for p in (3, 5, 7) for k in (1, 2, 3)} | {3**5, 7**3, 3**20})
+
+
+@st.composite
+def combination_cases(draw):
+    """(rows, counts, m, width) for `combinations`: up to four rows with
+    unreduced and negative entries and counts 1 to 4."""
+    m = draw(st.sampled_from(PACKED_MODULI), label="m")
+    width = draw(st.integers(0, 5), label="width")
+    row = st.lists(st.integers(-3 * m, 3 * m), min_size=width, max_size=width)
+    pairs = draw(st.lists(st.tuples(row, st.integers(1, 4)), max_size=4), label="rows and counts")
+    return [r for r, _ in pairs], [c for _, c in pairs], m, width
+
+
+class TestPackedCombinations:
+    """`combinations` adds vectors packed into one int and reduces every
+    field at once by its guard bit; the oracle is the list-based
+    `list_combinations`.  The examples carry a field of a sum past 2^8 at
+    m = 243 and past 2^32 at m = 3^20."""
+
+    @given(case=combination_cases())
+    @example(case=([[242, -1], [200, 7]], [3, 2], 3**5, 2))
+    @example(case=([[3**20 - 1], [-2]], [2, 2], 3**20, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_oracle(self, case):
+        assert list(combinations(*case)) == [tuple(v) for v in list_combinations(*case)]
+
+    @pytest.mark.parametrize("m", [3, 7**3, 3**20])
+    def test_no_live_rows_is_one_zero_vector(self, m):
+        assert list(combinations([], [], m, 3)) == [(0, 0, 0)]
+        assert list(combinations([[1, -2, 5], [4, 4, 4]], [1, 1], m, 3)) == [(0, 0, 0)]

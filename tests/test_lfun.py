@@ -20,7 +20,15 @@ from iwaheights.errors import (
 )
 from iwaheights.heights import BlockSpec, block_module
 from iwaheights.instancefile import parse_instance, render_generated
-from iwaheights.iwalg import IwasawaPoly, RingSpec, project_to_level, weierstrass_divide
+from iwaheights import lfun
+from iwaheights.iwalg import (
+    IwasawaPoly,
+    RingSpec,
+    project_to_level,
+    required_projection_precision,
+    transfer_coeffs,
+    weierstrass_divide,
+)
 from iwaheights.lambdamod import DEFAULT_ENUM_CAP, FiniteLevelModule
 from iwaheights.lfun import (
     CanonicalDuality,
@@ -436,6 +444,33 @@ class TestClosedFormDuality:
         for _ in range(20):
             x = [random_poly(rng, inst.spec) for _ in range(inst.D_loc.ngens)]
             assert dual.functional(x) == inst.duality.functional(x)
+
+    @pytest.mark.parametrize("case", DUALITY_CASES)
+    def test_monomial_rows_project_no_zero_series(self, case, monkeypatch):
+        # every coordinate but one of a monomial is the zero series, whose
+        # block is zero without a projection
+        inst = cached_instance(case)
+        dual, D = inst.duality, inst.D_loc
+        projected = []
+        monkeypatch.setattr(lfun, "project_to_level", lambda lam, n: projected.append(lam) or project_to_level(lam, n))
+        for i in range(D.ngens):
+            rows = dual.monomial_rows(i)
+            for j, row in enumerate(rows):
+                xbar = project_to_level(IwasawaPoly(inst.spec, [0] * j + [1]), dual.levels[i])
+                block = transfer_coeffs(list(xbar.coeffs), D.block)
+                assert row == [0] * (i * D.block) + block + [0] * (D.dim - (i + 1) * D.block)
+        assert len(projected) == 4 * D.ngens
+        assert not any(lam.is_zero() for lam in projected)
+
+    def test_zero_series_below_precision_raises(self):
+        inst = cached_instance(DUALITY_CASES[0])
+        spec, dual = inst.spec, inst.duality
+        n = max(dual.levels)
+        need = required_projection_precision(spec, n)
+        zeros = [IwasawaPoly.zero(spec, need)] * inst.D_loc.ngens
+        assert dual.functional(zeros) == [0] * inst.D_loc.dim
+        with pytest.raises(PrecisionError, match=f"projection to level {n} needs precision >= {need}, have {need - 1}"):
+            dual.functional([IwasawaPoly.zero(spec, need - 1)] * inst.D_loc.ngens)
 
     @given(st.sampled_from(DUALITY_CASES), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
